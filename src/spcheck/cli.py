@@ -19,6 +19,7 @@ from pathlib import Path
 from . import generators
 from .constraints import Constraint, Nmvd, SpCj, SpFd, SpKey, SpMvd
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     ConstraintParseError,
     PreconditionError,
@@ -46,7 +47,6 @@ from .tuplegen import (
     g5_spmvd,
 )
 
-DEFAULT_BUDGET = 10_000_000
 ORACLE_MAX_ROWS = 8
 ORACLE_MAX_COLS = 4
 ORACLE_MAX_WORLDS = 1_000_000
@@ -252,6 +252,7 @@ def _oracle_block(table, c, verdict, measured, options: RunOptions) -> dict:
         return {"checked": False}
     block = {"checked": True}
     agree = True
+    skipped = []
     oracle_verdict = oracle_check(table, c, options.budget)
     block["holds"] = oracle_verdict.holds
     agree &= oracle_verdict.holds == verdict.holds
@@ -263,11 +264,14 @@ def _oracle_block(table, c, verdict, measured, options: RunOptions) -> dict:
             oracle_result = oracle_fn(table, c, options.budget)
             oracle_value = oracle_result.numerator
         except BudgetExceededError:
+            skipped.append(name)
             continue
         engine_value = None if engine_result is None else engine_result.numerator
         block[name] = "undefined" if oracle_value is None else oracle_result.fraction_str
         agree &= oracle_value == engine_value
     block["agree"] = agree
+    if skipped:
+        block["skipped"] = skipped
     return block
 
 
@@ -393,11 +397,19 @@ def _cmd_table(args, measures) -> int:
             not e.get("oracle", {}).get("checked", False)
             for e in report["constraints"]
         )
+        skipped = [
+            f"{e['spec']}: {name}"
+            for e in report["constraints"]
+            for name in e.get("oracle", {}).get("skipped", ())
+        ]
         if disagree:
             print("oracle disagreement detected", file=sys.stderr)
             return 1
         if unchecked:
             print("some constraints exceeded the oracle's instance limits", file=sys.stderr)
+        if skipped:
+            print("the oracle exceeded its budget and did not compare "
+                  + ", ".join(skipped), file=sys.stderr)
     return report["exit_code"]
 
 

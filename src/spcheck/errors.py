@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+# Nodes for the searches, worlds for the oracle's enumeration.
+DEFAULT_BUDGET = 10_000_000
+
 
 class SpcheckError(Exception):
     """Base class for all package errors."""
@@ -10,14 +13,17 @@ class SpcheckError(Exception):
 class BudgetExceededError(SpcheckError):
     """A search or enumeration exceeded its configured budget.
 
-    Carries the partial bound that was established before giving up, so
+    Carries the partial bound that was established before giving up and,
+    for node budgets, the nodes spent against the budget given, so
     callers can report how far the search got. Never used to return an
     unverified value.
     """
 
-    def __init__(self, message: str, partial_bound=None):
+    def __init__(self, message: str, partial_bound=None, spent=None, budget=None):
         super().__init__(message)
         self.partial_bound = partial_bound
+        self.spent = spent
+        self.budget = budget
 
 
 class UnmaterializedGraphError(SpcheckError):

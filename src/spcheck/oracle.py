@@ -16,10 +16,8 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
 from .constraints import Constraint, Nmvd, SpCj, SpFd, SpKey, SpMvd
-from .errors import BudgetExceededError, OracleGapError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, OracleGapError
 from .table import IncompleteTable, Row, fresh_values
-
-DEFAULT_WORLD_BUDGET = 10_000_000
 
 # Instance-size limits for the extended-pool g5 cross-check.
 CROSS_CHECK_MAX_ROWS = 6
@@ -114,7 +112,7 @@ def _iter_completions(table: IncompleteTable, budget: int) -> Iterator[tuple[Row
         yield tuple(tuple(row) for row in work)
 
 
-def enumerate_spworlds(table: IncompleteTable, budget: int = DEFAULT_WORLD_BUDGET) -> Iterator[SpWorld]:
+def enumerate_spworlds(table: IncompleteTable, budget: int = DEFAULT_BUDGET) -> Iterator[SpWorld]:
     """Yield every strongly possible world exactly once, in lexicographic
     order of the NULL-cell assignments (row-major)."""
     origin = tuple(range(table.row_count))
@@ -256,7 +254,7 @@ def _find_violation(rows: Sequence[Row], c: Constraint, arity: int) -> tuple | N
 # Existential check over all worlds
 
 
-def oracle_check(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_WORLD_BUDGET) -> ConstraintVerdict:
+def oracle_check(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Holds iff some strongly possible world satisfies the classical
     constraint; returns the certifying world or a violating index pair."""
     if isinstance(c, Nmvd):
@@ -280,7 +278,7 @@ def oracle_check(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_WO
 # g3 by exhaustive removal search
 
 
-def oracle_g3(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_WORLD_BUDGET) -> MeasureResult:
+def oracle_g3(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGET) -> MeasureResult:
     """Minimum removal ratio, found by subset enumeration ordered by size;
     ties broken by the lexicographically smallest row-index set."""
     n = table.row_count
@@ -437,7 +435,7 @@ def _run_cross_check(table: IncompleteTable, c: Constraint, found: int, budget: 
 def oracle_g5(
     table: IncompleteTable,
     c: Constraint,
-    budget: int = DEFAULT_WORLD_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     cross_check: str = "auto",
 ) -> MeasureResult:
     """Minimum addition ratio over the primary candidate pool.

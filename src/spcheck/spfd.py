@@ -10,11 +10,11 @@ value). The search is exact within a node budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import DEFAULT_BUDGET, PreconditionError
 from .oracle import ConstraintVerdict, MeasureResult, SpWorld, lexmin_world
+from .search import Budget, backtrack, row_order
 from .table import (
     AttributeSet,
     IncompleteTable,
@@ -23,8 +23,6 @@ from .table import (
     is_total,
     projection,
 )
-
-DEFAULT_NODE_BUDGET = 10_000_000
 
 # Degeneracy cases and slot enumeration in the removal lower bound are
 # skipped above these sizes; the bound is only ever used to prune.
@@ -37,50 +35,23 @@ def normalize_fd(lhs: AttributeSet, rhs: AttributeSet) -> tuple[AttributeSet, At
     return lhs - rhs, rhs - lhs
 
 
-def _row_key(row: Row, cols: tuple[int, ...]) -> tuple:
-    return tuple((1, "") if row[a] is None else (0, row[a]) for a in cols)
-
-
 class _FdSearch:
-    """Backtracking assignment of left-side extensions to rows."""
+    """Assignment of left-side extensions to rows, with the classes the
+    assigned rows form: class value -> [member count, per-right-side
+    attribute fixed cell or None]."""
 
-    def __init__(self, table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-                 budget: int):
+    def __init__(self, table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
         self.table = table
         self.x_cols = tuple(sorted(lhs))
         self.y_cols = tuple(sorted(rhs))
-        self.budget = budget
-        self.nodes = 0
-        domains = table.active_domains()
-        self.x_options: list[tuple[tuple, ...]] = []
-        for row in table.rows:
-            opts = tuple(
-                product(*(
-                    (row[a],) if row[a] is not None else domains[a].sorted_values
-                    for a in self.x_cols
-                ))
-            )
-            self.x_options.append(opts)
-        xy = self.x_cols + self.y_cols
-        order_key = lambda i: (len(self.x_options[i]), _row_key(table.rows[i], xy), i)
-        self.order = sorted(range(table.row_count), key=order_key)
-        self.same_as_prev = [False] * len(self.order)
-        for pos in range(1, len(self.order)):
-            i, j = self.order[pos - 1], self.order[pos]
-            self.same_as_prev[pos] = (
-                projection(table.rows[i], xy) == projection(table.rows[j], xy)
-            )
-        # class value -> [member count, per-y-attribute fixed cell or None]
+        self.order, self.options, self.same_as_prev = row_order(
+            table, range(table.row_count), self.x_cols, self.x_cols + self.y_cols
+        )
         self.classes: dict = {}
-        self.assignment: dict = {}
-        self.choice_index: list[int] = [0] * table.row_count
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(
-                f"spFD search exceeded the node budget of {self.budget}"
-            )
+    def run(self, budget: Budget, max_removed: int = 0, leaf=None) -> dict | None:
+        return backtrack(self.order, self.options, self.same_as_prev, budget,
+                         self._join, self._unjoin, leaf=leaf, max_removed=max_removed)
 
     def _slot_space(self, extra_per_column: int = 0) -> int:
         """Size of the left-side completion space, capped at |T| + 1.
@@ -118,9 +89,10 @@ class _FdSearch:
                 return True
         return False
 
-    def _join(self, value: tuple, row: Row):
-        """Add ``row`` to the class of ``value``; returns an undo token or
-        None when the class would become infeasible."""
+    def _join(self, i: int, value: tuple):
+        """Add row ``i`` to the class of ``value``; returns an undo token
+        or None when the class would become infeasible."""
+        row = self.table.rows[i]
         state = self.classes.get(value)
         if state is None:
             fixed = [row[a] for a in self.y_cols]
@@ -152,37 +124,12 @@ class _FdSearch:
             for p in touched:
                 state[1][p] = None
 
-    def solve(self) -> bool:
-        if self._greedy_conflict_clique() > self._slot_space():
-            return False
-        return self._descend(0)
-
-    def _descend(self, pos: int) -> bool:
-        if pos == len(self.order):
-            return True
-        self._tick()
-        i = self.order[pos]
-        start = self.choice_index[self.order[pos - 1]] if self.same_as_prev[pos] else 0
-        options = self.x_options[i]
-        for idx in range(start, len(options)):
-            value = options[idx]
-            token = self._join(value, self.table.rows[i])
-            if token is None:
-                continue
-            self.assignment[i] = value
-            self.choice_index[i] = idx
-            if self._descend(pos + 1):
-                return True
-            del self.assignment[i]
-            self._unjoin(token)
-        return False
-
-    def witness_world(self) -> SpWorld:
+    def witness_world(self, assignment: dict) -> SpWorld:
         domains = self.table.active_domains()
         rows = []
         for i, row in enumerate(self.table.rows):
             cells = list(row)
-            value = self.assignment[i]
+            value = assignment[i]
             for pos, a in enumerate(self.x_cols):
                 cells[a] = value[pos]
             fixed = self.classes[value][1]
@@ -197,17 +144,20 @@ class _FdSearch:
 
 
 def check_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-               budget: int = DEFAULT_NODE_BUDGET) -> ConstraintVerdict:
+               budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Holds iff some strongly possible world satisfies the functional
     dependency; exact backtracking, complete within the budget."""
     x, y = normalize_fd(lhs, rhs)
     if not y or table.row_count == 0:
         # Reflexive dependency: any world works, e.g. the smallest one.
         return ConstraintVerdict(True, lexmin_world(table))
-    search = _FdSearch(table, x, y, budget)
-    if search.solve():
-        return ConstraintVerdict(True, search.witness_world())
-    return ConstraintVerdict(False)
+    search = _FdSearch(table, x, y)
+    if search._greedy_conflict_clique() > search._slot_space():
+        return ConstraintVerdict(False)
+    assignment = search.run(Budget.of(budget))
+    if assignment is None:
+        return ConstraintVerdict(False)
+    return ConstraintVerdict(True, search.witness_world(assignment))
 
 
 def total_part_satisfies_fd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> bool:
@@ -294,96 +244,50 @@ def _removal_lower_bound(table: IncompleteTable, x_cols: tuple[int, ...],
     return n - best_cover
 
 
-class _FdRemovalSearch(_FdSearch):
-    """Assign-or-remove depth-first search with a removal budget.
-
-    The incremental class state is a relaxation (it draws values from the
-    original active domains, which removal may shrink), so every complete
-    leaf is re-verified against the actual sub-table before it counts.
-    """
-
-    def __init__(self, table, lhs, rhs, budget):
-        super().__init__(table, lhs, rhs, budget)
-        self.removed: list[int] = []
-        self.limit = 0
-        self.leaf_verdict: ConstraintVerdict | None = None
-
-    def solve_with_removals(self, limit: int) -> bool:
-        self.limit = limit
-        self.classes.clear()
-        self.assignment.clear()
-        self.removed.clear()
-        self.leaf_verdict = None
-        return self._descend_r(0)
-
-    def _descend_r(self, pos: int) -> bool:
-        if pos == len(self.order):
-            if not self.removed:
-                self.leaf_verdict = ConstraintVerdict(True, self.witness_world())
-                return True
-            sub = self.table.with_rows_removed(self.removed)
-            verdict = check_spfd(
-                sub, frozenset(self.x_cols), frozenset(self.y_cols), self.budget
-            )
-            if verdict.holds:
-                self.leaf_verdict = verdict
-                return True
-            return False
-        self._tick()
-        i = self.order[pos]
-        prev = self.order[pos - 1] if pos else None
-        prev_removed = self.same_as_prev[pos] and prev in self.removed
-        if not prev_removed:
-            start = self.choice_index[prev] if self.same_as_prev[pos] else 0
-            options = self.x_options[i]
-            for idx in range(start, len(options)):
-                value = options[idx]
-                token = self._join(value, self.table.rows[i])
-                if token is None:
-                    continue
-                self.assignment[i] = value
-                self.choice_index[i] = idx
-                if self._descend_r(pos + 1):
-                    return True
-                del self.assignment[i]
-                self._unjoin(token)
-        if len(self.removed) < self.limit:
-            self.removed.append(i)
-            if self._descend_r(pos + 1):
-                return True
-            self.removed.pop()
-        return False
-
-
 def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-            budget: int = DEFAULT_NODE_BUDGET) -> MeasureResult:
+            budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
     """Minimum removal ratio by iterative deepening on the removal count.
 
     Unlike keys, minimum removal sets may contain left-side-total rows,
     so every row is in scope. Levels below the admissible lower bound are
-    skipped rather than searched.
+    skipped rather than searched. Each level is an assign-or-remove
+    search whose class state is a relaxation (it draws values from the
+    original active domains, which removal may shrink), so every leaf
+    with removals is re-checked against the actual sub-table.
     """
     n = table.row_count
     if n == 0:
         raise ValueError("g3 is undefined for an empty table")
+    budget = Budget.of(budget)
     x, y = normalize_fd(lhs, rhs)
     if not y:
         verdict = check_spfd(table, lhs, rhs, budget)
         return MeasureResult("g3", 0, n, removed_rows=(), witness=verdict.witness)
-    search = _FdRemovalSearch(table, x, y, budget)
+    search = _FdSearch(table, x, y)
+    rechecked: list[ConstraintVerdict] = []
+
+    def leaf(removed: list) -> bool:
+        if not removed:
+            return True
+        verdict = check_spfd(table.with_rows_removed(removed), x, y, budget)
+        rechecked.append(verdict)
+        return verdict.holds
+
     floor = _removal_lower_bound(table, search.x_cols, search.y_cols)
     clique_floor = search._greedy_conflict_clique() - search._slot_space(extra_per_column=1)
     for m in range(max(floor, clique_floor, 0), n + 1):
-        if search.solve_with_removals(m):
-            removed = tuple(sorted(search.removed))
-            kept = tuple(i for i in range(n) if i not in search.removed)
-            witness = SpWorld(search.leaf_verdict.witness.rows, kept)
-            return MeasureResult("g3", len(removed), n, removed_rows=removed, witness=witness)
+        assignment = search.run(budget, m, leaf)
+        if assignment is not None:
+            removed = tuple(i for i in range(n) if i not in assignment)
+            kept = tuple(i for i in range(n) if i in assignment)
+            world = rechecked[-1].witness if removed else search.witness_world(assignment)
+            return MeasureResult("g3", len(removed), n, removed_rows=removed,
+                                 witness=SpWorld(world.rows, kept))
     raise AssertionError("unreachable: removing every row satisfies any spFD")
 
 
 def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-            budget: int = DEFAULT_NODE_BUDGET) -> MeasureResult:
+            budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
     """Minimum number of added rows carrying a fresh left-side value.
 
     Each added row holds one globally new token on the (normalized) left
@@ -400,6 +304,7 @@ def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     n = table.row_count
     if n == 0:
         raise ValueError("g5 is undefined for an empty table")
+    budget = Budget.of(budget)
     x, y = normalize_fd(lhs, rhs)
     if not y:
         return MeasureResult("g5", 0, n, added_rows=(),
@@ -424,21 +329,3 @@ def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
             witness = SpWorld(verdict.witness.rows, origin)
             return MeasureResult("g5", k, n, added_rows=tuple(added), witness=witness)
     return MeasureResult("g5", None, n)
-
-
-@dataclass(frozen=True)
-class FdMeasureReport:
-    lhs: AttributeSet
-    rhs: AttributeSet
-    holds: bool
-    precondition_ok: bool
-    g3: MeasureResult
-    g5: MeasureResult
-
-
-def spfd_report(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-                budget: int = DEFAULT_NODE_BUDGET) -> FdMeasureReport:
-    g3 = g3_spfd(table, lhs, rhs, budget)
-    g5 = g5_spfd(table, lhs, rhs, budget)
-    return FdMeasureReport(lhs, rhs, g3.numerator == 0,
-                           total_part_satisfies_fd(table, lhs, rhs), g3, g5)

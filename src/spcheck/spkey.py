@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .matching import build_extension_graph, hall_components, max_matching
 from .oracle import ConstraintVerdict, MeasureResult, SpWorld
@@ -15,15 +13,6 @@ from .table import (
     is_total,
     projection,
 )
-
-
-@dataclass(frozen=True)
-class KeyMeasureReport:
-    key: AttributeSet
-    holds: bool
-    g3: MeasureResult
-    g4: MeasureResult | None
-    g5: MeasureResult
 
 
 def _complete_row(table: IncompleteTable, row: Row, key: AttributeSet, ext: tuple) -> Row:
@@ -155,11 +144,3 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet) -> MeasureResult:
             witness = SpWorld(verdict.witness.rows, origin)
             return MeasureResult("g5", k, n, added_rows=added, witness=witness)
     return MeasureResult("g5", None, n)
-
-
-def spkey_report(table: IncompleteTable, key: AttributeSet,
-                 with_g4: bool = True) -> KeyMeasureReport:
-    g3 = g3_spkey(table, key)
-    g4 = g4_spkey(table, key) if with_g4 else None
-    g5 = g5_spkey(table, key)
-    return KeyMeasureReport(key, g3.numerator == 0, g3, g4, g5)

@@ -218,6 +218,12 @@ def projection(row: Row, positions: Iterable[int]) -> tuple:
     return tuple(row[a] for a in sorted(positions))
 
 
+def row_key(row: Row, positions: Iterable[int]) -> tuple:
+    """Sort key of ``row`` on ``positions``, taken in the order given:
+    values lexicographically, NULL after every value."""
+    return tuple((1, "") if row[a] is None else (0, row[a]) for a in positions)
+
+
 def extension_options(table: IncompleteTable, row: Row, positions: Iterable[int]) -> list[tuple]:
     """Per-position completion options for ``row`` on sorted ``positions``:
     the cell itself when non-NULL, else the column's active domain."""

@@ -21,39 +21,23 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations, product
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .matching import hopcroft_karp
 from .oracle import ConstraintVerdict, MeasureResult, SpWorld, lexmin_world
+from .search import Budget, backtrack, row_order
 from .table import (
     AttributeSet,
     IncompleteTable,
     fresh_values,
     is_total,
     projection,
+    row_key,
     weakly_similar,
 )
 
-DEFAULT_NODE_BUDGET = 10_000_000
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, cap: int):
-        self.left = cap
-
-    def tick(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceededError("tuple-generating search exceeded its node budget")
-
-
-def _row_key(row, cols) -> tuple:
-    return tuple((1, "") if row[a] is None else (0, row[a]) for a in cols)
-
 
 def _bag_key(rows) -> tuple:
-    return tuple(sorted(rows, key=lambda r: _row_key(r, range(len(r)))))
+    return tuple(sorted(rows, key=lambda r: row_key(r, range(len(r)))))
 
 
 # ---------------------------------------------------------------------------
@@ -61,59 +45,44 @@ def _bag_key(rows) -> tuple:
 
 
 class _CrossSearch:
-    """Can the given rows be completed so that every realized A-projection
-    meets every realized B-projection in some row?
+    """Can the ``members`` rows of ``table`` be completed so that every
+    realized A-projection meets every realized B-projection in some row?
 
-    ``rows`` are (index, row) pairs; completions draw from ``domains``
-    (per-column option tuples of the enclosing table). Rows NULL on all
-    relevant columns are handled by counting, not branching.
+    Completions draw from the active domains of the whole table. Rows
+    NULL on all relevant columns are handled by counting, not branching.
     """
 
-    def __init__(self, rows, a_cols, b_cols, domains, budget: _Budget):
+    def __init__(self, table: IncompleteTable, members, a_cols, b_cols, budget: Budget):
         self.a_cols = tuple(sorted(a_cols))
         self.b_cols = tuple(sorted(b_cols))
         self.cols = tuple(sorted(set(self.a_cols) | set(self.b_cols)))
         self.a_pick = tuple(self.cols.index(a) for a in self.a_cols)
         self.b_pick = tuple(self.cols.index(b) for b in self.b_cols)
         self.overlap = tuple(sorted(set(self.a_cols) & set(self.b_cols)))
-        self.domains = domains
+        self.table = table
         self.budget = budget
+        rows = table.rows
         self.free: list[int] = []
         branching = []
-        for idx, row in rows:
-            if all(row[c] is None for c in self.cols):
+        for idx in members:
+            if all(rows[idx][c] is None for c in self.cols):
                 self.free.append(idx)
             else:
-                branching.append((idx, row))
-        self.n_total = len(rows)
-        self.options: dict = {}
-        for idx, row in branching:
-            self.options[idx] = tuple(
-                product(*(
-                    (row[c],) if row[c] is not None else domains[c]
-                    for c in self.cols
-                ))
-            )
-        order_key = lambda item: (len(self.options[item[0]]),
-                                  _row_key(item[1], self.cols), item[0])
-        self.branching = sorted(branching, key=order_key)
-        self.same_as_prev = [False] * len(self.branching)
-        for pos in range(1, len(self.branching)):
-            r1 = self.branching[pos - 1][1]
-            r2 = self.branching[pos][1]
-            self.same_as_prev[pos] = projection(r1, self.cols) == projection(r2, self.cols)
+                branching.append(idx)
+        self.n_total = len(members)
+        self.order, self.options, self.same_as_prev = row_order(
+            table, branching, self.cols, self.cols
+        )
         self.forced_a = {
-            projection(row, self.a_cols)
-            for _, row in rows
-            if is_total(row, frozenset(self.a_cols))
+            projection(rows[idx], self.a_cols)
+            for idx in members
+            if is_total(rows[idx], frozenset(self.a_cols))
         }
         self.forced_b = {
-            projection(row, self.b_cols)
-            for _, row in rows
-            if is_total(row, frozenset(self.b_cols))
+            projection(rows[idx], self.b_cols)
+            for idx in members
+            if is_total(rows[idx], frozenset(self.b_cols))
         }
-        self.assignment: dict = {}
-        self.choice_index: dict = {}
         self.pairs: dict = defaultdict(int)
         self.avals: dict = defaultdict(int)
         self.bvals: dict = defaultdict(int)
@@ -122,9 +91,10 @@ class _CrossSearch:
         """Returns index -> completion over the relevant columns, or None."""
         if not self._neighbourhoods_feasible():
             return None
-        if self._descend(0):
-            return self._finish()
-        return None
+        assignment = backtrack(self.order, self.options, self.same_as_prev, self.budget,
+                               self._push, self._pop, prune=self._prune,
+                               leaf=lambda removed: self._tail_feasible())
+        return None if assignment is None else self._finish(assignment)
 
     def _neighbourhoods_feasible(self) -> bool:
         """Every row's class must realize all forced values of the other
@@ -133,7 +103,7 @@ class _CrossSearch:
         if not self.cols or self.n_total > 500:
             return True
         blank = (None,) * (max(self.cols) + 1)
-        rows = [row for _, row in self.branching] + [blank] * len(self.free)
+        rows = [self.table.rows[idx] for idx in self.order] + [blank] * len(self.free)
         a_set = frozenset(self.a_cols)
         b_set = frozenset(self.b_cols)
         for r in rows:
@@ -147,43 +117,27 @@ class _CrossSearch:
                     return False
         return True
 
-    def _a_of(self, completion: tuple) -> tuple:
-        return tuple(completion[i] for i in self.a_pick)
+    def _push(self, idx: int, completion: tuple) -> tuple:
+        a = tuple(completion[i] for i in self.a_pick)
+        b = tuple(completion[i] for i in self.b_pick)
+        self.pairs[(a, b)] += 1
+        self.avals[a] += 1
+        self.bvals[b] += 1
+        return a, b
 
-    def _b_of(self, completion: tuple) -> tuple:
-        return tuple(completion[i] for i in self.b_pick)
+    def _pop(self, token: tuple) -> None:
+        a, b = token
+        for counter, key in ((self.pairs, token), (self.avals, a), (self.bvals, b)):
+            counter[key] -= 1
+            if not counter[key]:
+                del counter[key]
 
-    def _descend(self, pos: int) -> bool:
-        if pos == len(self.branching):
-            return self._tail_feasible()
-        self.budget.tick()
-        idx, row = self.branching[pos]
-        start = 0
-        if self.same_as_prev[pos]:
-            start = self.choice_index[self.branching[pos - 1][0]]
-        options = self.options[idx]
+    def _prune(self, pos: int) -> bool:
+        """Rows still to place can each realize at most one new combination."""
         lb_a = len(self.forced_a | set(self.avals))
         lb_b = len(self.forced_b | set(self.bvals))
-        # Rows still to place can each realize at most one new combination.
-        remaining = len(self.branching) - pos + len(self.free)
-        if lb_a * lb_b > len(self.pairs) + remaining:
-            return False
-        for i in range(start, len(options)):
-            completion = options[i]
-            a, b = self._a_of(completion), self._b_of(completion)
-            self.pairs[(a, b)] += 1
-            self.avals[a] += 1
-            self.bvals[b] += 1
-            self.assignment[idx] = completion
-            self.choice_index[idx] = i
-            if self._descend(pos + 1):
-                return True
-            del self.assignment[idx]
-            for counter, key in ((self.pairs, (a, b)), (self.avals, a), (self.bvals, b)):
-                counter[key] -= 1
-                if not counter[key]:
-                    del counter[key]
-        return False
+        remaining = len(self.order) - pos + len(self.free)
+        return lb_a * lb_b > len(self.pairs) + remaining
 
     def _missing(self) -> list | None:
         """Uncovered (a, b) combinations, or None when some combination
@@ -204,8 +158,8 @@ class _CrossSearch:
         missing = self._missing()
         return missing is not None and len(missing) <= len(self.free)
 
-    def _finish(self) -> dict:
-        assignment = dict(self.assignment)
+    def _finish(self, assignment: dict) -> dict:
+        domains = self.table.active_domains()
         fills = []
         if self.avals or self.bvals:
             fills = self._missing()
@@ -220,20 +174,16 @@ class _CrossSearch:
                     cells[i] = v
                 for i, c in enumerate(self.cols):
                     if cells[i] is None:
-                        cells[i] = self.domains[c][0]
+                        cells[i] = domains[c].sorted_values[0]
                 assignment[idx] = tuple(cells)
             else:
                 if fallback is None:
                     if assignment:
                         fallback = next(iter(assignment.values()))
                     else:
-                        fallback = tuple(self.domains[c][0] for c in self.cols)
+                        fallback = tuple(domains[c].sorted_values[0] for c in self.cols)
                 assignment[idx] = fallback
         return assignment
-
-
-def _domain_options(table: IncompleteTable) -> dict:
-    return {a: d.sorted_values for a, d in enumerate(table.active_domains())}
 
 
 # ---------------------------------------------------------------------------
@@ -241,83 +191,59 @@ def _domain_options(table: IncompleteTable) -> dict:
 
 
 def check_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-                budget: int = DEFAULT_NODE_BUDGET) -> ConstraintVerdict:
+                budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Holds iff some strongly possible world satisfies the classical
     multivalued dependency; the full schema matters, not just lhs + rhs."""
     n = table.row_count
     if n == 0:
         return ConstraintVerdict(True, SpWorld((), ()))
-    counter = _Budget(budget)
+    budget = Budget.of(budget)
     y_eff = rhs - lhs
     rest = table.all_positions() - lhs - rhs
-    domains = _domain_options(table)
     x_cols = tuple(sorted(lhs))
-    rows = table.rows
-    x_options = [
-        tuple(product(*((r[a],) if r[a] is not None else domains[a] for a in x_cols)))
-        for r in rows
-    ]
-    order = sorted(range(n), key=lambda i: (len(x_options[i]), _row_key(rows[i], range(table.arity)), i))
-    same = [False] * n
-    for pos in range(1, n):
-        same[pos] = rows[order[pos - 1]] == rows[order[pos]]
+    order, options, same_as_prev = row_order(table, range(n), x_cols, range(table.arity))
     classes: dict = defaultdict(list)
-    chosen: dict = {}
-    choice_index: dict = {}
     class_cache: dict = {}
 
-    def class_assignment(members: tuple) -> dict | None:
-        cached = class_cache.get(members)
-        if cached is None:
-            search = _CrossSearch(
-                [(i, rows[i]) for i in members], y_eff, rest, domains, counter
-            )
-            cached = (search.solve(),)
-            class_cache[members] = cached
-        return cached[0]
+    def class_assignment(members: list) -> dict | None:
+        key = tuple(sorted(members))
+        if key not in class_cache:
+            class_cache[key] = _CrossSearch(table, key, y_eff, rest, budget).solve()
+        return class_cache[key]
 
-    def descend(pos: int) -> dict | None:
-        if pos == n:
-            world: dict = {}
-            for value, members in classes.items():
-                inner = class_assignment(tuple(sorted(members)))
-                if inner is None:
-                    return None
-                world[value] = inner
-            return world
-        counter.tick()
-        i = order[pos]
-        start = choice_index[order[pos - 1]] if same[pos] else 0
-        for idx in range(start, len(x_options[i])):
-            value = x_options[i][idx]
-            classes[value].append(i)
-            chosen[i] = value
-            choice_index[i] = idx
-            result = descend(pos + 1)
-            if result is not None:
-                return result
-            classes[value].pop()
-            if not classes[value]:
-                del classes[value]
-            del chosen[i]
-        return None
+    def every_class_crosses(removed: list) -> bool:
+        for members in classes.values():
+            if class_assignment(members) is None:
+                return False
+        return True
 
-    solution = descend(0)
-    if solution is None:
+    def join(i: int, value: tuple) -> tuple:
+        classes[value].append(i)
+        return value
+
+    def leave(value: tuple) -> None:
+        classes[value].pop()
+        if not classes[value]:
+            del classes[value]
+
+    chosen = backtrack(order, options, same_as_prev, budget, join, leave,
+                       leaf=every_class_crosses)
+    if chosen is None:
         return ConstraintVerdict(False)
+    domains = table.active_domains()
     yr_cols = tuple(sorted(y_eff | rest))
     completed = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(table.rows):
         cells = list(row)
         value = chosen[i]
         for posn, a in enumerate(x_cols):
             cells[a] = value[posn]
-        inner = solution[value][i]
+        inner = class_assignment(classes[value])[i]
         for posn, a in enumerate(yr_cols):
             cells[a] = inner[posn]
         for a, cell in enumerate(cells):
             if cell is None:
-                cells[a] = domains[a][0]
+                cells[a] = domains[a].sorted_values[0]
         completed.append(tuple(cells))
     return ConstraintVerdict(True, SpWorld(tuple(completed), tuple(range(n))))
 
@@ -354,18 +280,17 @@ def check_nmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> 
 
 
 def check_spcj_general(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-                       budget: int = DEFAULT_NODE_BUDGET) -> ConstraintVerdict:
+                       budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Exact cross-join check: complete every tuple on lhs + rhs so that
     realized projections cross fully. Only those columns matter."""
     n = table.row_count
     if n == 0:
         return ConstraintVerdict(True, SpWorld((), ()))
-    counter = _Budget(budget)
-    domains = _domain_options(table)
-    search = _CrossSearch(list(enumerate(table.rows)), lhs, rhs, domains, counter)
+    search = _CrossSearch(table, range(n), lhs, rhs, Budget.of(budget))
     assignment = search.solve()
     if assignment is None:
         return ConstraintVerdict(False)
+    domains = table.active_domains()
     completed = []
     for i, row in enumerate(table.rows):
         cells = list(row)
@@ -373,7 +298,7 @@ def check_spcj_general(table: IncompleteTable, lhs: AttributeSet, rhs: Attribute
             cells[a] = assignment[i][posn]
         for a, cell in enumerate(cells):
             if cell is None:
-                cells[a] = domains[a][0]
+                cells[a] = domains[a].sorted_values[0]
         completed.append(tuple(cells))
     return ConstraintVerdict(True, SpWorld(tuple(completed), tuple(range(n))))
 
@@ -421,10 +346,11 @@ def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVer
 # Measures
 
 
-def _g3_by_subset_search(table: IncompleteTable, check, budget: int) -> MeasureResult:
+def _g3_by_subset_search(table: IncompleteTable, check, budget: int | Budget) -> MeasureResult:
     n = table.row_count
     if n == 0:
         raise ValueError("g3 is undefined for an empty table")
+    budget = Budget.of(budget)
     memo: dict = {}
     for m in range(n + 1):
         for subset in combinations(range(n), m):
@@ -442,14 +368,14 @@ def _g3_by_subset_search(table: IncompleteTable, check, budget: int) -> MeasureR
 
 
 def g3_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-             budget: int = DEFAULT_NODE_BUDGET) -> MeasureResult:
+             budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
     return _g3_by_subset_search(
         table, lambda sub, b: check_spmvd(sub, lhs, rhs, b), budget
     )
 
 
 def g3_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-            budget: int = DEFAULT_NODE_BUDGET) -> MeasureResult:
+            budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
     return _g3_by_subset_search(
         table, lambda sub, b: check_spcj_general(sub, lhs, rhs, b), budget
     )
@@ -476,12 +402,13 @@ def _mvd_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet)
 
 
 def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-             budget: int = DEFAULT_NODE_BUDGET) -> MeasureResult:
+             budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
     """Minimum additions over mixtures of all-NULL rows (combination
     fillers) and fresh-left-side rows (class escapes)."""
     n = table.row_count
     if n == 0:
         raise ValueError("g5 is undefined for an empty table")
+    budget = Budget.of(budget)
     bound = _mvd_fill_need(table, lhs, rhs)
     arity = table.arity
     tokens = fresh_values(table, max(bound, 1))
@@ -524,7 +451,7 @@ def _cj_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) 
 
 
 def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-            budget: int = DEFAULT_NODE_BUDGET) -> MeasureResult:
+            budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
     """Minimum number of all-NULL rows making the cross join hold; may
     exceed 1. Fresh values never help here: they strictly enlarge the
     required combination set."""
@@ -542,6 +469,7 @@ def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
             raise BudgetExceededError(
                 "cross-join addition bound is too large to search exhaustively"
             )
+    budget = Budget.of(budget)
     arity = table.arity
     for k in range(bound + 1):
         added = tuple((None,) * arity for _ in range(k))

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from spcheck.cli import (
 )
 from spcheck.constraints import Nmvd, SpCj, SpFd, SpKey, SpMvd
 from spcheck.errors import ConstraintParseError, TableLoadError
-from spcheck.oracle import holds_key
+from spcheck.oracle import holds_cj, holds_fd, holds_key, holds_mvd
 from spcheck.table import Schema
 
 TABLE4_CSV = "a,b\n,1\n2,\n2,\n2,2\n"
@@ -193,6 +194,54 @@ def test_cli_budget_exit_three(tmp_path):
 def test_cli_verify_verb(table4_csv):
     assert main(["verify", "--table", str(table4_csv),
                  "--constraint", "spkey(a,b)"]) == 1  # violated but agreeing
+
+
+def test_cli_verify_lists_oracle_budget_skips(tmp_path, capsys):
+    path = tmp_path / "diagonal.csv"
+    path.write_text("a,b\n1,1\n2,2\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = main(["verify", "--table", str(path), "--constraint", "spcj(a x b)",
+                 "--budget", "10", "--json", str(out)])
+    assert code == 1  # violated; the oracle agrees where it could compare
+    block = json.loads(out.read_text())["constraints"][0]["oracle"]
+    assert block["agree"] and block["g3"] == "1/2" and "g5" not in block
+    assert block["skipped"] == ["g5"]
+    assert "did not compare spcj(a x b): g5" in capsys.readouterr().err
+
+
+def _deep_csv(path) -> None:
+    """3,000 rows: 250 X values x 3 Y values x 4 Z values, W a function
+    of X, and 5% of the Z cells NULL."""
+    rng = random.Random(5)
+    lines = ["X,Y,Z,W"]
+    for x in range(250):
+        for y in range(3):
+            for z in range(4):
+                cell = "" if rng.random() < 0.05 else f"z{z}"
+                lines.append(f"x{x},y{y},{cell},w{x % 7}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("spec, classical", [
+    ("spfd(X,Z -> W)", lambda rows, c: holds_fd(rows, c.lhs, c.rhs)),
+    ("spmvd(X ->> Y)", lambda rows, c: holds_mvd(rows, c.lhs, c.rhs, 4)),
+    ("spcj(Y x Z,W)", lambda rows, c: holds_cj(rows, c.lhs, c.rhs)),
+], ids=["spfd", "spmvd", "spcj"])
+def test_cli_check_searches_deeper_than_the_recursion_limit(tmp_path, spec, classical):
+    # Each search holds one level per branching row, 3,000 of them.
+    path = tmp_path / "deep.csv"
+    _deep_csv(path)
+    out = tmp_path / "report.json"
+    assert main(["check", "--table", str(path), "--constraint", spec,
+                 "--json", str(out)]) == 0
+    entry = json.loads(out.read_text())["constraints"][0]
+    assert entry["holds"]
+    table = load_csv(path)
+    world = [tuple(r) for r in entry["witness_world"]]
+    assert len(world) == table.row_count
+    assert all(c is None or c == w for row, done in zip(table.rows, world)
+               for c, w in zip(row, done))
+    assert classical(world, parse_constraint(spec, table.schema))
 
 
 def test_cli_generate_roundtrip(tmp_path):

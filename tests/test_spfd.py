@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from spcheck.spfd import (
     g3_spfd,
     g5_spfd,
     normalize_fd,
-    spfd_report,
     total_part_satisfies_fd,
 )
 
@@ -104,11 +104,38 @@ def test_budget_error_propagates(fd_six_rows):
         check_spfd(fd_six_rows, X, Y, budget=2)
 
 
+def test_g3_budget_covers_the_leaf_rechecks(fd_six_rows):
+    # The removal search spends 27 nodes and its leaf re-checks 0 and 4
+    # more: every part fits in 28 nodes, the whole call does not.
+    assert g3_spfd(fd_six_rows, X, Y, budget=31).numerator == 2
+    with pytest.raises(BudgetExceededError) as err:
+        g3_spfd(fd_six_rows, X, Y, budget=28)
+    assert (err.value.spent, err.value.budget) == (29, 28)
+
+
+def test_g3_searches_deeper_than_the_recursion_limit():
+    # 500 rows of X1 (4 values), X2 (8 values) -> Y with two Y cells
+    # corrupted; the search holds one level per row.
+    rng = random.Random(7)
+    image: dict = {}
+    rows = []
+    for _ in range(500):
+        x = (str(rng.randint(1, 4)), str(rng.randint(1, 8)))
+        rows.append([*x, image.setdefault(x, str(rng.randint(1, 5)))])
+    corrupted = sorted(rng.sample(range(500), 2))
+    for i in corrupted:
+        rows[i][2] = "9"
+    res = g3_spfd(table(["X1", "X2", "Y"], [tuple(r) for r in rows]), X, Y)
+    assert res.fraction_str == "2/500"
+    assert list(res.removed_rows) == corrupted
+    assert holds_fd(res.witness.rows, X, Y)
+
+
 def test_report(fd_six_rows):
-    report = spfd_report(fd_six_rows, X, Y)
-    assert not report.holds
-    assert report.precondition_ok
-    assert report.g3.ratio >= report.g5.ratio
+    g3 = g3_spfd(fd_six_rows, X, Y)
+    assert g3.numerator != 0
+    assert total_part_satisfies_fd(fd_six_rows, X, Y)
+    assert g3.ratio >= g5_spfd(fd_six_rows, X, Y).ratio
 
 
 def test_fd_implies_mvd_on_examples(fd_six_rows, teaching_table):

@@ -9,7 +9,6 @@ from spcheck.spkey import (
     g3_spkey,
     g4_spkey,
     g5_spkey,
-    spkey_report,
     total_part_satisfies_key,
 )
 from spcheck.table import is_total
@@ -137,8 +136,8 @@ def test_cars_table_counts(cars_table):
 
 
 def test_report_bundle(table4):
-    report = spkey_report(table4, BOTH)
-    assert not report.holds
-    assert report.g3.ratio == Fraction(1, 2)
-    assert report.g4.ratio == Fraction(1, 2)
-    assert report.g5.ratio == Fraction(1, 4)
+    g3 = g3_spkey(table4, BOTH)
+    assert g3.numerator != 0
+    assert g3.ratio == Fraction(1, 2)
+    assert g4_spkey(table4, BOTH).ratio == Fraction(1, 2)
+    assert g5_spkey(table4, BOTH).ratio == Fraction(1, 4)
