@@ -6,7 +6,16 @@ removal-based (g3, g4) and addition-based (g5) approximation measures,
 with a brute-force oracle and instance generators for verification.
 """
 
-from .constraints import Constraint, Nmvd, SpCj, SpFd, SpKey, SpMvd
+from .constraints import (
+    Constraint,
+    ConstraintVerdict,
+    MeasureResult,
+    Nmvd,
+    SpCj,
+    SpFd,
+    SpKey,
+    SpMvd,
+)
 from .errors import (
     BudgetExceededError,
     ConstraintParseError,
@@ -17,20 +26,13 @@ from .errors import (
     TableLoadError,
     UnmaterializedGraphError,
 )
-from .oracle import (
-    ConstraintVerdict,
-    MeasureResult,
-    SpWorld,
-    enumerate_spworlds,
-    oracle_check,
-    oracle_g3,
-    oracle_g5,
-)
+from .oracle import enumerate_spworlds, oracle_check, oracle_g3, oracle_g5
 from .table import (
     SSYMB,
     ActiveDomain,
     IncompleteTable,
     Schema,
+    SpWorld,
     is_total,
     project,
     strongly_similar,

@@ -15,9 +15,19 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import generators
-from .constraints import Constraint, Nmvd, SpCj, SpFd, SpKey, SpMvd
+from .constraints import (
+    Constraint,
+    ConstraintVerdict,
+    MeasureResult,
+    Nmvd,
+    SpCj,
+    SpFd,
+    SpKey,
+    SpMvd,
+)
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -26,13 +36,7 @@ from .errors import (
     SpcheckError,
     TableLoadError,
 )
-from .oracle import (
-    MeasureResult,
-    oracle_check,
-    oracle_g3,
-    oracle_g5,
-    world_count,
-)
+from .oracle import oracle_check, oracle_g3, oracle_g5, world_count
 from .spfd import check_spfd, g3_spfd, g5_spfd
 from .spkey import check_spkey, g3_spkey, g4_spkey, g5_spkey
 from .table import SSYMB, IncompleteTable, Schema
@@ -155,11 +159,65 @@ class RunOptions:
     measures: tuple = ("g3", "g5")
     budget: int = DEFAULT_BUDGET
     verify_with_oracle: bool = False
-    oracle_max_rows: int = ORACLE_MAX_ROWS
-    oracle_max_cols: int = ORACLE_MAX_COLS
-    oracle_max_worlds: int = ORACLE_MAX_WORLDS
-    include_witness: bool = True
-    include_timing: bool = True
+
+
+class _Engines(NamedTuple):
+    """A constraint kind's check and its measures by name, each called as
+    ``f(table, constraint, budget)``. ``measures`` is None for a kind
+    evaluated on the incomplete table itself: it has no measures and no
+    worlds for the oracle to enumerate."""
+
+    check: Callable
+    measures: dict | None
+
+
+def _check_spcj(table: IncompleteTable, c: SpCj, budget: int):
+    if c.singular:
+        return check_spcj_singular(table, min(c.lhs), min(c.rhs))
+    return check_spcj_general(table, c.lhs, c.rhs, budget)
+
+
+def _g4_spkey(table: IncompleteTable, c: SpKey, budget: int) -> MeasureResult:
+    # Materialization is memory-bound, so the cap follows the budget only
+    # up to a fixed ceiling per tuple.
+    return g4_spkey(table, c.key, cap=max(table.row_count + 1, min(budget, 1_000_000)))
+
+
+# The entries look the engine functions up when they are called, so a
+# wrapper set on an engine module's attribute after import sees the call.
+ENGINES = {
+    SpKey: _Engines(lambda t, c, b: check_spkey(t, c.key), {
+        "g3": lambda t, c, b: g3_spkey(t, c.key),
+        "g4": _g4_spkey,
+        "g5": lambda t, c, b: g5_spkey(t, c.key),
+    }),
+    SpFd: _Engines(lambda t, c, b: check_spfd(t, c.lhs, c.rhs, b), {
+        "g3": lambda t, c, b: g3_spfd(t, c.lhs, c.rhs, b),
+        "g5": lambda t, c, b: g5_spfd(t, c.lhs, c.rhs, b),
+    }),
+    SpMvd: _Engines(lambda t, c, b: check_spmvd(t, c.lhs, c.rhs, b), {
+        "g3": lambda t, c, b: g3_spmvd(t, c.lhs, c.rhs, b),
+        "g5": lambda t, c, b: g5_spmvd(t, c.lhs, c.rhs, b),
+    }),
+    SpCj: _Engines(_check_spcj, {
+        "g3": lambda t, c, b: g3_spcj(t, c.lhs, c.rhs, b),
+        "g5": lambda t, c, b: g5_spcj(t, c.lhs, c.rhs, b),
+    }),
+    Nmvd: _Engines(lambda t, c, b: ConstraintVerdict(check_nmvd(t, c.lhs, c.rhs)), None),
+}
+
+# The oracle's counterpart of each engine measure it recomputes.
+ORACLE_MEASURES = {
+    "g3": lambda t, c, b: oracle_g3(t, c, b),
+    "g5": lambda t, c, b: oracle_g5(t, c, b),
+}
+
+
+def _engines(c: Constraint) -> _Engines:
+    try:
+        return ENGINES[type(c)]
+    except KeyError:
+        raise TypeError(f"unsupported constraint {type(c).__name__}") from None
 
 
 def _cell_json(cell):
@@ -190,65 +248,16 @@ def _measure_json(result: MeasureResult) -> dict:
     return payload
 
 
-def _check(table: IncompleteTable, c: Constraint, budget: int):
-    if isinstance(c, SpKey):
-        return check_spkey(table, c.key)
-    if isinstance(c, SpFd):
-        return check_spfd(table, c.lhs, c.rhs, budget)
-    if isinstance(c, SpMvd):
-        return check_spmvd(table, c.lhs, c.rhs, budget)
-    if isinstance(c, SpCj):
-        if c.singular:
-            return check_spcj_singular(table, min(c.lhs), min(c.rhs))
-        return check_spcj_general(table, c.lhs, c.rhs, budget)
-    if isinstance(c, Nmvd):
-        from .oracle import ConstraintVerdict
-
-        return ConstraintVerdict(check_nmvd(table, c.lhs, c.rhs))
-    raise TypeError(f"unsupported constraint {type(c).__name__}")
-
-
-def _measure(table: IncompleteTable, c: Constraint, name: str, budget: int) -> MeasureResult:
-    if isinstance(c, SpKey):
-        if name == "g3":
-            return g3_spkey(table, c.key)
-        if name == "g4":
-            # Materialization is memory-bound, so the cap follows the
-            # budget only up to a fixed ceiling per tuple.
-            cap = max(table.row_count + 1, min(budget, 1_000_000))
-            return g4_spkey(table, c.key, cap=cap)
-        if name == "g5":
-            return g5_spkey(table, c.key)
-    if isinstance(c, SpFd):
-        if name == "g3":
-            return g3_spfd(table, c.lhs, c.rhs, budget)
-        if name == "g5":
-            return g5_spfd(table, c.lhs, c.rhs, budget)
-    if isinstance(c, SpMvd):
-        if name == "g3":
-            return g3_spmvd(table, c.lhs, c.rhs, budget)
-        if name == "g5":
-            return g5_spmvd(table, c.lhs, c.rhs, budget)
-    if isinstance(c, SpCj):
-        if name == "g3":
-            return g3_spcj(table, c.lhs, c.rhs, budget)
-        if name == "g5":
-            return g5_spcj(table, c.lhs, c.rhs, budget)
-    raise SpcheckError(
-        f"measure {name} is not defined for {type(c).__name__.lower()} constraints"
-    )
-
-
-def _oracle_fits(table: IncompleteTable, options: RunOptions) -> bool:
+def _oracle_fits(table: IncompleteTable) -> bool:
     return (
-        table.row_count <= options.oracle_max_rows
-        and table.arity <= options.oracle_max_cols
-        and world_count(table) <= options.oracle_max_worlds
+        table.row_count <= ORACLE_MAX_ROWS
+        and table.arity <= ORACLE_MAX_COLS
+        and world_count(table) <= ORACLE_MAX_WORLDS
     )
 
 
 def _oracle_block(table, c, verdict, measured, options: RunOptions) -> dict:
-    if isinstance(c, Nmvd) or not _oracle_fits(table, options):
+    if _engines(c).measures is None or not _oracle_fits(table):
         return {"checked": False}
     block = {"checked": True}
     agree = True
@@ -257,9 +266,9 @@ def _oracle_block(table, c, verdict, measured, options: RunOptions) -> dict:
     block["holds"] = oracle_verdict.holds
     agree &= oracle_verdict.holds == verdict.holds
     for name, engine_result in measured.items():
-        if name == "g4":
+        oracle_fn = ORACLE_MEASURES.get(name)
+        if oracle_fn is None:
             continue
-        oracle_fn = oracle_g3 if name == "g3" else oracle_g5
         try:
             oracle_result = oracle_fn(table, c, options.budget)
             oracle_value = oracle_result.numerator
@@ -301,20 +310,23 @@ def run(table: IncompleteTable, constraints, options: RunOptions = RunOptions())
         started = time.perf_counter()
         measured: dict = {}
         try:
-            verdict = _check(table, c, options.budget)
+            engines = _engines(c)
+            verdict = engines.check(table, c, options.budget)
             entry["holds"] = verdict.holds
             any_violated |= not verdict.holds
-            if options.include_witness and verdict.witness is not None:
+            if verdict.witness is not None:
                 entry["witness_world"] = _rows_json(verdict.witness.rows)
             if verdict.violation is not None:
                 entry["violation_rows"] = list(verdict.violation)
-            if not isinstance(c, Nmvd):
+            if engines.measures is not None:
                 entry["measures"] = {}
                 for name in options.measures:
-                    if name == "g4" and not isinstance(c, SpKey):
-                        raise SpcheckError("g4 is defined for spkey constraints only")
+                    measure = engines.measures.get(name)
+                    if measure is None:
+                        raise SpcheckError(f"measure {name} is not defined for "
+                                           f"{entry['kind']} constraints")
                     try:
-                        result = _measure(table, c, name, options.budget)
+                        result = measure(table, c, options.budget)
                         measured[name] = result
                         entry["measures"][name] = _measure_json(result)
                     except PreconditionError as err:
@@ -328,8 +340,7 @@ def run(table: IncompleteTable, constraints, options: RunOptions = RunOptions())
             entry["error"] = f"budget exceeded: {err}"
         except SpcheckError as err:
             entry["error"] = str(err)
-        if options.include_timing:
-            entry["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+        entry["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
         report["constraints"].append(entry)
     report["exit_code"] = 3 if any_budget else (1 if any_violated else 0)
     return report

@@ -1,10 +1,12 @@
-"""Constraint model: the tagged union dispatched by the engines and CLI."""
+"""Constraint model: the tagged union dispatched by the engines and CLI,
+and the verdicts and measures the engines report on them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .table import AttributeSet, Schema
+from .table import AttributeSet, Row, Schema, SpWorld
 
 
 @dataclass(frozen=True)
@@ -73,3 +75,38 @@ class Nmvd(Constraint):
     def describe(self, schema: Schema) -> str:
         return (f"nmvd({','.join(schema.names(self.lhs))} ->> "
                 f"{','.join(schema.names(self.rhs))})")
+
+
+@dataclass(frozen=True)
+class ConstraintVerdict:
+    holds: bool
+    witness: SpWorld | None = None
+    violation: tuple | None = None
+
+
+@dataclass(frozen=True)
+class MeasureResult:
+    """An exact measure value with its repair witness.
+
+    ``numerator is None`` means no repair exists within the candidate
+    pool (e.g. additions cannot split duplicated total rows).
+    """
+
+    kind: str
+    numerator: int | None
+    denominator: int
+    removed_rows: tuple[int, ...] | None = None
+    added_rows: tuple[Row, ...] | None = None
+    witness: SpWorld | None = None
+
+    @property
+    def ratio(self) -> Fraction | None:
+        if self.numerator is None:
+            return None
+        return Fraction(self.numerator, self.denominator)
+
+    @property
+    def fraction_str(self) -> str:
+        if self.numerator is None:
+            return "undefined"
+        return f"{self.numerator}/{self.denominator}"

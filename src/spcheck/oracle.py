@@ -10,67 +10,27 @@ correctness reference, never the fast path.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
-from .constraints import Constraint, Nmvd, SpCj, SpFd, SpKey, SpMvd
+from .constraints import (
+    Constraint,
+    ConstraintVerdict,
+    MeasureResult,
+    Nmvd,
+    SpCj,
+    SpFd,
+    SpKey,
+    SpMvd,
+)
 from .errors import DEFAULT_BUDGET, BudgetExceededError, OracleGapError
-from .table import IncompleteTable, Row, fresh_values
+from .table import IncompleteTable, Row, SpWorld, fresh_values
 
 # Instance-size limits for the extended-pool g5 cross-check.
 CROSS_CHECK_MAX_ROWS = 6
 CROSS_CHECK_MAX_COLS = 3
 CROSS_CHECK_MAX_COUNT = 2
 CROSS_CHECK_MAX_CANDIDATES = 2000
-
-
-@dataclass(frozen=True)
-class SpWorld:
-    """A complete table plus the per-row map back to the source table.
-
-    ``origin[i]`` is the source row index, or None for synthetic rows
-    added by a repair search.
-    """
-
-    rows: tuple[Row, ...]
-    origin: tuple
-
-
-@dataclass(frozen=True)
-class ConstraintVerdict:
-    holds: bool
-    witness: SpWorld | None = None
-    violation: tuple | None = None
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    """An exact measure value with its repair witness.
-
-    ``numerator is None`` means no repair exists within the candidate
-    pool (e.g. additions cannot split duplicated total rows).
-    """
-
-    kind: str
-    numerator: int | None
-    denominator: int
-    removed_rows: tuple[int, ...] | None = None
-    added_rows: tuple[Row, ...] | None = None
-    witness: SpWorld | None = None
-
-    @property
-    def ratio(self) -> Fraction | None:
-        if self.numerator is None:
-            return None
-        return Fraction(self.numerator, self.denominator)
-
-    @property
-    def fraction_str(self) -> str:
-        if self.numerator is None:
-            return "undefined"
-        return f"{self.numerator}/{self.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +78,6 @@ def enumerate_spworlds(table: IncompleteTable, budget: int = DEFAULT_BUDGET) -> 
     origin = tuple(range(table.row_count))
     for rows in _iter_completions(table, budget):
         yield SpWorld(rows, origin)
-
-
-def lexmin_world(table: IncompleteTable) -> SpWorld:
-    """The world that fills every NULL with the smallest domain value;
-    built directly, without enumeration."""
-    domains = table.active_domains()
-    rows = tuple(
-        tuple(
-            domains[a].sorted_values[0] if cell is None else cell
-            for a, cell in enumerate(row)
-        )
-        for row in table.rows
-    )
-    return SpWorld(rows, tuple(range(table.row_count)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +378,12 @@ def _run_cross_check(table: IncompleteTable, c: Constraint, found: int, budget: 
                 )
 
 
-def oracle_g5(
-    table: IncompleteTable,
-    c: Constraint,
-    budget: int = DEFAULT_BUDGET,
-    cross_check: str = "auto",
-) -> MeasureResult:
+def oracle_g5(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGET) -> MeasureResult:
     """Minimum addition ratio over the primary candidate pool.
 
-    When the instance is small enough (and ``cross_check`` is not "off"),
-    the result is re-verified against the exhaustive pool; any cheaper
-    repair found there raises :class:`OracleGapError` instead of being
-    silently absorbed.
+    When the instance is small enough, the result is re-verified against
+    the exhaustive pool; any cheaper repair found there raises
+    :class:`OracleGapError` instead of being silently absorbed.
     """
     n = table.row_count
     if n == 0:
@@ -472,12 +412,11 @@ def oracle_g5(
                 break
     if result is None:
         return MeasureResult("g5", None, n)
-    do_check = cross_check == "force" or (
-        cross_check == "auto"
-        and n <= CROSS_CHECK_MAX_ROWS
+    small = (
+        n <= CROSS_CHECK_MAX_ROWS
         and table.arity <= CROSS_CHECK_MAX_COLS
         and (result.numerator or 0) <= CROSS_CHECK_MAX_COUNT + 1
     )
-    if do_check and result.numerator:
+    if small and result.numerator:
         _run_cross_check(table, c, result.numerator, budget)
     return result

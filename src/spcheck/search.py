@@ -1,4 +1,5 @@
-"""Budgeted backtracking shared by the spFD, spMVD and spCJ engines.
+"""Budgeted backtracking shared by the spFD, spMVD and spCJ engines,
+and the addition search behind every g5.
 
 Every engine assigns each row one completion of some columns and keeps
 its own state for the rows assigned so far. The kernel here walks the
@@ -12,8 +13,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
+from .constraints import ConstraintVerdict, MeasureResult
 from .errors import BudgetExceededError
-from .table import IncompleteTable, iter_extensions, row_key
+from .table import IncompleteTable, Row, SpWorld, iter_extensions, row_key
 
 _REMOVED = -1
 
@@ -131,3 +133,24 @@ def backtrack(order: list, options: dict, same_as_prev: list, budget: Budget,
         pos += 1
         entering = True
     return None
+
+
+def smallest_addition(table: IncompleteTable, bound: int,
+                      candidates: Callable[[int], Iterable[Sequence[Row]]],
+                      check: Callable[[IncompleteTable], ConstraintVerdict]) -> MeasureResult:
+    """g5 as the fewest added rows that make ``check`` hold.
+
+    For k = 0, 1, ..., ``bound`` it tries each addition set of k rows
+    that ``candidates(k)`` yields, in turn; the first that passes is the
+    measure, and its witness world marks the added rows' origin None.
+    When no set up to ``bound`` passes, the measure is undefined.
+    """
+    n = table.row_count
+    for k in range(bound + 1):
+        for added in candidates(k):
+            verdict = check(table.with_rows_added(added))
+            if verdict.holds:
+                origin = tuple(range(n)) + (None,) * k
+                return MeasureResult("g5", k, n, added_rows=tuple(added),
+                                     witness=SpWorld(verdict.witness.rows, origin))
+    return MeasureResult("g5", None, n)

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 from itertools import product
 
+from .constraints import ConstraintVerdict, MeasureResult
 from .errors import DEFAULT_BUDGET, PreconditionError
-from .oracle import ConstraintVerdict, MeasureResult, SpWorld, lexmin_world
-from .search import Budget, backtrack, row_order
+from .search import Budget, backtrack, row_order, smallest_addition
 from .table import (
     AttributeSet,
     IncompleteTable,
     Row,
+    SpWorld,
+    complete_world,
     fresh_values,
     is_total,
+    lexmin_world,
     projection,
 )
 
@@ -125,22 +128,10 @@ class _FdSearch:
                 state[1][p] = None
 
     def witness_world(self, assignment: dict) -> SpWorld:
-        domains = self.table.active_domains()
-        rows = []
-        for i, row in enumerate(self.table.rows):
-            cells = list(row)
-            value = assignment[i]
-            for pos, a in enumerate(self.x_cols):
-                cells[a] = value[pos]
-            fixed = self.classes[value][1]
-            for pos, a in enumerate(self.y_cols):
-                if cells[a] is None:
-                    cells[a] = fixed[pos] if fixed[pos] is not None else domains[a].sorted_values[0]
-            for a, cell in enumerate(cells):
-                if cell is None:
-                    cells[a] = domains[a].sorted_values[0]
-            rows.append(tuple(cells))
-        return SpWorld(tuple(rows), tuple(range(self.table.row_count)))
+        """Each row takes its class value on the left side and the
+        class's fixed cells on the right; all members agree with those."""
+        return complete_world(self.table, self.x_cols + self.y_cols,
+                              lambda i: assignment[i] + tuple(self.classes[assignment[i]][1]))
 
 
 def check_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
@@ -315,17 +306,9 @@ def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     total_classes = {projection(r, x) for r in removed_rows if is_total(r, x)}
     bound = nontotal + len(total_classes)
     tokens = fresh_values(table, max(bound, 1))
-    for k in range(bound + 1):
-        added = []
-        for j in range(k):
-            cells = [None] * table.arity
-            for a in x:
-                cells[a] = tokens[j]
-            added.append(tuple(cells))
-        extended = table.with_rows_added(added)
-        verdict = check_spfd(extended, x, y, budget)
-        if verdict.holds:
-            origin = tuple(range(n)) + (None,) * k
-            witness = SpWorld(verdict.witness.rows, origin)
-            return MeasureResult("g5", k, n, added_rows=tuple(added), witness=witness)
-    return MeasureResult("g5", None, n)
+    return smallest_addition(
+        table, bound,
+        lambda k: [[tuple(tokens[j] if a in x else None for a in range(table.arity))
+                    for j in range(k)]],
+        lambda extended: check_spfd(extended, x, y, budget),
+    )

@@ -2,38 +2,19 @@
 
 from __future__ import annotations
 
+from .constraints import ConstraintVerdict, MeasureResult
 from .errors import PreconditionError
 from .matching import build_extension_graph, hall_components, max_matching
-from .oracle import ConstraintVerdict, MeasureResult, SpWorld
+from .search import smallest_addition
 from .table import (
     AttributeSet,
     IncompleteTable,
-    Row,
+    SpWorld,
+    complete_world,
     fresh_values,
     is_total,
     projection,
 )
-
-
-def _complete_row(table: IncompleteTable, row: Row, key: AttributeSet, ext: tuple) -> Row:
-    """Impute ``row``: key cells from its matched extension, any other
-    NULL with the lexicographically smallest active-domain value."""
-    domains = table.active_domains()
-    cells = list(row)
-    for pos, a in enumerate(sorted(key)):
-        cells[a] = ext[pos]
-    for a, cell in enumerate(cells):
-        if cell is None:
-            cells[a] = domains[a].sorted_values[0]
-    return tuple(cells)
-
-
-def _witness_world(table: IncompleteTable, key: AttributeSet, matching: dict,
-                   rows: list[int], origin: tuple) -> SpWorld:
-    completed = tuple(
-        _complete_row(table, table.rows[i], key, matching[i]) for i in rows
-    )
-    return SpWorld(completed, origin)
 
 
 def check_spkey(table: IncompleteTable, key: AttributeSet) -> ConstraintVerdict:
@@ -47,7 +28,7 @@ def check_spkey(table: IncompleteTable, key: AttributeSet) -> ConstraintVerdict:
     graph = build_extension_graph(table, key)
     result = max_matching(graph)
     if result.size == n:
-        world = _witness_world(table, key, result.matching, list(range(n)), tuple(range(n)))
+        world = complete_world(table, sorted(key), result.matching.__getitem__)
         return ConstraintVerdict(True, world)
     unmatched = min(i for i in range(n) if i not in result.matching)
     return ConstraintVerdict(False, None, (unmatched,))
@@ -87,7 +68,7 @@ def g3_spkey(table: IncompleteTable, key: AttributeSet) -> MeasureResult:
     matching = _prefer_nontotal_unmatched(table, key, dict(result.matching))
     removed = tuple(sorted(i for i in range(n) if i not in matching))
     kept = [i for i in range(n) if i in matching]
-    witness = _witness_world(table, key, matching, kept, tuple(kept))
+    witness = complete_world(table, sorted(key), matching.__getitem__, kept)
     return MeasureResult("g3", n - result.size, n, removed_rows=removed, witness=witness)
 
 
@@ -135,12 +116,8 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet) -> MeasureResult:
         raise ValueError("g5 is undefined for an empty table")
     bound = g3_spkey(table, key).numerator
     tokens = fresh_values(table, bound)
-    for k in range(bound + 1):
-        added = tuple((tokens[j],) * table.arity for j in range(k))
-        extended = table.with_rows_added(added)
-        verdict = check_spkey(extended, key)
-        if verdict.holds:
-            origin = tuple(range(n)) + (None,) * k
-            witness = SpWorld(verdict.witness.rows, origin)
-            return MeasureResult("g5", k, n, added_rows=added, witness=witness)
-    return MeasureResult("g5", None, n)
+    return smallest_addition(
+        table, bound,
+        lambda k: [[(tokens[j],) * table.arity for j in range(k)]],
+        lambda extended: check_spkey(extended, key),
+    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 AttributeSet = frozenset[int]
 
@@ -173,6 +173,49 @@ class IncompleteTable:
 
     def with_rows_added(self, new_rows: Iterable[Row]) -> "IncompleteTable":
         return IncompleteTable(self.schema, self.rows + tuple(new_rows), self.null_token)
+
+
+@dataclass(frozen=True)
+class SpWorld:
+    """A complete table plus the per-row map back to the source table.
+
+    ``origin[i]`` is the source row index, or None for synthetic rows
+    added by a repair search.
+    """
+
+    rows: tuple[Row, ...]
+    origin: tuple
+
+
+def complete_world(table: IncompleteTable, positions: Sequence[int] = (),
+                   values: Callable[[int], Sequence] | None = None,
+                   rows: Sequence[int] | None = None) -> SpWorld:
+    """A strongly possible world of ``table``, or of its ``rows`` in the
+    order given.
+
+    Row ``i`` takes ``values(i)`` on ``positions`` (a None value leaves
+    the cell as it is), and every NULL left over takes its column's
+    smallest active-domain value.
+    """
+    fill = tuple(d.sorted_values[0] for d in table.active_domains())
+    picked = range(table.row_count) if rows is None else rows
+    completed = []
+    for i in picked:
+        cells = list(table.rows[i])
+        if values is not None:
+            for a, v in zip(positions, values(i)):
+                if v is not None:
+                    cells[a] = v
+        for a, c in enumerate(cells):
+            if c is None:
+                cells[a] = fill[a]
+        completed.append(tuple(cells))
+    return SpWorld(tuple(completed), tuple(picked))
+
+
+def lexmin_world(table: IncompleteTable) -> SpWorld:
+    """The world that fills every NULL with the smallest domain value."""
+    return complete_world(table)
 
 
 def weakly_similar(t1: Row, t2: Row, x: AttributeSet) -> bool:

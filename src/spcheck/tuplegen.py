@@ -21,15 +21,18 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations, product
 
+from .constraints import ConstraintVerdict, MeasureResult
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .matching import hopcroft_karp
-from .oracle import ConstraintVerdict, MeasureResult, SpWorld, lexmin_world
-from .search import Budget, backtrack, row_order
+from .search import Budget, backtrack, row_order, smallest_addition
 from .table import (
     AttributeSet,
     IncompleteTable,
+    SpWorld,
+    complete_world,
     fresh_values,
     is_total,
+    lexmin_world,
     projection,
     row_key,
     weakly_similar,
@@ -38,6 +41,26 @@ from .table import (
 
 def _bag_key(rows) -> tuple:
     return tuple(sorted(rows, key=lambda r: row_key(r, range(len(r)))))
+
+
+def _shared_positions(a_cols: tuple, b_cols: tuple) -> tuple:
+    """(index in ``a_cols``, index in ``b_cols``) of each column on both sides."""
+    return tuple((a_cols.index(c), b_cols.index(c)) for c in a_cols if c in b_cols)
+
+
+def _missing_pairs(avals, bvals, pairs, shared: tuple) -> list | None:
+    """The (a, b) combinations of realized A- and B-projections that no
+    row realizes, in product order, or None when one of them can never
+    sit in a single row (a and b disagree on a ``shared`` column)."""
+    missing = []
+    for a, b in product(avals, bvals):
+        if (a, b) in pairs:
+            continue
+        for i, j in shared:
+            if a[i] != b[j]:
+                return None
+        missing.append((a, b))
+    return missing
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +81,7 @@ class _CrossSearch:
         self.cols = tuple(sorted(set(self.a_cols) | set(self.b_cols)))
         self.a_pick = tuple(self.cols.index(a) for a in self.a_cols)
         self.b_pick = tuple(self.cols.index(b) for b in self.b_cols)
-        self.overlap = tuple(sorted(set(self.a_cols) & set(self.b_cols)))
+        self.shared = _shared_positions(self.a_cols, self.b_cols)
         self.table = table
         self.budget = budget
         rows = table.rows
@@ -140,17 +163,7 @@ class _CrossSearch:
         return lb_a * lb_b > len(self.pairs) + remaining
 
     def _missing(self) -> list | None:
-        """Uncovered (a, b) combinations, or None when some combination
-        can never sit in a single row (overlapping columns disagree)."""
-        missing = []
-        for a, b in product(self.avals, self.bvals):
-            if (a, b) in self.pairs:
-                continue
-            for c in self.overlap:
-                if a[self.a_cols.index(c)] != b[self.b_cols.index(c)]:
-                    return None
-            missing.append((a, b))
-        return missing
+        return _missing_pairs(self.avals, self.bvals, self.pairs, self.shared)
 
     def _tail_feasible(self) -> bool:
         if not self.avals and not self.bvals:
@@ -166,15 +179,11 @@ class _CrossSearch:
         fallback = None
         for pos, idx in enumerate(self.free):
             if pos < len(fills):
+                # Every column is on the A side or the B side, or both.
                 a, b = fills[pos]
                 cells = [None] * len(self.cols)
-                for i, v in zip(self.a_pick, a):
+                for i, v in zip(self.a_pick + self.b_pick, a + b):
                     cells[i] = v
-                for i, v in zip(self.b_pick, b):
-                    cells[i] = v
-                for i, c in enumerate(self.cols):
-                    if cells[i] is None:
-                        cells[i] = domains[c].sorted_values[0]
                 assignment[idx] = tuple(cells)
             else:
                 if fallback is None:
@@ -230,22 +239,10 @@ def check_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
                        leaf=every_class_crosses)
     if chosen is None:
         return ConstraintVerdict(False)
-    domains = table.active_domains()
     yr_cols = tuple(sorted(y_eff | rest))
-    completed = []
-    for i, row in enumerate(table.rows):
-        cells = list(row)
-        value = chosen[i]
-        for posn, a in enumerate(x_cols):
-            cells[a] = value[posn]
-        inner = class_assignment(classes[value])[i]
-        for posn, a in enumerate(yr_cols):
-            cells[a] = inner[posn]
-        for a, cell in enumerate(cells):
-            if cell is None:
-                cells[a] = domains[a].sorted_values[0]
-        completed.append(tuple(cells))
-    return ConstraintVerdict(True, SpWorld(tuple(completed), tuple(range(n))))
+    return ConstraintVerdict(True, complete_world(
+        table, x_cols + yr_cols,
+        lambda i: chosen[i] + class_assignment(classes[chosen[i]])[i]))
 
 
 def check_nmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> bool:
@@ -290,56 +287,45 @@ def check_spcj_general(table: IncompleteTable, lhs: AttributeSet, rhs: Attribute
     assignment = search.solve()
     if assignment is None:
         return ConstraintVerdict(False)
-    domains = table.active_domains()
-    completed = []
-    for i, row in enumerate(table.rows):
-        cells = list(row)
-        for posn, a in enumerate(search.cols):
-            cells[a] = assignment[i][posn]
-        for a, cell in enumerate(cells):
-            if cell is None:
-                cells[a] = domains[a].sorted_values[0]
-        completed.append(tuple(cells))
-    return ConstraintVerdict(True, SpWorld(tuple(completed), tuple(range(n))))
+    return ConstraintVerdict(True, complete_world(table, search.cols, assignment.__getitem__))
 
 
 def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVerdict:
     """Polynomial single-attribute case: bipartite matching between
-    tuples and active-domain value pairs must cover every pair."""
+    tuples and active-domain value pairs must cover every pair.
+
+    Pair (va, vb) has the id of its place in the row-major product of
+    the two sorted domains; a row's edges go to the pairs it can take,
+    in id order: any value where its cell is NULL, else the cell's own.
+    """
     n = table.row_count
     if n == 0:
         return ConstraintVerdict(True, SpWorld((), ()))
     domains = table.active_domains()
-    right = [
-        (va, vb)
-        for va in domains[a].sorted_values
-        for vb in domains[b].sorted_values
-    ]
-    right_ids = {pair: i for i, pair in enumerate(right)}
+    a_values, b_values = domains[a].sorted_values, domains[b].sorted_values
+    a_index = {v: k for k, v in enumerate(a_values)}
+    b_index = {v: k for k, v in enumerate(b_values)}
+    width = len(b_values)
     adjacency = []
-    pair_cols = frozenset({a, b}) if a != b else frozenset({a})
     for row in table.rows:
-        edges = []
-        for pair in right:
-            candidate = [None] * table.arity
-            candidate[a], candidate[b] = pair
-            if weakly_similar(tuple(candidate), row, pair_cols) and (a != b or pair[0] == pair[1]):
-                edges.append(right_ids[pair])
+        a_ids = range(len(a_values)) if row[a] is None else (a_index[row[a]],)
+        if a == b:
+            edges = [k * width + k for k in a_ids]
+        else:
+            b_ids = range(width) if row[b] is None else (b_index[row[b]],)
+            edges = [ka * width + kb for ka in a_ids for kb in b_ids]
         adjacency.append(edges)
-    size, match_l, _ = hopcroft_karp(adjacency, len(right))
-    if size < len(right):
+    size, match_l, _ = hopcroft_karp(adjacency, len(a_values) * width)
+    if size < len(a_values) * width:
         return ConstraintVerdict(False)
-    completed = []
-    for i, row in enumerate(table.rows):
-        cells = list(row)
-        if match_l[i] is not None:
-            va, vb = right[match_l[i]]
-            cells[a], cells[b] = va, vb
-        for c, cell in enumerate(cells):
-            if cell is None:
-                cells[c] = domains[c].sorted_values[0]
-        completed.append(tuple(cells))
-    return ConstraintVerdict(True, SpWorld(tuple(completed), tuple(range(n))))
+
+    def pair(i: int) -> tuple:
+        if match_l[i] is None:
+            return None, None
+        ka, kb = divmod(match_l[i], width)
+        return a_values[ka], b_values[kb]
+
+    return ConstraintVerdict(True, complete_world(table, (a, b), pair))
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +398,16 @@ def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     bound = _mvd_fill_need(table, lhs, rhs)
     arity = table.arity
     tokens = fresh_values(table, max(bound, 1))
-    for k in range(bound + 1):
+
+    def mixtures(k: int):
+        """k - j all-NULL rows, then j rows fresh on the left side."""
         for j in range(k + 1):
-            added = [(None,) * arity] * (k - j)
-            for t in range(j):
-                cells = [None] * arity
-                for a in lhs:
-                    cells[a] = tokens[t]
-                added.append(tuple(cells))
-            extended = table.with_rows_added(added)
-            verdict = check_spmvd(extended, lhs, rhs, budget)
-            if verdict.holds:
-                origin = tuple(range(n)) + (None,) * k
-                witness = SpWorld(verdict.witness.rows, origin)
-                return MeasureResult("g5", k, n, added_rows=tuple(added), witness=witness)
-    return MeasureResult("g5", None, n)
+            yield ([(None,) * arity] * (k - j)
+                   + [tuple(tokens[t] if a in lhs else None for a in range(arity))
+                      for t in range(j)])
+
+    return smallest_addition(table, bound, mixtures,
+                             lambda extended: check_spmvd(extended, lhs, rhs, budget))
 
 
 def _cj_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> int | None:
@@ -435,19 +416,11 @@ def _cj_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) 
     combination is self-contradictory on shared columns."""
     a_cols = tuple(sorted(lhs))
     b_cols = tuple(sorted(rhs))
-    overlap = tuple(sorted(lhs & rhs))
     rows = lexmin_world(table).rows
     pairs = {(tuple(r[a] for a in a_cols), tuple(r[b] for b in b_cols)) for r in rows}
-    avals = {p[0] for p in pairs}
-    bvals = {p[1] for p in pairs}
-    need = 0
-    for a, b in product(avals, bvals):
-        if (a, b) in pairs:
-            continue
-        if any(a[a_cols.index(c)] != b[b_cols.index(c)] for c in overlap):
-            return None
-        need += 1
-    return need
+    missing = _missing_pairs({p[0] for p in pairs}, {p[1] for p in pairs}, pairs,
+                             _shared_positions(a_cols, b_cols))
+    return None if missing is None else len(missing)
 
 
 def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
@@ -470,13 +443,8 @@ def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
                 "cross-join addition bound is too large to search exhaustively"
             )
     budget = Budget.of(budget)
-    arity = table.arity
-    for k in range(bound + 1):
-        added = tuple((None,) * arity for _ in range(k))
-        extended = table.with_rows_added(added)
-        verdict = check_spcj_general(extended, lhs, rhs, budget)
-        if verdict.holds:
-            origin = tuple(range(n)) + (None,) * k
-            witness = SpWorld(verdict.witness.rows, origin)
-            return MeasureResult("g5", k, n, added_rows=added, witness=witness)
-    return MeasureResult("g5", None, n)
+    return smallest_addition(
+        table, bound,
+        lambda k: [[(None,) * table.arity] * k],
+        lambda extended: check_spcj_general(extended, lhs, rhs, budget),
+    )

@@ -115,9 +115,12 @@ def test_run_report_table4(table4_csv):
 def test_run_report_deterministic(table4_csv):
     t = load_csv(table4_csv)
     constraints = [parse_constraint("spkey(a,b)", t.schema)]
-    options = RunOptions(measures=("g3", "g4", "g5"), include_timing=False)
+    options = RunOptions(measures=("g3", "g4", "g5"))
     a = run(t, constraints, options)
     b = run(t, constraints, options)
+    for report in (a, b):
+        for entry in report["constraints"]:
+            del entry["elapsed_ms"]
     assert json.dumps(a) == json.dumps(b)
 
 
@@ -130,12 +133,16 @@ def test_run_witness_replayable(table4_csv):
     assert holds_key(world, frozenset({0, 1}))
 
 
-def test_run_g4_rejected_for_fd(table4_csv):
+@pytest.mark.parametrize("measure", ["g4", "g7"])
+def test_run_g4_rejected_for_fd(table4_csv, measure):
     t = load_csv(table4_csv)
-    report = run(t, [parse_constraint("spfd(a -> b)", t.schema)],
-                 RunOptions(measures=("g4",)))
-    assert report["constraints"][0]["error"] is not None
-    assert "g4" in report["constraints"][0]["error"]
+    constraints = [parse_constraint("spfd(a -> b)", t.schema),
+                   parse_constraint("spkey(a,b)", t.schema)]
+    report = run(t, constraints, RunOptions(measures=("g3", measure)))
+    first, second = report["constraints"]
+    assert first["error"] == f"measure {measure} is not defined for spfd constraints"
+    assert first["measures"]["g3"]["fraction"] == "1/4"
+    assert second["measures"]["g3"]["fraction"] == "2/4"
 
 
 def test_run_empty_spec_list(table4_csv):
@@ -226,7 +233,8 @@ def _deep_csv(path) -> None:
     ("spfd(X,Z -> W)", lambda rows, c: holds_fd(rows, c.lhs, c.rhs)),
     ("spmvd(X ->> Y)", lambda rows, c: holds_mvd(rows, c.lhs, c.rhs, 4)),
     ("spcj(Y x Z,W)", lambda rows, c: holds_cj(rows, c.lhs, c.rhs)),
-], ids=["spfd", "spmvd", "spcj"])
+    ("spcj(X x Y)", lambda rows, c: holds_cj(rows, c.lhs, c.rhs)),
+], ids=["spfd", "spmvd", "spcj", "spcj-singular"])
 def test_cli_check_searches_deeper_than_the_recursion_limit(tmp_path, spec, classical):
     # Each search holds one level per branching row, 3,000 of them.
     path = tmp_path / "deep.csv"
