@@ -38,7 +38,7 @@ from .errors import (
 )
 from .oracle import oracle_check, oracle_g3, oracle_g5, world_count
 from .spfd import check_spfd, g3_spfd, g5_spfd
-from .spkey import check_spkey, g3_spkey, g4_spkey, g5_spkey
+from .spkey import KeyAnalysis, check_spkey, g3_spkey, g4_spkey, g5_spkey
 from .table import SSYMB, IncompleteTable, Schema
 from .tuplegen import (
     check_nmvd,
@@ -163,47 +163,52 @@ class RunOptions:
 
 class _Engines(NamedTuple):
     """A constraint kind's check and its measures by name, each called as
-    ``f(table, constraint, budget)``. ``measures`` is None for a kind
-    evaluated on the incomplete table itself: it has no measures and no
-    worlds for the oracle to enumerate."""
+    ``f(table, constraint, budget, shared)``. ``shared`` is what
+    ``analyse(table, constraint)`` made for the constraint entry (None
+    for a kind without ``analyse``): work that the check and every
+    measure of the entry reuse, dropped with the entry. ``measures`` is
+    None for a kind evaluated on the incomplete table itself: it has no
+    measures and no worlds for the oracle to enumerate."""
 
     check: Callable
     measures: dict | None
+    analyse: Callable | None = None
 
 
-def _check_spcj(table: IncompleteTable, c: SpCj, budget: int):
+def _check_spcj(table: IncompleteTable, c: SpCj, budget: int, _):
     if c.singular:
         return check_spcj_singular(table, min(c.lhs), min(c.rhs))
     return check_spcj_general(table, c.lhs, c.rhs, budget)
 
 
-def _g4_spkey(table: IncompleteTable, c: SpKey, budget: int) -> MeasureResult:
+def _g4_spkey(table: IncompleteTable, c: SpKey, budget: int, analysis) -> MeasureResult:
     # Materialization is memory-bound, so the cap follows the budget only
-    # up to a fixed ceiling per tuple.
-    return g4_spkey(table, c.key, cap=max(table.row_count + 1, min(budget, 1_000_000)))
+    # up to a fixed ceiling per tuple, and the edges count against it.
+    return g4_spkey(table, c.key, cap=max(table.row_count + 1, min(budget, 1_000_000)),
+                    budget=budget, analysis=analysis)
 
 
 # The entries look the engine functions up when they are called, so a
 # wrapper set on an engine module's attribute after import sees the call.
 ENGINES = {
-    SpKey: _Engines(lambda t, c, b: check_spkey(t, c.key), {
-        "g3": lambda t, c, b: g3_spkey(t, c.key),
+    SpKey: _Engines(lambda t, c, b, a: check_spkey(t, c.key, analysis=a), {
+        "g3": lambda t, c, b, a: g3_spkey(t, c.key, analysis=a),
         "g4": _g4_spkey,
-        "g5": lambda t, c, b: g5_spkey(t, c.key),
+        "g5": lambda t, c, b, a: g5_spkey(t, c.key, analysis=a),
+    }, lambda t, c: KeyAnalysis(t, c.key)),
+    SpFd: _Engines(lambda t, c, b, _: check_spfd(t, c.lhs, c.rhs, b), {
+        "g3": lambda t, c, b, _: g3_spfd(t, c.lhs, c.rhs, b),
+        "g5": lambda t, c, b, _: g5_spfd(t, c.lhs, c.rhs, b),
     }),
-    SpFd: _Engines(lambda t, c, b: check_spfd(t, c.lhs, c.rhs, b), {
-        "g3": lambda t, c, b: g3_spfd(t, c.lhs, c.rhs, b),
-        "g5": lambda t, c, b: g5_spfd(t, c.lhs, c.rhs, b),
-    }),
-    SpMvd: _Engines(lambda t, c, b: check_spmvd(t, c.lhs, c.rhs, b), {
-        "g3": lambda t, c, b: g3_spmvd(t, c.lhs, c.rhs, b),
-        "g5": lambda t, c, b: g5_spmvd(t, c.lhs, c.rhs, b),
+    SpMvd: _Engines(lambda t, c, b, _: check_spmvd(t, c.lhs, c.rhs, b), {
+        "g3": lambda t, c, b, _: g3_spmvd(t, c.lhs, c.rhs, b),
+        "g5": lambda t, c, b, _: g5_spmvd(t, c.lhs, c.rhs, b),
     }),
     SpCj: _Engines(_check_spcj, {
-        "g3": lambda t, c, b: g3_spcj(t, c.lhs, c.rhs, b),
-        "g5": lambda t, c, b: g5_spcj(t, c.lhs, c.rhs, b),
+        "g3": lambda t, c, b, _: g3_spcj(t, c.lhs, c.rhs, b),
+        "g5": lambda t, c, b, _: g5_spcj(t, c.lhs, c.rhs, b),
     }),
-    Nmvd: _Engines(lambda t, c, b: ConstraintVerdict(check_nmvd(t, c.lhs, c.rhs)), None),
+    Nmvd: _Engines(lambda t, c, b, _: ConstraintVerdict(check_nmvd(t, c.lhs, c.rhs)), None),
 }
 
 # The oracle's counterpart of each engine measure it recomputes.
@@ -309,9 +314,12 @@ def run(table: IncompleteTable, constraints, options: RunOptions = RunOptions())
         entry = {"spec": spec, "kind": type(c).__name__.lower()}
         started = time.perf_counter()
         measured: dict = {}
+        shared = None  # the previous entry's analysis is dropped before this one builds
         try:
             engines = _engines(c)
-            verdict = engines.check(table, c, options.budget)
+            if engines.analyse is not None:
+                shared = engines.analyse(table, c)
+            verdict = engines.check(table, c, options.budget, shared)
             entry["holds"] = verdict.holds
             any_violated |= not verdict.holds
             if verdict.witness is not None:
@@ -326,7 +334,7 @@ def run(table: IncompleteTable, constraints, options: RunOptions = RunOptions())
                         raise SpcheckError(f"measure {name} is not defined for "
                                            f"{entry['kind']} constraints")
                     try:
-                        result = measure(table, c, options.budget)
+                        result = measure(table, c, options.budget, shared)
                         measured[name] = result
                         entry["measures"][name] = _measure_json(result)
                     except PreconditionError as err:

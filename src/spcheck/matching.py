@@ -14,14 +14,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import UnmaterializedGraphError
-from .table import (
-    AttributeSet,
-    IncompleteTable,
-    extension_count,
-    iter_extensions,
-)
+from .table import AttributeSet, IncompleteTable, iter_extensions
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,7 @@ class ExtensionGraph:
 class MatchingResult:
     matching: dict  # row index -> extension tuple
     size: int
-    covered_left: frozenset
+    right_ids: dict  # materialized matched row index -> right id
 
 
 @dataclass(frozen=True)
@@ -71,46 +67,60 @@ class ComponentPartition:
 
 
 def build_extension_graph(table: IncompleteTable, key: AttributeSet, cap: int | None = None) -> ExtensionGraph:
-    """Materialize each tuple's distinct key extensions up to ``cap``."""
+    """Materialize each tuple's distinct key extensions up to ``cap``.
+
+    A tuple's extensions are taken in lexicographic order of its
+    per-position options on the sorted key (the cell itself, or the
+    column's sorted active domain where it is NULL), and each new
+    extension gets the next right id.
+    """
     n = table.row_count
     if cap is None:
         cap = n + 1
     if cap < n + 1:
         raise ValueError(f"cap must be at least |T| + 1 = {n + 1}")
-    right_ids: dict = {}
-    right_tuples: list[tuple] = []
+    cols = sorted(key)
+    domains = table.active_domains()
+    col_domains = [(a, domains[a].sorted_values) for a in cols]
+    right_ids: dict = {}  # extension -> right id, in id order
+    setdefault = right_ids.setdefault
     adjacency: dict = {}
     high_degree: dict = {}
     for i, row in enumerate(table.rows):
-        count = extension_count(table, row, key)
+        options = []
+        count = 1
+        for a, values in col_domains:
+            cell = row[a]
+            if cell is None:
+                options.append(values)
+                count *= len(values)
+            else:
+                options.append((cell,))
         if count >= cap:
             high_degree[i] = count
             continue
-        edges = []
-        for ext in iter_extensions(table, row, key):
-            rid = right_ids.get(ext)
-            if rid is None:
-                rid = len(right_tuples)
-                right_ids[ext] = rid
-                right_tuples.append(ext)
-            edges.append(rid)
-        adjacency[i] = edges
-    return ExtensionGraph(table, key, cap, tuple(right_tuples), adjacency, high_degree)
+        adjacency[i] = [setdefault(ext, len(right_ids)) for ext in product(*options)]
+    return ExtensionGraph(table, key, cap, tuple(right_ids), adjacency, high_degree)
 
 
-def hopcroft_karp(adjacency: list, n_right: int) -> tuple[int, list, list]:
+def hopcroft_karp(adjacency: list, n_right: int, match_l: list | None = None,
+                  match_r: list | None = None) -> tuple[int, list, list]:
     """Layered (shortest-augmenting-path batch) maximum matching.
 
     ``adjacency[u]`` lists the right neighbours of left vertex ``u``;
     vertex order is the caller's, making results reproducible. Iterative
     DFS, so deep alternating paths cannot hit the recursion limit.
+
+    ``match_l`` and ``match_r`` (left vertex -> right id and back, None
+    when free) warm-start the search from a valid matching of this
+    graph; they are augmented in place and returned.
     """
     n_left = len(adjacency)
-    match_l: list = [None] * n_left
-    match_r: list = [None] * n_right
+    if match_l is None:
+        match_l, match_r = [None] * n_left, [None] * n_right
     inf = float("inf")
     dist = [inf] * n_left
-    size = 0
+    size = sum(1 for v in match_l if v is not None)
     while True:
         queue: deque = deque()
         for u in range(n_left):
@@ -180,39 +190,46 @@ def max_matching(graph: ExtensionGraph) -> MatchingResult:
     """
     low_rows = sorted(graph.adjacency)
     adjacency = [graph.adjacency[i] for i in low_rows]
-    size, match_l, _ = hopcroft_karp(adjacency, len(graph.right_tuples))
-    matching: dict = {}
-    used = set()
-    for pos, i in enumerate(low_rows):
-        rid = match_l[pos]
-        if rid is not None:
-            ext = graph.right_tuples[rid]
-            matching[i] = ext
-            used.add(ext)
-    for i in sorted(graph.high_degree_left):
-        for ext in iter_extensions(graph.table, graph.table.rows[i], graph.key):
+    _, match_l, _ = hopcroft_karp(adjacency, len(graph.right_tuples))
+    right_ids = {i: rid for i, rid in zip(low_rows, match_l) if rid is not None}
+    matching = {i: graph.right_tuples[rid] for i, rid in right_ids.items()}
+    match_high_degree(graph.table, graph.key, graph.high_degree_left, matching)
+    return MatchingResult(matching, len(matching), right_ids)
+
+
+def match_high_degree(table: IncompleteTable, key: AttributeSet, rows, matching: dict) -> None:
+    """Give each of ``rows``, in index order, its first key extension in
+    ``table`` that ``matching`` does not use yet, adding it to
+    ``matching``. Every row must have more extensions than ``table`` has
+    other rows (the pigeonhole bound), so one is always free.
+    """
+    used = set(matching.values())
+    for i in sorted(rows):
+        for ext in iter_extensions(table, table.rows[i], key):
             if ext not in used:
                 matching[i] = ext
                 used.add(ext)
                 break
         else:
             raise AssertionError("pigeonhole violated: no free extension for high-degree tuple")
-    return MatchingResult(matching, len(matching), frozenset(matching))
 
 
-def hall_components(graph: ExtensionGraph) -> ComponentPartition:
+def hall_components(graph: ExtensionGraph, result: MatchingResult | None = None) -> ComponentPartition:
     """Classify connected components by whether a local matching covers
     all their tuple vertices.
 
     A maximum matching decomposes over components, so the global matching
-    restricted to a component is locally maximum.
+    restricted to a component is locally maximum. ``result`` is a
+    maximum matching of the table's full extension graph, computed here
+    when not given; any such matching counts the same rows per component.
     """
     if not graph.fully_materialized:
         raise UnmaterializedGraphError(
             "extension graph hit the materialization cap "
             f"({graph.cap}); rebuild with a larger cap for the component partition"
         )
-    result = max_matching(graph)
+    if result is None:
+        result = max_matching(graph)
     n_right = len(graph.right_tuples)
     # Union-find over left rows (as-is) and right ids (offset by row count).
     parent = list(range(graph.table.row_count + n_right))

@@ -1,35 +1,86 @@
-"""Polynomial spKey satisfaction check and the g3, g4, g5 key measures."""
+"""Polynomial spKey satisfaction check and the g3, g4, g5 key measures.
+
+All four derive from one :class:`KeyAnalysis` of a (table, key) pair:
+its extension graph and that graph's maximum matching, built once on
+first use. Pass the same analysis to each call to share that work; no
+call changes it.
+"""
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import product
+from typing import Iterator
+
 from .constraints import ConstraintVerdict, MeasureResult
-from .errors import PreconditionError
-from .matching import build_extension_graph, hall_components, max_matching
+from .errors import BudgetExceededError, PreconditionError, UnmaterializedGraphError
+from .matching import (
+    ExtensionGraph,
+    MatchingResult,
+    build_extension_graph,
+    hall_components,
+    hopcroft_karp,
+    match_high_degree,
+    max_matching,
+)
 from .search import smallest_addition
 from .table import (
     AttributeSet,
     IncompleteTable,
     SpWorld,
     complete_world,
+    extension_count,
     fresh_values,
     is_total,
     projection,
 )
 
 
-def check_spkey(table: IncompleteTable, key: AttributeSet) -> ConstraintVerdict:
+class KeyAnalysis:
+    """The extension graph of ``table`` on ``key`` (materialized up to
+    the ``|T| + 1`` cap) and its maximum matching, each computed on
+    first use and kept for the life of the analysis."""
+
+    def __init__(self, table: IncompleteTable, key: AttributeSet):
+        if not key:
+            raise ValueError("spkey needs a non-empty attribute set")
+        self.table = table
+        self.key = key
+        self.cols = sorted(key)
+
+    @cached_property
+    def graph(self) -> ExtensionGraph:
+        return build_extension_graph(self.table, self.key)
+
+    @cached_property
+    def matching(self) -> MatchingResult:
+        return max_matching(self.graph)
+
+    def world(self, matching: dict, rows=None) -> SpWorld:
+        """The world in which each of ``rows`` (all by default) takes its
+        extension in ``matching``."""
+        return complete_world(self.table, self.cols, matching.__getitem__, rows)
+
+
+def _analysis(table: IncompleteTable, key: AttributeSet, analysis: KeyAnalysis | None) -> KeyAnalysis:
+    if analysis is None:
+        return KeyAnalysis(table, key)
+    if analysis.table is not table or analysis.key != key:
+        raise ValueError("the key analysis belongs to another table or key")
+    return analysis
+
+
+def check_spkey(table: IncompleteTable, key: AttributeSet,
+                analysis: KeyAnalysis | None = None) -> ConstraintVerdict:
     """Holds iff a maximum matching of the key extension graph covers
     every tuple; the matching doubles as the certifying world."""
-    if not key:
-        raise ValueError("spkey needs a non-empty attribute set")
+    a = _analysis(table, key, analysis)
     n = table.row_count
     if n == 0:
         return ConstraintVerdict(True, SpWorld((), ()))
-    graph = build_extension_graph(table, key)
-    result = max_matching(graph)
+    result = a.matching
     if result.size == n:
-        world = complete_world(table, sorted(key), result.matching.__getitem__)
-        return ConstraintVerdict(True, world)
+        return ConstraintVerdict(True, a.world(result.matching))
     unmatched = min(i for i in range(n) if i not in result.matching)
     return ConstraintVerdict(False, None, (unmatched,))
 
@@ -56,34 +107,54 @@ def _prefer_nontotal_unmatched(table: IncompleteTable, key: AttributeSet,
     return matching
 
 
-def g3_spkey(table: IncompleteTable, key: AttributeSet) -> MeasureResult:
+def g3_spkey(table: IncompleteTable, key: AttributeSet,
+             analysis: KeyAnalysis | None = None) -> MeasureResult:
     """(|T| - nu) / |T| with the unmatched rows as removal witness."""
-    if not key:
-        raise ValueError("spkey needs a non-empty attribute set")
+    a = _analysis(table, key, analysis)
     n = table.row_count
     if n == 0:
         raise ValueError("g3 is undefined for an empty table")
-    graph = build_extension_graph(table, key)
-    result = max_matching(graph)
+    result = a.matching
     matching = _prefer_nontotal_unmatched(table, key, dict(result.matching))
     removed = tuple(sorted(i for i in range(n) if i not in matching))
     kept = [i for i in range(n) if i in matching]
-    witness = complete_world(table, sorted(key), matching.__getitem__, kept)
-    return MeasureResult("g3", n - result.size, n, removed_rows=removed, witness=witness)
+    return MeasureResult("g3", n - result.size, n, removed_rows=removed,
+                         witness=a.world(matching, kept))
 
 
-def g4_spkey(table: IncompleteTable, key: AttributeSet, cap: int | None = None) -> MeasureResult:
+def g4_spkey(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
+             budget: int | None = None, analysis: KeyAnalysis | None = None) -> MeasureResult:
     """Component-weighted variant: components that already satisfy the
-    key count double in the denominator."""
-    if not key:
-        raise ValueError("spkey needs a non-empty attribute set")
+    key count double in the denominator.
+
+    It needs the fully materialized extension graph, so before building
+    anything it refuses a table in which some row has ``cap`` (default
+    ``|T| + 1``) or more extensions, and, given a ``budget``, one whose
+    graph would hold more edges than that.
+    """
+    a = _analysis(table, key, analysis)
     n = table.row_count
     if n == 0:
         raise ValueError("g4 is undefined for an empty table")
-    graph = build_extension_graph(table, key, cap)
-    parts = hall_components(graph)
-    doubled = parts.satisfied_tuple_count
-    return MeasureResult("g4", n - parts.total_nu, n + doubled)
+    if cap is None:
+        cap = n + 1
+    if cap < n + 1:
+        raise ValueError(f"cap must be at least |T| + 1 = {n + 1}")
+    counts = [extension_count(table, row, key) for row in table.rows]
+    over = sum(1 for c in counts if c >= cap)
+    if over:
+        raise UnmaterializedGraphError(
+            f"{over} rows have at least {cap} key extensions; g4 needs the "
+            "fully materialized extension graph")
+    edges = sum(counts)
+    if budget is not None and edges > budget:
+        raise BudgetExceededError(
+            f"g4 would materialize {edges} extension edges, over the budget of {budget}",
+            budget=budget)
+    # The shared graph is the full one when every row is under its cap.
+    full = a.graph if max(counts) < n + 1 else build_extension_graph(table, key, cap)
+    parts = hall_components(full, a.matching)
+    return MeasureResult("g4", n - parts.total_nu, n + parts.satisfied_tuple_count)
 
 
 def total_part_satisfies_key(table: IncompleteTable, key: AttributeSet) -> bool:
@@ -98,7 +169,8 @@ def total_part_satisfies_key(table: IncompleteTable, key: AttributeSet) -> bool:
     return True
 
 
-def g5_spkey(table: IncompleteTable, key: AttributeSet) -> MeasureResult:
+def g5_spkey(table: IncompleteTable, key: AttributeSet,
+             analysis: KeyAnalysis | None = None) -> MeasureResult:
     """Minimum number of fresh-valued rows whose addition makes the key
     hold, searched up to the g3 removal count.
 
@@ -107,6 +179,7 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet) -> MeasureResult:
     single-attribute key additions consume as many values as they donate;
     when the search is exhausted the measure is undefined.
     """
+    a = _analysis(table, key, analysis)
     if not total_part_satisfies_key(table, key):
         raise PreconditionError(
             "the key-total part violates the key; additions cannot repair duplicate total rows"
@@ -114,10 +187,91 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet) -> MeasureResult:
     n = table.row_count
     if n == 0:
         raise ValueError("g5 is undefined for an empty table")
-    bound = g3_spkey(table, key).numerator
+    result = a.matching
+    if result.size == n:
+        return MeasureResult("g5", 0, n, added_rows=(), witness=a.world(result.matching))
+    bound = n - result.size
     tokens = fresh_values(table, bound)
-    return smallest_addition(
-        table, bound,
-        lambda k: [[(tokens[j],) * table.arity for j in range(k)]],
-        lambda extended: check_spkey(extended, key),
-    )
+    added = [(tokens[j],) * table.arity for j in range(bound)]
+    domains = table.active_domains()
+    if any(domains[c].degenerate for c in a.cols):
+        # An all-NULL key column loses its reserved symbol to the first
+        # fresh value, and with it every edge of the graph: no round can
+        # start from the previous one.
+        return smallest_addition(table, bound, lambda k: [added[:k]] if k else [],
+                                 lambda extended: check_spkey(extended, key))
+    return _warm_rounds(a, added)
+
+
+def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
+    """g5 rounds k = 1, 2, ... on one growing graph: round k adds the
+    k-th fresh row to the table.
+
+    The fresh value only enlarges the key columns' domains, so every
+    edge of round k - 1 stays and its matching stays valid; round k adds
+    the edges that use the new value (plus the fresh row's own edge) and
+    augments that matching. A row beyond the cap at the base has more
+    than ``|T| + k`` extensions in round k too, so the greedy pigeonhole
+    step still covers it; every other row keeps all its edges.
+    """
+    table, graph, base = a.table, a.graph, a.matching
+    n = table.row_count
+    domains = table.active_domains()
+    low = sorted(graph.adjacency)
+    rows_of = list(low)  # left vertex -> row index of the extended table
+    # The base lists are shared with the analysis: copy those that grow.
+    adjacency = [graph.adjacency[i] for i in low]
+    growing = []
+    for pos, i in enumerate(low):
+        cells = [None if table.rows[i][c] is None else (table.rows[i][c],) for c in a.cols]
+        if None in cells:
+            adjacency[pos] = list(adjacency[pos])
+            growing.append((pos, cells))
+    n_base = len(graph.right_tuples)
+    match_l = [base.right_ids.get(i) for i in low]
+    match_r = [None] * n_base
+    for pos, rid in enumerate(match_l):
+        if rid is not None:
+            match_r[rid] = pos
+    fresh_ids: dict = {}  # extension using a fresh value -> right id
+    setdefault = fresh_ids.setdefault
+    old = [domains[c].sorted_values for c in a.cols]  # earlier rounds' options
+    for k in range(1, len(added) + 1):
+        z = added[k - 1][0]
+        new = [values + (z,) for values in old]
+        for pos, cells in growing:
+            adjacency[pos].extend(setdefault(ext, n_base + len(fresh_ids))
+                                  for ext in _extensions_using(cells, old, new, z))
+        rows_of.append(n + k - 1)
+        adjacency.append([setdefault((z,) * len(a.cols), n_base + len(fresh_ids))])
+        match_l.append(None)
+        match_r.extend([None] * (n_base + len(fresh_ids) - len(match_r)))
+        old = new
+        size, match_l, match_r = hopcroft_karp(adjacency, len(match_r), match_l, match_r)
+        if size + len(graph.high_degree_left) < n + k:
+            continue
+        fresh = list(fresh_ids)
+        ext_of = lambda rid: graph.right_tuples[rid] if rid < n_base else fresh[rid - n_base]
+        matching = {rows_of[pos]: ext_of(rid) for pos, rid in enumerate(match_l)}
+        extended = table.with_rows_added(added[:k])
+        match_high_degree(extended, a.key, graph.high_degree_left, matching)
+        world = complete_world(extended, a.cols, matching.__getitem__)
+        return MeasureResult("g5", k, n, added_rows=tuple(added[:k]),
+                             witness=SpWorld(world.rows, tuple(range(n)) + (None,) * k))
+    return MeasureResult("g5", None, n)
+
+
+def _extensions_using(cells: list, old: list, new: list, z) -> Iterator[tuple]:
+    """The completions of a row that use ``z`` at least once, each once:
+    ``cells[p]`` is the row's own value at key position ``p`` as a
+    1-tuple, or None where it is NULL and takes one of ``new[p]``
+    (``old[p]`` plus ``z``). The first ``z`` falls at each NULL position
+    in turn; NULL positions before it take ``old`` values, after it
+    ``new`` ones."""
+    for j, cell in enumerate(cells):
+        if cell is not None:
+            continue
+        options = [c if c is not None else (old[p] if p < j else new[p])
+                   for p, c in enumerate(cells)]
+        options[j] = (z,)
+        yield from product(*options)

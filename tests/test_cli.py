@@ -198,6 +198,37 @@ def test_cli_budget_exit_three(tmp_path):
     assert code == 3
 
 
+def test_cli_g4_counts_its_edges_against_the_budget(tmp_path):
+    # Each all-NULL row has 36 extensions, under the cap of 50, but the
+    # graph would hold 6 + 4 * 36 = 150 edges: more than the budget.
+    path = tmp_path / "grid.csv"
+    rows = [f"{v},{v}" for v in range(1, 7)] + [","] * 4
+    path.write_text("a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["measure", "--table", str(path), "--constraint", "spkey(a,b)",
+            "--measures", "g4", "--json", str(out)]
+    assert main(argv + ["--budget", "50"]) == 3
+    assert json.loads(out.read_text())["constraints"][0]["error"].startswith("budget exceeded")
+    assert main(argv + ["--budget", "150"]) == 0
+    assert json.loads(out.read_text())["constraints"][0]["measures"]["g4"]["fraction"] == "0/20"
+
+
+def test_cli_g4_refuses_rows_at_the_cap(tmp_path):
+    # 36 extensions reach the cap of max(|T| + 1, budget) = 36 before any
+    # graph is built; the entry reports the error and the run goes on
+    # (exit 1: spkey(a) is violated).
+    path = tmp_path / "grid.csv"
+    rows = [f"{v},{v}" for v in range(1, 7)] + [","] * 4
+    path.write_text("a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["measure", "--table", str(path), "--constraint", "spkey(a,b)",
+                 "--constraint", "spkey(a)", "--measures", "g4", "--budget", "36",
+                 "--json", str(out)]) == 1
+    entries = json.loads(out.read_text())["constraints"]
+    assert "4 rows have at least 36 key extensions" in entries[0]["error"]
+    assert entries[1]["measures"]["g4"]["fraction"] == "4/10"
+
+
 def test_cli_verify_verb(table4_csv):
     assert main(["verify", "--table", str(table4_csv),
                  "--constraint", "spkey(a,b)"]) == 1  # violated but agreeing

@@ -9,7 +9,7 @@ from spcheck.matching import (
     hopcroft_karp,
     max_matching,
 )
-from spcheck.table import IncompleteTable, iter_extensions
+from spcheck.table import IncompleteTable, extension_count, iter_extensions
 
 from conftest import table
 
@@ -198,3 +198,46 @@ def test_wide_key_construction_matching_size():
     result = max_matching(g)
     assert result.size == 1
     assert g3_spkey(inst.table, inst.constraint.key).fraction_str == "2/3"
+
+
+def _reference_graph(t, key, cap):
+    """The graph built row by row through the public per-row helpers."""
+    right_ids, adjacency, high = {}, {}, {}
+    for i, row in enumerate(t.rows):
+        count = extension_count(t, row, key)
+        if count >= cap:
+            high[i] = count
+            continue
+        adjacency[i] = [right_ids.setdefault(ext, len(right_ids))
+                        for ext in iter_extensions(t, row, key)]
+    return tuple(right_ids), adjacency, high
+
+
+def test_graph_build_matches_per_row_reference():
+    import random
+
+    rng = random.Random(7)
+    for _ in range(200):
+        width = rng.randint(1, 4)
+        rows = [tuple(None if rng.random() < 0.4 else str(rng.randint(1, 4))
+                      for _ in range(width)) for _ in range(rng.randint(1, 7))]
+        t = IncompleteTable.build([f"A{i}" for i in range(width)], rows)
+        key = frozenset(rng.sample(range(width), rng.randint(1, width)))
+        for cap in (t.row_count + 1, 10**6):
+            g = build_extension_graph(t, key, cap)
+            assert (g.right_tuples, g.adjacency, g.high_degree_left) == _reference_graph(t, key, cap)
+
+
+def test_hopcroft_karp_warm_start():
+    # Start from a valid non-maximum matching; it must be augmented in place.
+    adjacency = [[0, 1], [0], [1, 2], [2]]
+    match_l, match_r = [0, None, 2, None], [0, None, 2]
+    size, ml, mr = hopcroft_karp(adjacency, 3, match_l, match_r)
+    assert size == 3 == kuhn_matching_size(adjacency, 3)
+    assert ml is match_l and mr is match_r
+    assert all(mr[v] == u for u, v in enumerate(ml) if v is not None)
+
+
+def test_hall_components_accepts_a_matching(table4):
+    g = build_extension_graph(table4, frozenset({0, 1}))
+    assert hall_components(g, max_matching(g)) == hall_components(g)

@@ -1,17 +1,25 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from spcheck import spkey
+from spcheck.cli import RunOptions, run
+from spcheck.constraints import SpKey
 from spcheck.errors import PreconditionError
+from spcheck.generators import gen_prop3, gen_thm1
 from spcheck.oracle import holds_key
+from spcheck.search import smallest_addition
 from spcheck.spkey import (
+    KeyAnalysis,
     check_spkey,
     g3_spkey,
     g4_spkey,
     g5_spkey,
     total_part_satisfies_key,
 )
-from spcheck.table import is_total
+from spcheck.table import extension_count, fresh_values, is_total, weakly_similar
 
 from conftest import table
 
@@ -141,3 +149,136 @@ def test_report_bundle(table4):
     assert g3.ratio == Fraction(1, 2)
     assert g4_spkey(table4, BOTH).ratio == Fraction(1, 2)
     assert g5_spkey(table4, BOTH).ratio == Fraction(1, 4)
+
+
+def test_analysis_refuses_another_table(table4, cars_table):
+    analysis = KeyAnalysis(table4, BOTH)
+    with pytest.raises(ValueError):
+        g3_spkey(cars_table, BOTH, analysis=analysis)
+    with pytest.raises(ValueError):
+        g3_spkey(table4, frozenset({0}), analysis=analysis)
+
+
+def test_one_graph_build_per_key(monkeypatch, table4, cars_table):
+    builds = []
+    real = spkey.build_extension_graph
+
+    def counting(table, key, cap=None):
+        builds.append(table)
+        return real(table, key, cap)
+
+    monkeypatch.setattr(spkey, "build_extension_graph", counting)
+    for t in (table4, cars_table):
+        builds.clear()
+        keys = [SpKey(BOTH), SpKey(frozenset({1}))]
+        report = run(t, keys, RunOptions(measures=("g3", "g4", "g5")))
+        # g5 >= 1 here, so its rounds ran, on the source table's graph
+        assert report["constraints"][0]["measures"]["g5"]["count"] == 1
+        assert builds == [t, t]
+
+
+def _cold_g5(t, key):
+    """The g5 loop before warm starts: one full check of the extended
+    table per round."""
+    bound = g3_spkey(t, key).numerator
+    tokens = fresh_values(t, bound)
+    return smallest_addition(t, bound, lambda k: [[(tokens[j],) * t.arity for j in range(k)]],
+                             lambda extended: check_spkey(extended, key))
+
+
+def _assert_warm_equals_cold(t, key):
+    warm, cold = g5_spkey(t, key), _cold_g5(t, key)
+    assert warm.numerator == cold.numerator
+    assert warm.added_rows == cold.added_rows
+    if warm.numerator is not None:
+        extended = t.with_rows_added(warm.added_rows)
+        assert holds_key(warm.witness.rows, key)
+        assert warm.witness.origin == tuple(range(t.row_count)) + (None,) * warm.numerator
+        domains = extended.active_domains()
+        for world_row, row in zip(warm.witness.rows, extended.rows, strict=True):
+            assert weakly_similar(world_row, row, t.all_positions())
+            assert all(v in domains[a].values for a, v in enumerate(world_row))
+    return warm.numerator
+
+
+def _random_tables(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        cols, n, domain = rng.randint(1, 3), rng.randint(1, 9), rng.randint(1, 4)
+        rows = [tuple(None if rng.random() < 0.35 else str(rng.randint(1, domain))
+                      for _ in range(cols)) for _ in range(n)]
+        yield table([f"A{i + 1}" for i in range(cols)], rows)
+
+
+def test_warm_g5_equals_cold_on_random_tables():
+    repaired = 0
+    for t in _random_tables(400, seed=5):
+        for key in (t.all_positions(), frozenset({0})):
+            if total_part_satisfies_key(t, key):
+                repaired += (_assert_warm_equals_cold(t, key) or 0) > 0
+    assert repaired >= 50
+
+
+@pytest.mark.parametrize("gen, p, q, c", [
+    (gen_thm1, 1, 2, 1), (gen_thm1, 2, 3, 2), (gen_thm1, 3, 7, 1),
+    (gen_prop3, 1, 2, 1), (gen_prop3, 2, 5, 1), (gen_prop3, 3, 4, 2),
+])
+def test_warm_g5_equals_cold_on_families(gen, p, q, c):
+    instance = gen(p, q, c)
+    assert _assert_warm_equals_cold(instance.table, instance.constraint.key) >= 1
+
+
+def _grid_table(domain, nulls, partial=0):
+    """Every total row of a domain x domain grid, ``partial`` rows NULL in
+    the second column and ``nulls`` all-NULL rows."""
+    values = [str(v) for v in range(1, domain + 1)]
+    rows = list(product(values, values)) + [("1", None)] * partial + [(None, None)] * nulls
+    return table(["A", "B"], rows)
+
+
+@pytest.mark.parametrize("domain, nulls, partial, rounds", [
+    (2, 4, 0, 1), (2, 10, 0, 2), (2, 9, 1, 2), (3, 12, 2, 2),
+])
+def test_warm_g5_rows_crossing_the_cap_in_a_round(domain, nulls, partial, rounds):
+    # Rows under the |T| + 1 cap at the base whose count reaches
+    # |T| + 1 .. |T| + k in round k stay materialized.
+    t = _grid_table(domain, nulls, partial)
+    n = t.row_count
+    assert _assert_warm_equals_cold(t, BOTH) == rounds
+    grows = lambda k: (domain + k) ** 2
+    assert extension_count(t, t.rows[-1], BOTH) < n + 1
+    assert any(n + 1 <= grows(k) <= n + k for k in range(1, rounds + 1))
+
+
+def test_warm_g5_high_degree_rows():
+    # The all-NULL row has 9 >= |T| + 1 extensions: the pigeonhole step
+    # covers it in every round.
+    t = table(["A", "B"], [("1", "1"), ("2", "2"), ("3", "3")]
+              + [("1", None)] * 4 + [(None, None)])
+    assert KeyAnalysis(t, BOTH).graph.high_degree_left == {7: 9}
+    assert _assert_warm_equals_cold(t, BOTH) == 2
+
+
+def test_warm_g5_all_null_key_column():
+    # The reserved symbol of column A gives way to the fresh values.
+    t = table(["A", "B"], [(None, "1"), (None, None), (None, "1")])
+    assert _assert_warm_equals_cold(t, BOTH) == 2
+
+
+def _without_timing(report):
+    for entry in report["constraints"]:
+        entry.pop("elapsed_ms")
+    report.pop("options")
+    return report
+
+
+def test_measure_order_does_not_matter(table4, cars_table):
+    tables = [table4, cars_table, _grid_table(2, 9, 1),
+              table(["A", "B"], [("1", "1"), ("2", "2"), ("3", "3")]
+                    + [("1", None)] * 4 + [(None, None)])]
+    tables += list(_random_tables(60, seed=9))
+    for t in tables:
+        keys = [SpKey(t.all_positions()), SpKey(frozenset({0}))]
+        forward = run(t, keys, RunOptions(measures=("g3", "g4", "g5")))
+        backward = run(t, keys, RunOptions(measures=("g5", "g4", "g3")))
+        assert _without_timing(forward) == _without_timing(backward)
