@@ -15,9 +15,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .errors import UnmaterializedGraphError
-from .table import AttributeSet, IncompleteTable, iter_extensions
+from .table import AttributeSet, IncompleteTable, column_values, extension_options, iter_extensions
 
 
 @dataclass(frozen=True)
@@ -70,37 +71,49 @@ def build_extension_graph(table: IncompleteTable, key: AttributeSet, cap: int | 
     """Materialize each tuple's distinct key extensions up to ``cap``.
 
     A tuple's extensions are taken in lexicographic order of its
-    per-position options on the sorted key (the cell itself, or the
-    column's sorted active domain where it is NULL), and each new
-    extension gets the next right id.
+    per-position options on the sorted key, and each new extension gets
+    the next right id.
     """
     n = table.row_count
     if cap is None:
         cap = n + 1
     if cap < n + 1:
         raise ValueError(f"cap must be at least |T| + 1 = {n + 1}")
+    right_ids: dict = {}
+    adjacency, high_degree = _materialize(table, key, range(n), cap, right_ids)
+    return ExtensionGraph(table, key, cap, tuple(right_ids), adjacency, high_degree)
+
+
+def raise_cap(graph: ExtensionGraph, cap: int) -> ExtensionGraph:
+    """``graph`` materialized up to the larger ``cap``: the rows it left
+    out that fall under ``cap`` get their extensions, new ones after its
+    right ids. The rows it already holds share their lists with it."""
+    if cap < graph.cap:
+        raise ValueError(f"cap must be at least the graph's cap {graph.cap}")
+    right_ids = dict(zip(graph.right_tuples, range(len(graph.right_tuples))))
+    adjacency, high_degree = _materialize(graph.table, graph.key, sorted(graph.high_degree_left),
+                                          cap, right_ids)
+    return ExtensionGraph(graph.table, graph.key, cap, tuple(right_ids),
+                          {**graph.adjacency, **adjacency}, high_degree)
+
+
+def _materialize(table: IncompleteTable, key: AttributeSet, rows, cap: int,
+                 right_ids: dict) -> tuple[dict, dict]:
+    """The edge lists of ``rows`` under ``cap`` and the counts of those at
+    or over it; ``right_ids`` (extension -> right id) grows in id order."""
     cols = sorted(key)
-    domains = table.active_domains()
-    col_domains = [(a, domains[a].sorted_values) for a in cols]
-    right_ids: dict = {}  # extension -> right id, in id order
+    values = column_values(table)
     setdefault = right_ids.setdefault
     adjacency: dict = {}
     high_degree: dict = {}
-    for i, row in enumerate(table.rows):
-        options = []
-        count = 1
-        for a, values in col_domains:
-            cell = row[a]
-            if cell is None:
-                options.append(values)
-                count *= len(values)
-            else:
-                options.append((cell,))
+    for i in rows:
+        options = extension_options(table.rows[i], cols, values)
+        count = prod(map(len, options))
         if count >= cap:
             high_degree[i] = count
             continue
         adjacency[i] = [setdefault(ext, len(right_ids)) for ext in product(*options)]
-    return ExtensionGraph(table, key, cap, tuple(right_ids), adjacency, high_degree)
+    return adjacency, high_degree
 
 
 def hopcroft_karp(adjacency: list, n_right: int, match_l: list | None = None,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
+from math import prod
 from typing import Iterator
 
 from .constraints import ConstraintVerdict, MeasureResult
@@ -22,13 +23,16 @@ from .matching import (
     hopcroft_karp,
     match_high_degree,
     max_matching,
+    raise_cap,
 )
 from .search import smallest_addition
 from .table import (
     AttributeSet,
     IncompleteTable,
     SpWorld,
+    column_values,
     complete_world,
+    extension_options,
     extension_count,
     fresh_values,
     is_total,
@@ -151,8 +155,7 @@ def g4_spkey(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
         raise BudgetExceededError(
             f"g4 would materialize {edges} extension edges, over the budget of {budget}",
             budget=budget)
-    # The shared graph is the full one when every row is under its cap.
-    full = a.graph if max(counts) < n + 1 else build_extension_graph(table, key, cap)
+    full = a.graph if a.graph.fully_materialized else raise_cap(a.graph, cap)
     parts = hall_components(full, a.matching)
     return MeasureResult("g4", n - parts.total_nu, n + parts.satisfied_tuple_count)
 
@@ -210,23 +213,26 @@ def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
     The fresh value only enlarges the key columns' domains, so every
     edge of round k - 1 stays and its matching stays valid; round k adds
     the edges that use the new value (plus the fresh row's own edge) and
-    augments that matching. A row beyond the cap at the base has more
-    than ``|T| + k`` extensions in round k too, so the greedy pigeonhole
-    step still covers it; every other row keeps all its edges.
+    augments that matching. As in a graph built for the extended table,
+    a row with ``|T| + k + 1`` or more extensions in round k is left to
+    the greedy pigeonhole step. Its count grows by at least one a round,
+    so it stays there; a row beyond the cap at the base starts there.
     """
     table, graph, base = a.table, a.graph, a.matching
     n = table.row_count
-    domains = table.active_domains()
+    cols = a.cols
+    values = column_values(table)
     low = sorted(graph.adjacency)
     rows_of = list(low)  # left vertex -> row index of the extended table
+    high = set(graph.high_degree_left)
     # The base lists are shared with the analysis: copy those that grow.
     adjacency = [graph.adjacency[i] for i in low]
-    growing = []
+    growing = []  # (left vertex, NULL key positions, last round's options)
     for pos, i in enumerate(low):
-        cells = [None if table.rows[i][c] is None else (table.rows[i][c],) for c in a.cols]
-        if None in cells:
+        nulls = [p for p, c in enumerate(cols) if table.rows[i][c] is None]
+        if nulls:
             adjacency[pos] = list(adjacency[pos])
-            growing.append((pos, cells))
+            growing.append((pos, nulls, extension_options(table.rows[i], cols, values)))
     n_base = len(graph.right_tuples)
     match_l = [base.right_ids.get(i) for i in low]
     match_r = [None] * n_base
@@ -235,43 +241,47 @@ def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
             match_r[rid] = pos
     fresh_ids: dict = {}  # extension using a fresh value -> right id
     setdefault = fresh_ids.setdefault
-    old = [domains[c].sorted_values for c in a.cols]  # earlier rounds' options
     for k in range(1, len(added) + 1):
         z = added[k - 1][0]
-        new = [values + (z,) for values in old]
-        for pos, cells in growing:
+        for c in cols:
+            values[c] += (z,)
+        still = []
+        for pos, nulls, old in growing:
+            new = extension_options(table.rows[rows_of[pos]], cols, values)
+            if prod(map(len, new)) >= n + k + 1:
+                adjacency[pos] = []
+                if match_l[pos] is not None:
+                    match_r[match_l[pos]] = None
+                    match_l[pos] = None
+                high.add(rows_of[pos])
+                continue
             adjacency[pos].extend(setdefault(ext, n_base + len(fresh_ids))
-                                  for ext in _extensions_using(cells, old, new, z))
+                                  for ext in _extensions_using(old, new, nulls, z))
+            still.append((pos, nulls, new))
+        growing = still
         rows_of.append(n + k - 1)
-        adjacency.append([setdefault((z,) * len(a.cols), n_base + len(fresh_ids))])
+        adjacency.append([setdefault((z,) * len(cols), n_base + len(fresh_ids))])
         match_l.append(None)
         match_r.extend([None] * (n_base + len(fresh_ids) - len(match_r)))
-        old = new
         size, match_l, match_r = hopcroft_karp(adjacency, len(match_r), match_l, match_r)
-        if size + len(graph.high_degree_left) < n + k:
+        if size + len(high) < n + k:
             continue
         fresh = list(fresh_ids)
         ext_of = lambda rid: graph.right_tuples[rid] if rid < n_base else fresh[rid - n_base]
-        matching = {rows_of[pos]: ext_of(rid) for pos, rid in enumerate(match_l)}
+        matching = {rows_of[pos]: ext_of(rid) for pos, rid in enumerate(match_l) if rid is not None}
         extended = table.with_rows_added(added[:k])
-        match_high_degree(extended, a.key, graph.high_degree_left, matching)
+        match_high_degree(extended, a.key, high, matching)
         world = complete_world(extended, a.cols, matching.__getitem__)
         return MeasureResult("g5", k, n, added_rows=tuple(added[:k]),
                              witness=SpWorld(world.rows, tuple(range(n)) + (None,) * k))
     return MeasureResult("g5", None, n)
 
 
-def _extensions_using(cells: list, old: list, new: list, z) -> Iterator[tuple]:
+def _extensions_using(old: list, new: list, nulls: list, z) -> Iterator[tuple]:
     """The completions of a row that use ``z`` at least once, each once:
-    ``cells[p]`` is the row's own value at key position ``p`` as a
-    1-tuple, or None where it is NULL and takes one of ``new[p]``
-    (``old[p]`` plus ``z``). The first ``z`` falls at each NULL position
-    in turn; NULL positions before it take ``old`` values, after it
-    ``new`` ones."""
-    for j, cell in enumerate(cells):
-        if cell is not None:
-            continue
-        options = [c if c is not None else (old[p] if p < j else new[p])
-                   for p, c in enumerate(cells)]
-        options[j] = (z,)
-        yield from product(*options)
+    ``old`` and ``new`` are the row's per-position options before and
+    after ``z`` joined the domains, ``nulls`` its NULL key positions.
+    The first ``z`` falls at each NULL position in turn; positions before
+    it take ``old`` options, after it ``new`` ones."""
+    for j in nulls:
+        yield from product(*old[:j], (z,), *new[j + 1:])

@@ -267,15 +267,16 @@ def row_key(row: Row, positions: Iterable[int]) -> tuple:
     return tuple((1, "") if row[a] is None else (0, row[a]) for a in positions)
 
 
-def extension_options(table: IncompleteTable, row: Row, positions: Iterable[int]) -> list[tuple]:
-    """Per-position completion options for ``row`` on sorted ``positions``:
-    the cell itself when non-NULL, else the column's active domain."""
-    domains = table.active_domains()
-    options = []
-    for a in sorted(positions):
-        cell = row[a]
-        options.append((cell,) if cell is not None else domains[a].sorted_values)
-    return options
+def column_values(table: IncompleteTable) -> list[tuple]:
+    """Each column's sorted active domain, by column position."""
+    return [d.sorted_values for d in table.active_domains()]
+
+
+def extension_options(row: Row, positions: Iterable[int], values: Sequence[tuple]) -> list[tuple]:
+    """Per-position completion options for ``row`` on ``positions``, in
+    the order given: the cell itself when non-NULL, else ``values[a]``
+    (a column's sorted active domain, see :func:`column_values`)."""
+    return [(row[a],) if row[a] is not None else values[a] for a in positions]
 
 
 def extension_count(table: IncompleteTable, row: Row, positions: Iterable[int]) -> int:
@@ -291,7 +292,7 @@ def extension_count(table: IncompleteTable, row: Row, positions: Iterable[int]) 
 def iter_extensions(table: IncompleteTable, row: Row, positions: Iterable[int]) -> Iterator[tuple]:
     """Distinct completions of ``row`` on sorted ``positions`` in
     lexicographic order of the per-column option lists."""
-    return product(*extension_options(table, row, positions))
+    return product(*extension_options(row, sorted(positions), column_values(table)))
 
 
 def fresh_values(table: IncompleteTable, k: int, stem: str = "z") -> list[str]:

@@ -8,6 +8,7 @@ from spcheck.matching import (
     hall_components,
     hopcroft_karp,
     max_matching,
+    raise_cap,
 )
 from spcheck.table import IncompleteTable, extension_count, iter_extensions
 
@@ -226,6 +227,30 @@ def test_graph_build_matches_per_row_reference():
         for cap in (t.row_count + 1, 10**6):
             g = build_extension_graph(t, key, cap)
             assert (g.right_tuples, g.adjacency, g.high_degree_left) == _reference_graph(t, key, cap)
+
+
+def test_raise_cap_matches_a_build_at_that_cap():
+    import random
+
+    rng = random.Random(11)
+    for _ in range(200):
+        width = rng.randint(1, 3)
+        rows = [tuple(None if rng.random() < 0.5 else str(rng.randint(1, 4))
+                      for _ in range(width)) for _ in range(rng.randint(1, 6))]
+        t = IncompleteTable.build([f"A{i}" for i in range(width)], rows)
+        key = frozenset(rng.sample(range(width), rng.randint(1, width)))
+        base = build_extension_graph(t, key)
+        for cap in (t.row_count + 1, t.row_count + 9, 10**6):
+            raised, built = raise_cap(base, cap), build_extension_graph(t, key, cap)
+            extensions = lambda g: {i: [g.right_tuples[r] for r in edges]
+                                    for i, edges in g.adjacency.items()}
+            assert extensions(raised) == extensions(built)
+            assert raised.high_degree_left == built.high_degree_left
+            assert set(raised.right_tuples) == set(built.right_tuples)
+            assert all(raised.adjacency[i] is base.adjacency[i] for i in base.adjacency)
+            if built.fully_materialized:
+                a, b = hall_components(raised), hall_components(built)
+                assert (a.total_nu, a.satisfied_tuple_count) == (b.total_nu, b.satisfied_tuple_count)
 
 
 def test_hopcroft_karp_warm_start():

@@ -8,6 +8,7 @@ from spcheck import spkey
 from spcheck.cli import RunOptions, run
 from spcheck.constraints import SpKey
 from spcheck.errors import PreconditionError
+from spcheck.matching import build_extension_graph, hall_components
 from spcheck.generators import gen_prop3, gen_thm1
 from spcheck.oracle import holds_key
 from spcheck.search import smallest_addition
@@ -177,6 +178,27 @@ def test_one_graph_build_per_key(monkeypatch, table4, cars_table):
         assert builds == [t, t]
 
 
+def test_g4_raises_the_shared_graph_cap(monkeypatch):
+    # The all-NULL row has 16 >= |T| + 1 extensions: g4 adds its edges to
+    # the shared graph instead of building the full graph again.
+    t = table(["A", "B"], [(v, v) for v in "1234"] + [("1", None)] * 5 + [(None, None)])
+    n = t.row_count
+    parts = hall_components(build_extension_graph(t, BOTH, cap=10**6))
+    builds = []
+    real = spkey.build_extension_graph
+
+    def counting(table, key, cap=None):
+        builds.append(table)
+        return real(table, key, cap)
+
+    monkeypatch.setattr(spkey, "build_extension_graph", counting)
+    report = run(t, [SpKey(BOTH)], RunOptions(measures=("g3", "g4")))
+    assert builds == [t]
+    assert parts.total_nu < n
+    expected = f"{n - parts.total_nu}/{n + parts.satisfied_tuple_count}"
+    assert report["constraints"][0]["measures"]["g4"]["fraction"] == expected
+
+
 def _cold_g5(t, key):
     """The g5 loop before warm starts: one full check of the extended
     table per round."""
@@ -257,6 +279,26 @@ def test_warm_g5_high_degree_rows():
               + [("1", None)] * 4 + [(None, None)])
     assert KeyAnalysis(t, BOTH).graph.high_degree_left == {7: 9}
     assert _assert_warm_equals_cold(t, BOTH) == 2
+
+
+def test_warm_g5_rows_leave_the_graph_at_the_cap(monkeypatch):
+    # The all-NULL row has 12 extensions at the base, 36 in round 1 and
+    # 80 in round 2, against caps of 46, 47 and 48: from round 2 on the
+    # pigeonhole step covers it, and in no round does an edge list reach
+    # that round's cap of |T| + k + 1.
+    t = table(["A", "B", "C"], [("1", None, "1")] * 40 + [("2", b, "1") for b in "123"]
+              + [("2", "1", "2"), (None, None, None)])
+    lengths = []
+    real = spkey.hopcroft_karp
+
+    def recording(adjacency, n_right, *matching):
+        lengths.append([len(edges) for edges in adjacency])
+        return real(adjacency, n_right, *matching)
+
+    monkeypatch.setattr(spkey, "hopcroft_karp", recording)
+    assert _assert_warm_equals_cold(t, t.all_positions()) == 37 == len(lengths)
+    assert [round_lengths[44] for round_lengths in lengths[:3]] == [36, 0, 0]
+    assert all(max(round_lengths) <= len(round_lengths) for round_lengths in lengths)
 
 
 def test_warm_g5_all_null_key_column():
