@@ -5,13 +5,19 @@ enumerated outright, measures are found by exhaustive search ordered by
 repair size, and budgets fail hard rather than truncate. The polynomial
 and backtracking engines are tested against this module; it is the
 correctness reference, never the fast path.
+
+The one shortcut: no classical check cares about row order, so the
+existential searches see each world once per reordering of identical
+rows, while the budget still counts every world. The public
+:func:`enumerate_spworlds` yields all of them.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .constraints import (
     Constraint,
@@ -24,7 +30,7 @@ from .constraints import (
     SpMvd,
 )
 from .errors import DEFAULT_BUDGET, BudgetExceededError, OracleGapError
-from .table import IncompleteTable, Row, SpWorld, fresh_values
+from .table import IncompleteTable, Row, SpWorld, fresh_values, iter_extensions
 
 # Instance-size limits for the extended-pool g5 cross-check.
 CROSS_CHECK_MAX_ROWS = 6
@@ -48,35 +54,60 @@ def world_count(table: IncompleteTable) -> int:
     return count
 
 
-def _iter_completions(table: IncompleteTable, budget: int) -> Iterator[tuple[Row, ...]]:
+def _iter_completions(table: IncompleteTable, budget: int,
+                      up_to_reordering: bool = True) -> Iterator[tuple[Row, ...]]:
+    """Completed row tuples, in lexicographic order of the NULL-cell
+    assignments (row-major).
+
+    The budget always counts every world (:func:`world_count`). With
+    ``up_to_reordering``, a row equal to an earlier row (NULLs included)
+    takes only completions at or after that row's, so each world is
+    yielded once per reordering of identical rows: the sorted
+    representative, which is the first of its reorderings in the full
+    order. Every classical check here ignores row order, so the first
+    world and the first satisfying world stay the same.
+    """
     total = world_count(table)
     if total > budget:
         raise BudgetExceededError(
             f"{total} strongly possible worlds exceed the budget of {budget}"
         )
-    slots = [
-        (i, a)
-        for i, row in enumerate(table.rows)
-        for a, cell in enumerate(row)
-        if cell is None
-    ]
-    if not slots:
-        yield table.rows
-        return
-    domains = table.active_domains()
-    option_lists = [domains[a].sorted_values for (_, a) in slots]
-    work = [list(row) for row in table.rows]
-    for combo in product(*option_lists):
-        for (i, a), value in zip(slots, combo):
-            work[i][a] = value
-        yield tuple(tuple(row) for row in work)
+    every = range(table.arity)
+    options = [tuple(iter_extensions(table, row, every)) for row in table.rows]
+    world = [opts[0] for opts in options]
+    # The odometer turns only the rows with a choice; ``floor[p]`` is the
+    # odometer position of the nearest earlier identical row, or -1.
+    free = [i for i, opts in enumerate(options) if len(opts) > 1]
+    floor = []
+    last: dict = {}
+    for p, i in enumerate(free):
+        row = table.rows[i]
+        floor.append(last.get(row, -1) if up_to_reordering else -1)
+        last[row] = p
+    free_options = [options[i] for i in free]
+    index = [0] * len(free)
+    yield tuple(world)
+    while True:
+        p = len(free) - 1
+        while p >= 0 and index[p] + 1 == len(free_options[p]):
+            p -= 1
+        if p < 0:
+            return
+        index[p] += 1
+        world[free[p]] = free_options[p][index[p]]
+        for q in range(p + 1, len(free)):
+            start = index[floor[q]] if floor[q] >= 0 else 0
+            index[q] = start
+            world[free[q]] = free_options[q][start]
+        yield tuple(world)
 
 
 def enumerate_spworlds(table: IncompleteTable, budget: int = DEFAULT_BUDGET) -> Iterator[SpWorld]:
-    """Yield every strongly possible world exactly once, in lexicographic
-    order of the NULL-cell assignments (row-major)."""
+    """Yield every strongly possible world exactly once, identical rows'
+    reorderings included, in lexicographic order of the NULL-cell
+    assignments (row-major)."""
     origin = tuple(range(table.row_count))
-    for rows in _iter_completions(table, budget):
+    for rows in _iter_completions(table, budget, up_to_reordering=False):
         yield SpWorld(rows, origin)
 
 
@@ -84,52 +115,54 @@ def enumerate_spworlds(table: IncompleteTable, budget: int = DEFAULT_BUDGET) -> 
 # Classical satisfaction on complete tables
 
 
+def _projector(cols) -> Callable[[Row], tuple]:
+    """A row's cells on the sorted ``cols``, always as a tuple."""
+    ordered = sorted(cols)
+    if len(ordered) > 1:
+        return itemgetter(*ordered)
+    if ordered:
+        (a,) = ordered
+        return lambda r: (r[a],)
+    return lambda r: ()
+
+
 def holds_key(rows: Sequence[Row], key) -> bool:
-    ks = sorted(key)
-    seen = set()
-    for r in rows:
-        p = tuple(r[a] for a in ks)
-        if p in seen:
-            return False
-        seen.add(p)
-    return True
+    kp = _projector(key)
+    return len({kp(r) for r in rows}) == len(rows)
 
 
 def holds_fd(rows: Sequence[Row], lhs, rhs) -> bool:
-    xs, ys = sorted(lhs), sorted(rhs)
+    xp, yp = _projector(lhs), _projector(rhs)
     image: dict = {}
     for r in rows:
-        xp = tuple(r[a] for a in xs)
-        yp = tuple(r[a] for a in ys)
-        if image.setdefault(xp, yp) != yp:
+        y = yp(r)
+        if image.setdefault(xp(r), y) != y:
             return False
     return True
+
+
+def _mvd_groups(rows: Sequence[Row], xp, yp, rp) -> dict:
+    """The (Y, rest) pairs of each X-group."""
+    groups: dict = defaultdict(set)
+    for r in rows:
+        groups[xp(r)].add((yp(r), rp(r)))
+    return groups
+
+
+def _missing_pairs(pairs) -> int:
+    """How many pairs the product of ``pairs``' two sides lacks."""
+    return len({p[0] for p in pairs}) * len({p[1] for p in pairs}) - len(pairs)
 
 
 def holds_mvd(rows: Sequence[Row], lhs, rhs, arity: int) -> bool:
     rest = frozenset(range(arity)) - lhs - rhs
-    xs, ys, rs = sorted(lhs), sorted(rhs), sorted(rest)
-    groups: dict = defaultdict(set)
-    for r in rows:
-        groups[tuple(r[a] for a in xs)].add(
-            (tuple(r[a] for a in ys), tuple(r[a] for a in rs))
-        )
-    for pairs in groups.values():
-        yvals = {p[0] for p in pairs}
-        rvals = {p[1] for p in pairs}
-        if len(pairs) != len(yvals) * len(rvals):
-            return False
-    return True
+    groups = _mvd_groups(rows, _projector(lhs), _projector(rhs), _projector(rest))
+    return not any(_missing_pairs(pairs) for pairs in groups.values())
 
 
 def holds_cj(rows: Sequence[Row], lhs, rhs) -> bool:
-    xs, ys = sorted(lhs), sorted(rhs)
-    pairs = set()
-    for r in rows:
-        pairs.add((tuple(r[a] for a in xs), tuple(r[a] for a in ys)))
-    xvals = {p[0] for p in pairs}
-    yvals = {p[1] for p in pairs}
-    return len(pairs) == len(xvals) * len(yvals)
+    xp, yp = _projector(lhs), _projector(rhs)
+    return not _missing_pairs({(xp(r), yp(r)) for r in rows})
 
 
 def _holds(rows: Sequence[Row], c: Constraint, arity: int) -> bool:
@@ -146,53 +179,34 @@ def _holds(rows: Sequence[Row], c: Constraint, arity: int) -> bool:
 
 def _find_violation(rows: Sequence[Row], c: Constraint, arity: int) -> tuple | None:
     """Some pair of row indices witnessing why ``rows`` fails ``c``."""
-    n = len(rows)
+    index_pairs = product(range(len(rows)), repeat=2)
     if isinstance(c, SpKey):
-        ks = sorted(c.key)
+        kp = _projector(c.key)
         seen: dict = {}
         for i, r in enumerate(rows):
-            p = tuple(r[a] for a in ks)
-            if p in seen:
-                return (seen[p], i)
-            seen[p] = i
+            first = seen.setdefault(kp(r), i)
+            if first != i:
+                return (first, i)
         return None
     if isinstance(c, SpFd):
-        xs, ys = sorted(c.lhs), sorted(c.rhs)
+        xp, yp = _projector(c.lhs), _projector(c.rhs)
         seen = {}
         for i, r in enumerate(rows):
-            xp = tuple(r[a] for a in xs)
-            yp = tuple(r[a] for a in ys)
-            if xp in seen and seen[xp][1] != yp:
-                return (seen[xp][0], i)
-            seen.setdefault(xp, (i, yp))
+            x, y = xp(r), yp(r)
+            if x in seen and seen[x][1] != y:
+                return (seen[x][0], i)
+            seen.setdefault(x, (i, y))
         return None
     if isinstance(c, SpMvd):
-        rest = frozenset(range(arity)) - c.lhs - c.rhs
-        xs, ys, rs = sorted(c.lhs), sorted(c.rhs), sorted(rest)
-        for i, j in product(range(n), repeat=2):
-            if tuple(rows[i][a] for a in xs) != tuple(rows[j][a] for a in xs):
-                continue
-            want_y = tuple(rows[i][a] for a in ys)
-            want_r = tuple(rows[j][a] for a in rs)
-            if not any(
-                tuple(t[a] for a in xs) == tuple(rows[i][a] for a in xs)
-                and tuple(t[a] for a in ys) == want_y
-                and tuple(t[a] for a in rs) == want_r
-                for t in rows
-            ):
-                return (i, j)
-        return None
+        xp, yp = _projector(c.lhs), _projector(c.rhs)
+        rp = _projector(frozenset(range(arity)) - c.lhs - c.rhs)
+        present = {(xp(t), yp(t), rp(t)) for t in rows}
+        return next(((i, j) for i, j in index_pairs if xp(rows[i]) == xp(rows[j])
+                     and (xp(rows[i]), yp(rows[i]), rp(rows[j])) not in present), None)
     if isinstance(c, SpCj):
-        xs, ys = sorted(c.lhs), sorted(c.rhs)
-        for i, j in product(range(n), repeat=2):
-            want_x = tuple(rows[i][a] for a in xs)
-            want_y = tuple(rows[j][a] for a in ys)
-            if not any(
-                tuple(t[a] for a in xs) == want_x and tuple(t[a] for a in ys) == want_y
-                for t in rows
-            ):
-                return (i, j)
-        return None
+        xp, yp = _projector(c.lhs), _projector(c.rhs)
+        present = {(xp(t), yp(t)) for t in rows}
+        return next(((i, j) for i, j in index_pairs if (xp(rows[i]), yp(rows[j])) not in present), None)
     return None
 
 
@@ -302,48 +316,32 @@ def _g5_search_bound(table: IncompleteTable, c: Constraint, budget: int) -> int 
     if isinstance(c, (SpKey, SpFd)):
         return oracle_g3(table, c, budget).numerator
     if isinstance(c, SpMvd):
-        rest = frozenset(range(table.arity)) - c.lhs - c.rhs
-        xs, ys, rs = sorted(c.lhs), sorted(c.rhs - c.lhs), sorted(rest)
+        xp, yp = _projector(c.lhs), _projector(c.rhs - c.lhs)
+        rp = _projector(frozenset(range(table.arity)) - c.lhs - c.rhs)
         best = None
         for rows in _iter_completions(table, budget):
-            groups: dict = defaultdict(set)
-            for r in rows:
-                groups[tuple(r[a] for a in xs)].add(
-                    (tuple(r[a] for a in ys), tuple(r[a] for a in rs))
-                )
-            need = 0
-            for pairs in groups.values():
-                yvals = {p[0] for p in pairs}
-                rvals = {p[1] for p in pairs}
-                need += len(yvals) * len(rvals) - len(pairs)
+            groups = _mvd_groups(rows, xp, yp, rp)
+            need = sum(_missing_pairs(pairs) for pairs in groups.values())
             if best is None or need < best:
                 best = need
             if best == 0:
                 break
         return best
     if isinstance(c, SpCj):
+        xp, yp = _projector(c.lhs), _projector(c.rhs)
         xs, ys = sorted(c.lhs), sorted(c.rhs)
-        overlap = sorted(c.lhs & c.rhs)
-        xpos = {a: i for i, a in enumerate(xs)}
-        ypos = {a: i for i, a in enumerate(ys)}
+        overlap = [(xs.index(a), ys.index(a)) for a in sorted(c.lhs & c.rhs)]
         best = None
         for rows in _iter_completions(table, budget):
-            pairs = {
-                (tuple(r[a] for a in xs), tuple(r[a] for a in ys)) for r in rows
-            }
-            xvals = {p[0] for p in pairs}
-            yvals = {p[1] for p in pairs}
-            need = 0
-            fillable = True
-            for xv, yv in product(xvals, yvals):
-                if (xv, yv) in pairs:
-                    continue
-                if any(xv[xpos[a]] != yv[ypos[a]] for a in overlap):
-                    fillable = False
-                    break
-                need += 1
-            if fillable and (best is None or need < best):
-                best = need
+            pairs = {(xp(r), yp(r)) for r in rows}
+            missing = [
+                (xv, yv)
+                for xv, yv in product({p[0] for p in pairs}, {p[1] for p in pairs})
+                if (xv, yv) not in pairs
+            ]
+            fillable = all(xv[i] == yv[j] for xv, yv in missing for i, j in overlap)
+            if fillable and (best is None or len(missing) < best):
+                best = len(missing)
             if best == 0:
                 break
         return best

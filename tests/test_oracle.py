@@ -184,3 +184,16 @@ def test_oracle_g5_cross_check_clean_on_examples(fd_six_rows, table4):
     assert res.numerator == 1
     res = oracle_g5(fd_six_rows, SpFd(frozenset({0, 1}), frozenset({2})))
     assert res.numerator == 1
+
+
+def test_oracle_g5_cross_join_stops_at_the_world_budget():
+    # Each added all-NULL row multiplies the worlds by 3 * 3 * 2; the
+    # fifth addition exceeds the default budget.
+    t = table(
+        ["A1", "A2", "A3"],
+        [("3", "2", "1"), ("1", "1", "2"), ("2", "2", "2"),
+         (None, "1", "1"), (None, "1", "2"), (None, "3", "2")],
+    )
+    with pytest.raises(BudgetExceededError, match="g5 search stopped at addition size 5") as err:
+        oracle_g5(t, SpCj(frozenset({0}), frozenset({1, 2})))
+    assert err.value.partial_bound == 5

@@ -1,16 +1,20 @@
 """Algebraic invariants checked over randomly drawn small tables."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spcheck.constraints import SpCj, SpFd, SpKey, SpMvd
 from spcheck.errors import PreconditionError
 from spcheck.oracle import (
+    _find_violation,
+    _iter_completions,
+    enumerate_spworlds,
     holds_cj,
     holds_fd,
     holds_key,
     holds_mvd,
     oracle_check,
+    world_count,
 )
 from spcheck.spfd import check_spfd, g3_spfd, g5_spfd, total_part_satisfies_fd
 from spcheck.spkey import check_spkey, g3_spkey, g5_spkey, total_part_satisfies_key
@@ -163,3 +167,47 @@ def test_row_order_is_irrelevant(t, rng):
         check_spcj_general(t, lhs, rhs).holds
         == check_spcj_general(shuffled, lhs, rhs).holds
     )
+
+
+def _reference_check(t, c, holds):
+    """The first satisfying world over every world, identical rows'
+    reorderings included, or a violation in the very first world."""
+    first = None
+    for w in enumerate_spworlds(t):
+        if first is None:
+            first = w.rows
+        if holds(w.rows):
+            return True, w, None
+    return False, None, _find_violation(first, c, t.arity)
+
+
+@given(tables(max_rows=5))
+@example(IncompleteTable.build(["A0", "A1"], [("1", None), ("2", None), ("1", "2"), ("2", "1")]))
+@settings(max_examples=80, deadline=None)
+def test_oracle_check_matches_the_first_world_of_the_full_enumeration(t):
+    # Cells from {NULL, 1, 2} make identical rows common, so the
+    # oracle's enumeration skips many of the full enumeration's worlds.
+    # The explicit example has rows with the same NULLs but other values,
+    # which are not interchangeable: its FD holds only when the first
+    # NULL takes the later value.
+    lhs, rhs = sides(t)
+    key = t.all_positions()
+    for c, holds in (
+        (SpKey(key), lambda rows: holds_key(rows, key)),
+        (SpFd(lhs, rhs), lambda rows: holds_fd(rows, lhs, rhs)),
+        (SpMvd(lhs, rhs), lambda rows: holds_mvd(rows, lhs, rhs, t.arity)),
+        (SpCj(lhs, rhs), lambda rows: holds_cj(rows, lhs, rhs)),
+    ):
+        verdict = oracle_check(t, c)
+        assert (verdict.holds, verdict.witness, verdict.violation) == _reference_check(t, c, holds)
+
+
+def test_identical_rows_are_enumerated_once_per_reordering():
+    # Domains of sizes 3 and 2 give each (NULL, NULL) row six completions.
+    t = IncompleteTable.build(
+        ["A", "B"], [("1", "1"), ("2", "2"), ("3", "1")] + [(None, None)] * 4
+    )
+    assert world_count(t) == 6**4 == 1296
+    assert len(list(enumerate_spworlds(t))) == 1296
+    # multisets of four completions out of six: C(6 + 4 - 1, 4)
+    assert sum(1 for _ in _iter_completions(t, world_count(t))) == 126

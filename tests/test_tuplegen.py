@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -191,3 +192,22 @@ def test_decomposition_regression():
 def test_budget_error(mvd_trio):
     with pytest.raises(BudgetExceededError):
         check_spmvd(mvd_trio[0], frozenset({0, 1, 2, 3}), frozenset({4}), budget=2)
+
+
+def test_spmvd_check_on_a_large_fd_shaped_table_is_bounded_by_its_budget():
+    # X1, X2 -> Y from a random map, NULL rate 0.15, two rows given
+    # another Y. The search cannot settle this draw within 100,000
+    # nodes, and it must stop there rather than run on.
+    rng = random.Random(1)
+    image: dict = {}
+    rows = []
+    for _ in range(800):
+        x = (str(rng.randint(1, 4)), str(rng.randint(1, 4)))
+        y = image.setdefault(x, str(rng.randint(1, 8)))
+        rows.append([None if rng.random() < 0.15 else c for c in (*x, y)])
+    for r in rng.sample(rows, 2):
+        r[2] = str(rng.randint(1, 10))
+    t = table(["X1", "X2", "Y"], [tuple(r) for r in rows])
+    with pytest.raises(BudgetExceededError) as err:
+        check_spmvd(t, X, Y, budget=100_000)
+    assert err.value.spent > err.value.budget == 100_000
