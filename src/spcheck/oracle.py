@@ -126,19 +126,14 @@ def _projector(cols) -> Callable[[Row], tuple]:
     return lambda r: ()
 
 
-def holds_key(rows: Sequence[Row], key) -> bool:
+def _key_test(key) -> Callable[[Sequence[Row]], bool]:
     kp = _projector(key)
-    return len({kp(r) for r in rows}) == len(rows)
+    return lambda rows: len({kp(r) for r in rows}) == len(rows)
 
 
-def holds_fd(rows: Sequence[Row], lhs, rhs) -> bool:
+def _fd_test(lhs, rhs) -> Callable[[Sequence[Row]], bool]:
     xp, yp = _projector(lhs), _projector(rhs)
-    image: dict = {}
-    for r in rows:
-        y = yp(r)
-        if image.setdefault(xp(r), y) != y:
-            return False
-    return True
+    return lambda rows: len({xp(r) for r in rows}) == len({(xp(r), yp(r)) for r in rows})
 
 
 def _mvd_groups(rows: Sequence[Row], xp, yp, rp) -> dict:
@@ -154,26 +149,45 @@ def _missing_pairs(pairs) -> int:
     return len({p[0] for p in pairs}) * len({p[1] for p in pairs}) - len(pairs)
 
 
+def _mvd_test(lhs, rhs, arity: int) -> Callable[[Sequence[Row]], bool]:
+    xp, yp = _projector(lhs), _projector(rhs)
+    rp = _projector(frozenset(range(arity)) - lhs - rhs)
+    return lambda rows: not any(
+        _missing_pairs(pairs) for pairs in _mvd_groups(rows, xp, yp, rp).values()
+    )
+
+
+def _cj_test(lhs, rhs) -> Callable[[Sequence[Row]], bool]:
+    xp, yp = _projector(lhs), _projector(rhs)
+    return lambda rows: not _missing_pairs({(xp(r), yp(r)) for r in rows})
+
+
+def holds_key(rows: Sequence[Row], key) -> bool:
+    return _key_test(key)(rows)
+
+
+def holds_fd(rows: Sequence[Row], lhs, rhs) -> bool:
+    return _fd_test(lhs, rhs)(rows)
+
+
 def holds_mvd(rows: Sequence[Row], lhs, rhs, arity: int) -> bool:
-    rest = frozenset(range(arity)) - lhs - rhs
-    groups = _mvd_groups(rows, _projector(lhs), _projector(rhs), _projector(rest))
-    return not any(_missing_pairs(pairs) for pairs in groups.values())
+    return _mvd_test(lhs, rhs, arity)(rows)
 
 
 def holds_cj(rows: Sequence[Row], lhs, rhs) -> bool:
-    xp, yp = _projector(lhs), _projector(rhs)
-    return not _missing_pairs({(xp(r), yp(r)) for r in rows})
+    return _cj_test(lhs, rhs)(rows)
 
 
-def _holds(rows: Sequence[Row], c: Constraint, arity: int) -> bool:
+def _classical_test(c: Constraint, arity: int) -> Callable[[Sequence[Row]], bool]:
+    """The classical satisfaction test for ``c``, its projectors built once."""
     if isinstance(c, SpKey):
-        return holds_key(rows, c.key)
+        return _key_test(c.key)
     if isinstance(c, SpFd):
-        return holds_fd(rows, c.lhs, c.rhs)
+        return _fd_test(c.lhs, c.rhs)
     if isinstance(c, SpMvd):
-        return holds_mvd(rows, c.lhs, c.rhs, arity)
+        return _mvd_test(c.lhs, c.rhs, arity)
     if isinstance(c, SpCj):
-        return holds_cj(rows, c.lhs, c.rhs)
+        return _cj_test(c.lhs, c.rhs)
     raise TypeError(f"no classical check for {type(c).__name__}")
 
 
@@ -223,15 +237,15 @@ def oracle_check(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BU
         return ConstraintVerdict(check_nmvd(table, c.lhs, c.rhs))
     if table.row_count == 0:
         return ConstraintVerdict(True, SpWorld((), ()))
-    arity = table.arity
+    holds = _classical_test(c, table.arity)
     first: tuple[Row, ...] | None = None
     origin = tuple(range(table.row_count))
     for rows in _iter_completions(table, budget):
         if first is None:
             first = rows
-        if _holds(rows, c, arity):
+        if holds(rows):
             return ConstraintVerdict(True, SpWorld(rows, origin))
-    return ConstraintVerdict(False, None, _find_violation(first, c, arity))
+    return ConstraintVerdict(False, None, _find_violation(first, c, table.arity))
 
 
 # ---------------------------------------------------------------------------

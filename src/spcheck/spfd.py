@@ -10,8 +10,6 @@ value). The search is exact within a node budget.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .constraints import ConstraintVerdict, MeasureResult
 from .errors import DEFAULT_BUDGET, PreconditionError
 from .search import Budget, backtrack, row_order, smallest_addition
@@ -23,19 +21,34 @@ from .table import (
     complete_world,
     fresh_values,
     is_total,
-    lexmin_world,
     projection,
 )
-
-# Degeneracy cases and slot enumeration in the removal lower bound are
-# skipped above these sizes; the bound is only ever used to prune.
-_BOUND_MAX_LHS = 12
-_BOUND_MAX_SLOTS = 4096
 
 
 def normalize_fd(lhs: AttributeSet, rhs: AttributeSet) -> tuple[AttributeSet, AttributeSet]:
     """Disjointify: X -> Y holds iff X\\Y -> Y\\X holds."""
     return lhs - rhs, rhs - lhs
+
+
+def _merge(fixed: list, row: Row, y_cols: tuple[int, ...]) -> list | None:
+    """Fix ``row``'s right-side cells into its class's ``fixed`` cells.
+
+    Returns the newly fixed positions, or None, with ``fixed`` left as it
+    was, when a cell disagrees with the class.
+    """
+    touched = []
+    for pos, a in enumerate(y_cols):
+        cell = row[a]
+        if cell is None:
+            continue
+        if fixed[pos] is None:
+            fixed[pos] = cell
+            touched.append(pos)
+        elif fixed[pos] != cell:
+            for p in touched:
+                fixed[p] = None
+            return None
+    return touched
 
 
 class _FdSearch:
@@ -98,23 +111,12 @@ class _FdSearch:
         row = self.table.rows[i]
         state = self.classes.get(value)
         if state is None:
-            fixed = [row[a] for a in self.y_cols]
-            self.classes[value] = [1, fixed]
+            self.classes[value] = [1, [row[a] for a in self.y_cols]]
             return ("new", value)
-        count, fixed = state
-        touched = []
-        for pos, a in enumerate(self.y_cols):
-            cell = row[a]
-            if cell is None:
-                continue
-            if fixed[pos] is None:
-                fixed[pos] = cell
-                touched.append(pos)
-            elif fixed[pos] != cell:
-                for p in touched:
-                    fixed[p] = None
-                return None
-        state[0] = count + 1
+        touched = _merge(state[1], row, self.y_cols)
+        if touched is None:
+            return None
+        state[0] += 1
         return ("old", value, touched)
 
     def _unjoin(self, token) -> None:
@@ -141,7 +143,7 @@ def check_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     x, y = normalize_fd(lhs, rhs)
     if not y or table.row_count == 0:
         # Reflexive dependency: any world works, e.g. the smallest one.
-        return ConstraintVerdict(True, lexmin_world(table))
+        return ConstraintVerdict(True, complete_world(table))
     search = _FdSearch(table, x, y)
     if search._greedy_conflict_clique() > search._slot_space():
         return ConstraintVerdict(False)
@@ -155,84 +157,14 @@ def total_part_satisfies_fd(table: IncompleteTable, lhs: AttributeSet, rhs: Attr
     """Whether the left-side-total rows admit a common imputation, i.e.
     no two of them disagree on a right-side attribute within a class."""
     x, y = normalize_fd(lhs, rhs)
+    y_cols = tuple(sorted(y))
     classes: dict = {}
     for row in table.rows:
-        if not is_total(row, x):
-            continue
-        value = projection(row, x)
-        fixed = classes.setdefault(value, [None] * len(y))
-        for pos, a in enumerate(sorted(y)):
-            cell = row[a]
-            if cell is None:
-                continue
-            if fixed[pos] is None:
-                fixed[pos] = cell
-            elif fixed[pos] != cell:
+        if is_total(row, x):
+            fixed = classes.setdefault(projection(row, x), [None] * len(y_cols))
+            if _merge(fixed, row, y_cols) is None:
                 return False
     return True
-
-
-def _removal_lower_bound(table: IncompleteTable, x_cols: tuple[int, ...],
-                         y_cols: tuple[int, ...]) -> int:
-    """Admissible lower bound on the size of any valid removal set.
-
-    Relaxation: class values are drawn from the original active domains
-    and kept rows need not provide them. Columns allowed to go degenerate
-    are case-split, because the reserved symbol only becomes available
-    for a column that is entirely NULL after removal, and rows with a
-    value there are forcibly removed in that case.
-    """
-    n = table.row_count
-    if len(x_cols) > _BOUND_MAX_LHS:
-        return 0
-    domains = table.active_domains()
-    best_cover = 0
-    for mask in range(1 << len(x_cols)):
-        degen = {x_cols[b] for b in range(len(x_cols)) if mask >> b & 1}
-        allowed = [r for r in table.rows if all(r[a] is None for a in degen)]
-        feasible = all(
-            domains[a].degenerate or any(r[a] is not None for r in allowed)
-            for a in x_cols
-            if a not in degen
-        )
-        if not feasible:
-            continue
-        slot_options = []
-        size = 1
-        for a in x_cols:
-            opts = (None,) if a in degen else domains[a].sorted_values
-            slot_options.append(opts)
-            size *= len(opts)
-        if size > _BOUND_MAX_SLOTS:
-            best_cover = max(best_cover, len(allowed))
-            continue
-        total = 0
-        for slot in product(*slot_options):
-            compatible = [
-                r for r in allowed
-                if all(r[a] is None or s is None or r[a] == s
-                       for a, s in zip(x_cols, slot))
-            ]
-            if not compatible:
-                continue
-            per_slot = len(compatible)
-            for a in y_cols:
-                counts: dict = {}
-                free = 0
-                for r in compatible:
-                    if r[a] is None:
-                        free += 1
-                    else:
-                        counts[r[a]] = counts.get(r[a], 0) + 1
-                per_slot = min(per_slot, (max(counts.values()) if counts else 0) + free)
-            total += per_slot
-            if total >= len(allowed):
-                total = len(allowed)
-                break
-        best_cover = max(best_cover, min(total, len(allowed)))
-        if best_cover == n:
-            break
-    return n - best_cover
 
 
 def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
@@ -240,11 +172,13 @@ def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     """Minimum removal ratio by iterative deepening on the removal count.
 
     Unlike keys, minimum removal sets may contain left-side-total rows,
-    so every row is in scope. Levels below the admissible lower bound are
-    skipped rather than searched. Each level is an assign-or-remove
-    search whose class state is a relaxation (it draws values from the
-    original active domains, which removal may shrink), so every leaf
-    with removals is re-checked against the actual sub-table.
+    so every row is in scope. Deepening starts at the conflict-clique
+    floor: pairwise right-side-conflicting rows beyond the left-side
+    completions available, even with the reserved symbol, must go. Each
+    level is an assign-or-remove search whose class state is a
+    relaxation (it draws values from the original active domains, which
+    removal may shrink), so every leaf with removals is re-checked
+    against the actual sub-table.
     """
     n = table.row_count
     if n == 0:
@@ -252,8 +186,7 @@ def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     budget = Budget.of(budget)
     x, y = normalize_fd(lhs, rhs)
     if not y:
-        verdict = check_spfd(table, lhs, rhs, budget)
-        return MeasureResult("g3", 0, n, removed_rows=(), witness=verdict.witness)
+        return MeasureResult("g3", 0, n, removed_rows=(), witness=complete_world(table))
     search = _FdSearch(table, x, y)
     rechecked: list[ConstraintVerdict] = []
 
@@ -264,9 +197,8 @@ def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
         rechecked.append(verdict)
         return verdict.holds
 
-    floor = _removal_lower_bound(table, search.x_cols, search.y_cols)
     clique_floor = search._greedy_conflict_clique() - search._slot_space(extra_per_column=1)
-    for m in range(max(floor, clique_floor, 0), n + 1):
+    for m in range(max(clique_floor, 0), n + 1):
         assignment = search.run(budget, m, leaf)
         if assignment is not None:
             removed = tuple(i for i in range(n) if i not in assignment)

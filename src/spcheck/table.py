@@ -213,11 +213,6 @@ def complete_world(table: IncompleteTable, positions: Sequence[int] = (),
     return SpWorld(tuple(completed), tuple(picked))
 
 
-def lexmin_world(table: IncompleteTable) -> SpWorld:
-    """The world that fills every NULL with the smallest domain value."""
-    return complete_world(table)
-
-
 def weakly_similar(t1: Row, t2: Row, x: AttributeSet) -> bool:
     """True iff on every position in ``x`` the cells are equal or at least
     one of them is NULL."""

@@ -32,7 +32,6 @@ from .table import (
     complete_world,
     fresh_values,
     is_total,
-    lexmin_world,
     projection,
     row_key,
     weakly_similar,
@@ -375,7 +374,7 @@ def _mvd_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet)
     ys = tuple(sorted(rhs - lhs))
     rs = tuple(sorted(rest))
     groups: dict = defaultdict(set)
-    for r in lexmin_world(table).rows:
+    for r in complete_world(table).rows:
         groups[tuple(r[a] for a in xs)].add(
             (tuple(r[a] for a in ys), tuple(r[a] for a in rs))
         )
@@ -416,7 +415,7 @@ def _cj_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) 
     combination is self-contradictory on shared columns."""
     a_cols = tuple(sorted(lhs))
     b_cols = tuple(sorted(rhs))
-    rows = lexmin_world(table).rows
+    rows = complete_world(table).rows
     pairs = {(tuple(r[a] for a in a_cols), tuple(r[b] for b in b_cols)) for r in rows}
     missing = _missing_pairs({p[0] for p in pairs}, {p[1] for p in pairs}, pairs,
                              _shared_positions(a_cols, b_cols))

@@ -15,7 +15,7 @@ from spcheck.oracle import (
     oracle_g5,
     world_count,
 )
-from spcheck.table import lexmin_world
+from spcheck.table import complete_world
 
 from conftest import table
 
@@ -163,7 +163,7 @@ def test_g5_witness_origin_marks_synthetic(table4):
 
 
 def test_lexmin_world(table4):
-    w = lexmin_world(table4)
+    w = complete_world(table4)
     assert w.rows == (("2", "1"), ("2", "1"), ("2", "1"), ("2", "2"))
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from spcheck.errors import BudgetExceededError, PreconditionError
+from spcheck.generators import gen_thm3
 from spcheck.oracle import holds_fd, oracle_g3
 from spcheck.constraints import SpFd
 from spcheck.spfd import (
@@ -105,12 +106,22 @@ def test_budget_error_propagates(fd_six_rows):
 
 
 def test_g3_budget_covers_the_leaf_rechecks(fd_six_rows):
-    # The removal search spends 27 nodes and its leaf re-checks 0 and 4
-    # more: every part fits in 28 nodes, the whole call does not.
-    assert g3_spfd(fd_six_rows, X, Y, budget=31).numerator == 2
+    # The removal search spends 31 nodes and its leaf re-checks 0 and 4
+    # more: every part fits in 32 nodes, the whole call does not.
+    assert g3_spfd(fd_six_rows, X, Y, budget=35).numerator == 2
     with pytest.raises(BudgetExceededError) as err:
-        g3_spfd(fd_six_rows, X, Y, budget=28)
-    assert (err.value.spent, err.value.budget) == (29, 28)
+        g3_spfd(fd_six_rows, X, Y, budget=32)
+    assert (err.value.spent, err.value.budget) == (33, 32)
+
+
+def test_g3_clique_floor_carries_the_thm3_family():
+    # One total row and 99 rows NULL on the left, all with distinct right
+    # sides: the 100-row conflict clique less the 4 left-side values
+    # (reserved symbol included) starts the deepening at 96, three levels
+    # below g3 = 99.
+    inst = gen_thm3(9, 10, 1)
+    res = g3_spfd(inst.table, inst.constraint.lhs, inst.constraint.rhs, budget=50_000)
+    assert res.fraction_str == "99/100"
 
 
 def test_g3_searches_deeper_than_the_recursion_limit():
