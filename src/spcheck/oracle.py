@@ -133,7 +133,16 @@ def _key_test(key) -> Callable[[Sequence[Row]], bool]:
 
 def _fd_test(lhs, rhs) -> Callable[[Sequence[Row]], bool]:
     xp, yp = _projector(lhs), _projector(rhs)
-    return lambda rows: len({xp(r) for r in rows}) == len({(xp(r), yp(r)) for r in rows})
+
+    def test(rows: Sequence[Row]) -> bool:
+        image: dict = {}
+        for r in rows:
+            y = yp(r)
+            if image.setdefault(xp(r), y) != y:
+                return False
+        return True
+
+    return test
 
 
 def _mvd_groups(rows: Sequence[Row], xp, yp, rp) -> dict:

@@ -69,34 +69,42 @@ class _FdSearch:
         return backtrack(self.order, self.options, self.same_as_prev, budget,
                          self._join, self._unjoin, leaf=leaf, max_removed=max_removed)
 
-    def _slot_space(self, extra_per_column: int = 0) -> int:
+    def _slot_space(self, emptied: int | None = None) -> int:
         """Size of the left-side completion space, capped at |T| + 1.
 
-        ``extra_per_column`` accounts for the reserved symbol becoming
-        available when removals empty out a column.
+        Column ``emptied``, if given, offers only the reserved symbol, as
+        it does once removals leave it all NULL.
         """
         cap = self.table.row_count + 1
         slots = 1
         for a in self.x_cols:
-            dom = self.table.active_domains()[a]
-            width = len(dom.sorted_values)
-            if extra_per_column and not dom.degenerate:
-                width += extra_per_column
-            slots *= width
+            slots *= 1 if a == emptied else len(self.table.active_domains()[a].sorted_values)
             if slots >= cap:
                 return cap
         return slots
 
-    def _greedy_conflict_clique(self) -> int:
-        """Rows pairwise conflicting on the right side must take pairwise
-        distinct class values; any such clique lower-bounds the number of
-        distinct left-side completions needed."""
+    def removal_floor(self) -> int:
+        """Admissible lower bound on the rows any valid removal set holds.
+
+        Rows pairwise conflicting on the right side need pairwise distinct
+        left-side completions, so those of a greedy clique beyond the
+        completion space must go. The reserved symbol enters that space
+        only in a left-side column that removals leave all NULL, which
+        takes every row with a value there; emptying a further column
+        removes no fewer rows and leaves no more space, so one column at
+        a time suffices.
+        """
         rows = self.table.rows
-        clique: list[int] = []
-        for i in range(len(rows)):
-            if all(self._y_conflict(rows[i], rows[j]) for j in clique):
-                clique.append(i)
-        return len(clique)
+        clique: set[int] = set()
+        for i, row in enumerate(rows):
+            if all(self._y_conflict(row, rows[j]) for j in clique):
+                clique.add(i)
+
+        def floor(emptied: int | None) -> int:
+            gone = set() if emptied is None else {i for i, r in enumerate(rows) if r[emptied] is not None}
+            return len(gone) + max(len(clique - gone) - self._slot_space(emptied), 0)
+
+        return min(floor(a) for a in (None, *self.x_cols))
 
     def _y_conflict(self, r1: Row, r2: Row) -> bool:
         for a in self.y_cols:
@@ -145,7 +153,7 @@ def check_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
         # Reflexive dependency: any world works, e.g. the smallest one.
         return ConstraintVerdict(True, complete_world(table))
     search = _FdSearch(table, x, y)
-    if search._greedy_conflict_clique() > search._slot_space():
+    if search.removal_floor() > 0:
         return ConstraintVerdict(False)
     assignment = search.run(Budget.of(budget))
     if assignment is None:
@@ -173,12 +181,11 @@ def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
 
     Unlike keys, minimum removal sets may contain left-side-total rows,
     so every row is in scope. Deepening starts at the conflict-clique
-    floor: pairwise right-side-conflicting rows beyond the left-side
-    completions available, even with the reserved symbol, must go. Each
-    level is an assign-or-remove search whose class state is a
-    relaxation (it draws values from the original active domains, which
-    removal may shrink), so every leaf with removals is re-checked
-    against the actual sub-table.
+    floor of ``_FdSearch.removal_floor``. Each level is an
+    assign-or-remove search whose class state is a relaxation (it draws
+    values from the original active domains, which removal may shrink),
+    so every leaf with removals is re-checked against the actual
+    sub-table.
     """
     n = table.row_count
     if n == 0:
@@ -197,8 +204,7 @@ def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
         rechecked.append(verdict)
         return verdict.holds
 
-    clique_floor = search._greedy_conflict_clique() - search._slot_space(extra_per_column=1)
-    for m in range(max(clique_floor, 0), n + 1):
+    for m in range(search.removal_floor(), n + 1):
         assignment = search.run(budget, m, leaf)
         if assignment is not None:
             removed = tuple(i for i in range(n) if i not in assignment)

@@ -114,14 +114,17 @@ def test_g3_budget_covers_the_leaf_rechecks(fd_six_rows):
     assert (err.value.spent, err.value.budget) == (33, 32)
 
 
-def test_g3_clique_floor_carries_the_thm3_family():
-    # One total row and 99 rows NULL on the left, all with distinct right
-    # sides: the 100-row conflict clique less the 4 left-side values
-    # (reserved symbol included) starts the deepening at 96, three levels
-    # below g3 = 99.
-    inst = gen_thm3(9, 10, 1)
-    res = g3_spfd(inst.table, inst.constraint.lhs, inst.constraint.rhs, budget=50_000)
-    assert res.fraction_str == "99/100"
+@pytest.mark.parametrize("p, q, c, expected", [(9, 10, 1, "99/100"), (1, 2, 50, "52/100")])
+def test_g3_clique_floor_carries_the_thm3_family(p, q, c, expected):
+    # b total rows fill every left-side value and the rows NULL on the
+    # left have pairwise distinct right sides, so all of them must go:
+    # the reserved symbol would take removing every total row. The floor
+    # starts the deepening at g3 itself; on (1, 2, 50), with b = 48, the
+    # levels below it are searched over subsets of the total rows and
+    # take more than two million nodes.
+    inst = gen_thm3(p, q, c)
+    res = g3_spfd(inst.table, inst.constraint.lhs, inst.constraint.rhs, budget=1_000)
+    assert res.fraction_str == expected
 
 
 def test_g3_searches_deeper_than_the_recursion_limit():
