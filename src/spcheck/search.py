@@ -1,5 +1,6 @@
-"""Budgeted backtracking shared by the spFD, spMVD and spCJ engines,
-and the addition search behind every g5.
+"""Budgeted backtracking shared by the spFD, spMVD and spCJ engines, the
+removal deepening behind their g3, and the addition search behind every
+g5.
 
 Every engine assigns each row one completion of some columns and keeps
 its own state for the rows assigned so far. The kernel here walks the
@@ -133,6 +134,45 @@ def backtrack(order: list, options: dict, same_as_prev: list, budget: Budget,
         pos += 1
         entering = True
     return None
+
+
+def smallest_removal(table: IncompleteTable, floor: int, run: Callable,
+                     check: Callable[[IncompleteTable], ConstraintVerdict]) -> MeasureResult:
+    """g3 as the fewest removed rows, by iterative deepening on their count.
+
+    Level 0 is ``check`` on the whole table, skipped when ``floor``, a
+    lower bound on the rows any valid removal set holds, is above 0.
+    Level m is ``run(m, leaf)``: the caller's assign-or-remove search with
+    at most m removals, which returns None when no path passes both its
+    own tests and ``leaf(removed)``. That search is a relaxation (its
+    rows draw from the whole table's active domains, which removal may
+    shrink), so ``leaf`` re-checks each removal set on the real sub-table,
+    and the first re-check that holds supplies the witness.
+    """
+    n = table.row_count
+    if n == 0:
+        raise ValueError("g3 is undefined for an empty table")
+    if floor == 0:
+        verdict = check(table)
+        if verdict.holds:
+            return MeasureResult("g3", 0, n, removed_rows=(), witness=verdict.witness)
+    found = []
+
+    def leaf(removed: list) -> bool:
+        if not removed:
+            return False  # level 0 or the floor refuted the whole table
+        verdict = check(table.with_rows_removed(removed))
+        if verdict.holds:
+            found.append((tuple(sorted(removed)), verdict.witness))
+        return verdict.holds
+
+    for m in range(max(floor, 1), n + 1):
+        if run(m, leaf) is not None:
+            removed, world = found[-1]
+            kept = tuple(sorted(set(range(n)).difference(removed)))
+            return MeasureResult("g3", len(removed), n, removed_rows=removed,
+                                 witness=SpWorld(world.rows, kept))
+    raise AssertionError("unreachable: removing every row satisfies the constraint")
 
 
 def smallest_addition(table: IncompleteTable, bound: int,

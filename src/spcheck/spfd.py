@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .constraints import ConstraintVerdict, MeasureResult
 from .errors import DEFAULT_BUDGET, PreconditionError
-from .search import Budget, backtrack, row_order, smallest_addition
+from .search import Budget, backtrack, row_order, smallest_addition, smallest_removal
 from .table import (
     AttributeSet,
     IncompleteTable,
@@ -177,42 +177,21 @@ def total_part_satisfies_fd(table: IncompleteTable, lhs: AttributeSet, rhs: Attr
 
 def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
             budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
-    """Minimum removal ratio by iterative deepening on the removal count.
+    """Minimum removal ratio by ``smallest_removal``'s deepening on the
+    removal count.
 
     Unlike keys, minimum removal sets may contain left-side-total rows,
     so every row is in scope. Deepening starts at the conflict-clique
-    floor of ``_FdSearch.removal_floor``. Each level is an
-    assign-or-remove search whose class state is a relaxation (it draws
-    values from the original active domains, which removal may shrink),
-    so every leaf with removals is re-checked against the actual
-    sub-table.
+    floor of ``_FdSearch.removal_floor``; each level runs the check's
+    search, whose classes draw on the whole table's active domains, with
+    a removal branch at every row.
     """
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g3 is undefined for an empty table")
     budget = Budget.of(budget)
     x, y = normalize_fd(lhs, rhs)
-    if not y:
-        return MeasureResult("g3", 0, n, removed_rows=(), witness=complete_world(table))
     search = _FdSearch(table, x, y)
-    rechecked: list[ConstraintVerdict] = []
-
-    def leaf(removed: list) -> bool:
-        if not removed:
-            return True
-        verdict = check_spfd(table.with_rows_removed(removed), x, y, budget)
-        rechecked.append(verdict)
-        return verdict.holds
-
-    for m in range(search.removal_floor(), n + 1):
-        assignment = search.run(budget, m, leaf)
-        if assignment is not None:
-            removed = tuple(i for i in range(n) if i not in assignment)
-            kept = tuple(i for i in range(n) if i in assignment)
-            world = rechecked[-1].witness if removed else search.witness_world(assignment)
-            return MeasureResult("g3", len(removed), n, removed_rows=removed,
-                                 witness=SpWorld(world.rows, kept))
-    raise AssertionError("unreachable: removing every row satisfies any spFD")
+    return smallest_removal(table, search.removal_floor(),
+                            lambda m, leaf: search.run(budget, m, leaf),
+                            lambda sub: check_spfd(sub, x, y, budget))
 
 
 def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,

@@ -7,7 +7,8 @@ the degenerate case with a single class, evaluated on the two given
 attribute sets. Both reuse one backtracking cross-coverage search in
 which rows that are entirely NULL on the relevant columns never branch:
 they are counted and spent on missing combinations at the end, which is
-what keeps the added-all-NULL-row searches tractable.
+what keeps the added-all-NULL-row searches tractable. Both g3 measures
+deepen over the removal count on these same searches, as spFD's does.
 
 Unlike the classical complete-table case, a satisfied dependency here
 does NOT license a lossless decomposition of the incomplete table into
@@ -19,12 +20,12 @@ table (1,1,1), (1,NULL,2).
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, product
+from itertools import product
 
 from .constraints import ConstraintVerdict, MeasureResult
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .matching import hopcroft_karp
-from .search import Budget, backtrack, row_order, smallest_addition
+from .search import Budget, backtrack, row_order, smallest_addition, smallest_removal
 from .table import (
     AttributeSet,
     IncompleteTable,
@@ -33,13 +34,7 @@ from .table import (
     fresh_values,
     is_total,
     projection,
-    row_key,
-    weakly_similar,
 )
-
-
-def _bag_key(rows) -> tuple:
-    return tuple(sorted(rows, key=lambda r: row_key(r, range(len(r)))))
 
 
 def _shared_positions(a_cols: tuple, b_cols: tuple) -> tuple:
@@ -71,18 +66,18 @@ class _CrossSearch:
     realized A-projection meets every realized B-projection in some row?
 
     Completions draw from the active domains of the whole table. Rows
-    NULL on all relevant columns are handled by counting, not branching.
+    NULL on all relevant columns are free: they are handled by counting,
+    not branching, and never removed, since a free row can repeat any
+    kept row's combination.
     """
 
-    def __init__(self, table: IncompleteTable, members, a_cols, b_cols, budget: Budget):
+    def __init__(self, table: IncompleteTable, members, a_cols, b_cols):
         self.a_cols = tuple(sorted(a_cols))
         self.b_cols = tuple(sorted(b_cols))
         self.cols = tuple(sorted(set(self.a_cols) | set(self.b_cols)))
         self.a_pick = tuple(self.cols.index(a) for a in self.a_cols)
         self.b_pick = tuple(self.cols.index(b) for b in self.b_cols)
         self.shared = _shared_positions(self.a_cols, self.b_cols)
-        self.table = table
-        self.budget = budget
         rows = table.rows
         self.free: list[int] = []
         branching = []
@@ -91,53 +86,46 @@ class _CrossSearch:
                 self.free.append(idx)
             else:
                 branching.append(idx)
-        self.n_total = len(members)
         self.order, self.options, self.same_as_prev = row_order(
             table, branching, self.cols, self.cols
         )
-        self.forced_a = {
-            projection(rows[idx], self.a_cols)
-            for idx in members
-            if is_total(rows[idx], frozenset(self.a_cols))
-        }
-        self.forced_b = {
-            projection(rows[idx], self.b_cols)
-            for idx in members
-            if is_total(rows[idx], frozenset(self.b_cols))
-        }
+        # A row forces its value on a side when all its options agree
+        # there; the closing values at a position are those the row just
+        # before it is the last to be able to take.
+        self.forced_a, self.forced_b = set(), set()
+        self.closing: dict = {}
+        seen_a: set = set()
+        seen_b: set = set()
+        for pos in range(len(self.order), 0, -1):
+            opts = self.options[self.order[pos - 1]]
+            a_vals = {tuple(o[i] for i in self.a_pick) for o in opts}
+            b_vals = {tuple(o[i] for i in self.b_pick) for o in opts}
+            if len(a_vals) == 1:
+                self.forced_a |= a_vals
+            if len(b_vals) == 1:
+                self.forced_b |= b_vals
+            if not (a_vals <= seen_a and b_vals <= seen_b):
+                self.closing[pos] = (a_vals - seen_a, b_vals - seen_b)
+                seen_a |= a_vals
+                seen_b |= b_vals
+        self.max_removed = 0
+        self.unforced = [0, 0]  # placed A- and B-values outside the forced ones
         self.pairs: dict = defaultdict(int)
         self.avals: dict = defaultdict(int)
         self.bvals: dict = defaultdict(int)
 
-    def solve(self) -> dict | None:
-        """Returns index -> completion over the relevant columns, or None."""
-        if not self._neighbourhoods_feasible():
-            return None
-        assignment = backtrack(self.order, self.options, self.same_as_prev, self.budget,
-                               self._push, self._pop, prune=self._prune,
-                               leaf=lambda removed: self._tail_feasible())
+    def run(self, budget: Budget, max_removed: int = 0, leaf=None) -> dict | None:
+        """Index -> completion over the relevant columns of every kept
+        row, free rows included, on the first path that ``leaf`` accepts
+        (see ``backtrack``), or None."""
+        self.max_removed = max_removed
+        assignment = backtrack(
+            self.order, self.options, self.same_as_prev, budget, self._push, self._pop,
+            prune=self._prune,
+            leaf=lambda removed: self._tail_feasible() and (leaf is None or leaf(removed)),
+            max_removed=max_removed,
+        )
         return None if assignment is None else self._finish(assignment)
-
-    def _neighbourhoods_feasible(self) -> bool:
-        """Every row's class must realize all forced values of the other
-        side, and classmates are necessarily weakly similar to the row on
-        the class side; too small a neighbourhood is an instant refusal."""
-        if not self.cols or self.n_total > 500:
-            return True
-        blank = (None,) * (max(self.cols) + 1)
-        rows = [self.table.rows[idx] for idx in self.order] + [blank] * len(self.free)
-        a_set = frozenset(self.a_cols)
-        b_set = frozenset(self.b_cols)
-        for r in rows:
-            if len(self.forced_b) > 1:
-                nbhd = sum(1 for s in rows if weakly_similar(r, s, a_set))
-                if nbhd < len(self.forced_b):
-                    return False
-            if len(self.forced_a) > 1:
-                nbhd = sum(1 for s in rows if weakly_similar(r, s, b_set))
-                if nbhd < len(self.forced_a):
-                    return False
-        return True
 
     def _push(self, idx: int, completion: tuple) -> tuple:
         a = tuple(completion[i] for i in self.a_pick)
@@ -145,6 +133,8 @@ class _CrossSearch:
         self.pairs[(a, b)] += 1
         self.avals[a] += 1
         self.bvals[b] += 1
+        self.unforced[0] += self.avals[a] == 1 and a not in self.forced_a
+        self.unforced[1] += self.bvals[b] == 1 and b not in self.forced_b
         return a, b
 
     def _pop(self, token: tuple) -> None:
@@ -153,29 +143,35 @@ class _CrossSearch:
             counter[key] -= 1
             if not counter[key]:
                 del counter[key]
+        self.unforced[0] -= a not in self.avals and a not in self.forced_a
+        self.unforced[1] -= b not in self.bvals and b not in self.forced_b
 
     def _prune(self, pos: int) -> bool:
-        """Rows still to place can each realize at most one new combination."""
-        lb_a = len(self.forced_a | set(self.avals))
-        lb_b = len(self.forced_b | set(self.bvals))
+        """Rows still to place can each realize at most one new
+        combination, and each removal drops at most one forced value from
+        each side. Without free rows, a placed value that no later row
+        can take must also meet every placed value of the other side."""
+        lb_a = max(len(self.avals), len(self.forced_a) + self.unforced[0] - self.max_removed)
+        lb_b = max(len(self.bvals), len(self.forced_b) + self.unforced[1] - self.max_removed)
         remaining = len(self.order) - pos + len(self.free)
-        return lb_a * lb_b > len(self.pairs) + remaining
-
-    def _missing(self) -> list | None:
-        return _missing_pairs(self.avals, self.bvals, self.pairs, self.shared)
+        if lb_a * lb_b > len(self.pairs) + remaining:
+            return True
+        closed = None if self.free else self.closing.get(pos)
+        return closed is not None and (
+            any(a in self.avals and any((a, b) not in self.pairs for b in self.bvals)
+                for a in closed[0])
+            or any(b in self.bvals and any((a, b) not in self.pairs for a in self.avals)
+                   for b in closed[1]))
 
     def _tail_feasible(self) -> bool:
-        if not self.avals and not self.bvals:
-            return True  # only free rows, if any; they can all coincide
-        missing = self._missing()
+        missing = _missing_pairs(self.avals, self.bvals, self.pairs, self.shared)
         return missing is not None and len(missing) <= len(self.free)
 
     def _finish(self, assignment: dict) -> dict:
-        domains = self.table.active_domains()
-        fills = []
-        if self.avals or self.bvals:
-            fills = self._missing()
-        fallback = None
+        """Free rows take the missing combinations, then repeat a kept
+        row's (or, with none kept, leave the completion to its default)."""
+        fills = _missing_pairs(self.avals, self.bvals, self.pairs, self.shared)
+        fallback = next(iter(assignment.values()), (None,) * len(self.cols))
         for pos, idx in enumerate(self.free):
             if pos < len(fills):
                 # Every column is on the A side or the B side, or both.
@@ -185,11 +181,6 @@ class _CrossSearch:
                     cells[i] = v
                 assignment[idx] = tuple(cells)
             else:
-                if fallback is None:
-                    if assignment:
-                        fallback = next(iter(assignment.values()))
-                    else:
-                        fallback = tuple(domains[c].sorted_values[0] for c in self.cols)
                 assignment[idx] = fallback
         return assignment
 
@@ -198,32 +189,18 @@ class _CrossSearch:
 # spMVD
 
 
-def check_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-                budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
-    """Holds iff some strongly possible world satisfies the classical
-    multivalued dependency; the full schema matters, not just lhs + rhs."""
-    n = table.row_count
-    if n == 0:
-        return ConstraintVerdict(True, SpWorld((), ()))
-    budget = Budget.of(budget)
-    y_eff = rhs - lhs
-    rest = table.all_positions() - lhs - rhs
+def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
+    """The search behind the spMVD check and g3, over left-side
+    completions: the rows imputed one value form a class, and every class
+    must cross its right side with the rest of the schema. Returns
+    ``run(budget, max_removed, leaf)``, whose last two arguments are
+    those of ``backtrack``, and the world of the path it accepted."""
+    sides = (rhs - lhs, table.all_positions() - lhs - rhs)
     x_cols = tuple(sorted(lhs))
-    order, options, same_as_prev = row_order(table, range(n), x_cols, range(table.arity))
+    order, options, same_as_prev = row_order(table, range(table.row_count), x_cols,
+                                             range(table.arity))
     classes: dict = defaultdict(list)
-    class_cache: dict = {}
-
-    def class_assignment(members: list) -> dict | None:
-        key = tuple(sorted(members))
-        if key not in class_cache:
-            class_cache[key] = _CrossSearch(table, key, y_eff, rest, budget).solve()
-        return class_cache[key]
-
-    def every_class_crosses(removed: list) -> bool:
-        for members in classes.values():
-            if class_assignment(members) is None:
-                return False
-        return True
+    crossings: dict = {}  # sorted class members -> their completions, or None
 
     def join(i: int, value: tuple) -> tuple:
         classes[value].append(i)
@@ -234,14 +211,34 @@ def check_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
         if not classes[value]:
             del classes[value]
 
-    chosen = backtrack(order, options, same_as_prev, budget, join, leave,
-                       leaf=every_class_crosses)
+    def run(budget: Budget, max_removed: int = 0, leaf=None) -> dict | None:
+        def crosses(members: list) -> bool:
+            key = tuple(sorted(members))
+            if key not in crossings:
+                crossings[key] = _CrossSearch(table, key, *sides).run(budget)
+            return crossings[key] is not None
+
+        return backtrack(order, options, same_as_prev, budget, join, leave,
+                         leaf=lambda removed: (all(map(crosses, classes.values()))
+                                               and (leaf is None or leaf(removed))),
+                         max_removed=max_removed)
+
+    def world(chosen: dict) -> SpWorld:
+        return complete_world(table, x_cols + tuple(sorted(sides[0] | sides[1])),
+                              lambda i: chosen[i] + crossings[tuple(sorted(classes[chosen[i]]))][i])
+
+    return run, world
+
+
+def check_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+                budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
+    """Holds iff some strongly possible world satisfies the classical
+    multivalued dependency; the full schema matters, not just lhs + rhs."""
+    run, world = _mvd_search(table, lhs, rhs)
+    chosen = run(Budget.of(budget))
     if chosen is None:
         return ConstraintVerdict(False)
-    yr_cols = tuple(sorted(y_eff | rest))
-    return ConstraintVerdict(True, complete_world(
-        table, x_cols + yr_cols,
-        lambda i: chosen[i] + class_assignment(classes[chosen[i]])[i]))
+    return ConstraintVerdict(True, world(chosen))
 
 
 def check_nmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> bool:
@@ -279,11 +276,8 @@ def check_spcj_general(table: IncompleteTable, lhs: AttributeSet, rhs: Attribute
                        budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Exact cross-join check: complete every tuple on lhs + rhs so that
     realized projections cross fully. Only those columns matter."""
-    n = table.row_count
-    if n == 0:
-        return ConstraintVerdict(True, SpWorld((), ()))
-    search = _CrossSearch(table, range(n), lhs, rhs, Budget.of(budget))
-    assignment = search.solve()
+    search = _CrossSearch(table, range(table.row_count), lhs, rhs)
+    assignment = search.run(Budget.of(budget))
     if assignment is None:
         return ConstraintVerdict(False)
     return ConstraintVerdict(True, complete_world(table, search.cols, assignment.__getitem__))
@@ -331,39 +325,24 @@ def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVer
 # Measures
 
 
-def _g3_by_subset_search(table: IncompleteTable, check, budget: int | Budget) -> MeasureResult:
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g3 is undefined for an empty table")
-    budget = Budget.of(budget)
-    memo: dict = {}
-    for m in range(n + 1):
-        for subset in combinations(range(n), m):
-            sub = table.with_rows_removed(subset)
-            key = _bag_key(sub.rows)
-            verdict = memo.get(key)
-            if verdict is None:
-                verdict = check(sub, budget)
-                memo[key] = verdict
-            if verdict.holds:
-                kept = tuple(i for i in range(n) if i not in set(subset))
-                witness = SpWorld(verdict.witness.rows, kept) if verdict.witness else None
-                return MeasureResult("g3", m, n, removed_rows=subset, witness=witness)
-    raise AssertionError("unreachable: the empty table satisfies every constraint")
-
-
 def g3_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
              budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
-    return _g3_by_subset_search(
-        table, lambda sub, b: check_spmvd(sub, lhs, rhs, b), budget
-    )
+    """Minimum removal ratio by ``smallest_removal``'s deepening: each
+    level removes rows in the check's search over left-side completions."""
+    budget = Budget.of(budget)
+    run = _mvd_search(table, lhs, rhs)[0]
+    return smallest_removal(table, 0, lambda m, leaf: run(budget, m, leaf),
+                            lambda sub: check_spmvd(sub, lhs, rhs, budget))
 
 
 def g3_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
             budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
-    return _g3_by_subset_search(
-        table, lambda sub, b: check_spcj_general(sub, lhs, rhs, b), budget
-    )
+    """Minimum removal ratio by ``smallest_removal``'s deepening: each
+    level removes rows, free rows never, in the check's cross search."""
+    budget = Budget.of(budget)
+    search = _CrossSearch(table, range(table.row_count), lhs, rhs)
+    return smallest_removal(table, 0, lambda m, leaf: search.run(budget, m, leaf),
+                            lambda sub: check_spcj_general(sub, lhs, rhs, budget))
 
 
 def _mvd_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> int:

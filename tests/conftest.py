@@ -9,6 +9,23 @@ def table(attrs, rows):
     return IncompleteTable.build(attrs, rows)
 
 
+def assert_removal_witness(t, result, holds):
+    """``result`` is a g3 result whose removed rows number its numerator
+    and whose witness is a strongly possible world of the kept rows (each
+    NULL filled from the kept rows' own active domain) on which the
+    constraint, given as ``holds(rows)``, holds classically."""
+    assert len(result.removed_rows) == result.numerator
+    kept = t.with_rows_removed(result.removed_rows)
+    assert result.witness.origin == tuple(i for i in range(t.row_count)
+                                          if i not in result.removed_rows)
+    assert len(result.witness.rows) == kept.row_count
+    domains = kept.active_domains()
+    for row, done in zip(kept.rows, result.witness.rows):
+        for a, (cell, value) in enumerate(zip(row, done)):
+            assert value == cell if cell is not None else value in domains[a].values
+    assert holds(result.witness.rows)
+
+
 @pytest.fixture
 def course_table():
     return table(

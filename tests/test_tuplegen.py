@@ -6,6 +6,7 @@ import pytest
 from spcheck.errors import BudgetExceededError
 from spcheck.oracle import holds_cj, holds_mvd, oracle_check
 from spcheck.constraints import SpCj, SpMvd
+from spcheck.generators import random_table
 from spcheck.table import project
 from spcheck.tuplegen import (
     check_nmvd,
@@ -18,7 +19,7 @@ from spcheck.tuplegen import (
     g5_spmvd,
 )
 
-from conftest import table
+from conftest import assert_removal_witness, table
 
 X = frozenset({0})
 Y = frozenset({1})
@@ -118,11 +119,13 @@ def test_cj_witness_replays(cj_five):
 
 
 def test_cj_five_measures(cj_five):
-    # The 1-removal repair: dropping the (1,1) row shrinks the CourseID
-    # domain to {2,3} and the remaining four rows cross fully.
+    # The 1-removal repairs: dropping any one of the TeacherID 1 rows
+    # shrinks the CourseID domain to the other two values, and the
+    # remaining four rows cross fully.
     res3 = g3_spcj(cj_five, X, Y)
     assert res3.fraction_str == "1/5"
-    assert res3.removed_rows == (0,)
+    assert len(res3.removed_rows) == 1 and res3.removed_rows[0] in (0, 1, 2)
+    assert_removal_witness(cj_five, res3, lambda rows: holds_cj(rows, X, Y))
     assert g5_spcj(cj_five, X, Y).fraction_str == "1/5"
 
 
@@ -211,3 +214,15 @@ def test_spmvd_check_on_a_large_fd_shaped_table_is_bounded_by_its_budget():
     with pytest.raises(BudgetExceededError) as err:
         check_spmvd(t, X, Y, budget=100_000)
     assert err.value.spent > err.value.budget == 100_000
+
+
+def test_g3_spcj_is_bounded_by_its_budget():
+    # Every level's search and every sub-table re-check spend nodes of
+    # the one budget, so a small budget stops the measure early.
+    t = random_table(20, 3, 5, 0.2, seed=3)
+    with pytest.raises(BudgetExceededError) as err:
+        g3_spcj(t, X, Y, budget=1_000)
+    assert err.value.spent > err.value.budget == 1_000
+    res = g3_spcj(t, X, Y)
+    assert res.fraction_str == "8/20"
+    assert_removal_witness(t, res, lambda rows: holds_cj(rows, X, Y))
