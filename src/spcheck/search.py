@@ -137,11 +137,13 @@ def backtrack(order: list, options: dict, same_as_prev: list, budget: Budget,
 
 
 def smallest_removal(table: IncompleteTable, floor: int, run: Callable,
-                     check: Callable[[IncompleteTable], ConstraintVerdict]) -> MeasureResult:
+                     check: Callable[[IncompleteTable], ConstraintVerdict],
+                     whole: Callable[[], ConstraintVerdict] | None = None) -> MeasureResult:
     """g3 as the fewest removed rows, by iterative deepening on their count.
 
-    Level 0 is ``check`` on the whole table, skipped when ``floor``, a
-    lower bound on the rows any valid removal set holds, is above 0.
+    Level 0 is ``whole()``, by default ``check`` on the whole table,
+    skipped when ``floor``, a lower bound on the rows any valid removal
+    set holds, is above 0.
     Level m is ``run(m, leaf)``: the caller's assign-or-remove search with
     at most m removals, which returns None when no path passes both its
     own tests and ``leaf(removed)``. That search is a relaxation (its
@@ -153,7 +155,7 @@ def smallest_removal(table: IncompleteTable, floor: int, run: Callable,
     if n == 0:
         raise ValueError("g3 is undefined for an empty table")
     if floor == 0:
-        verdict = check(table)
+        verdict = check(table) if whole is None else whole()
         if verdict.holds:
             return MeasureResult("g3", 0, n, removed_rows=(), witness=verdict.witness)
     found = []

@@ -17,7 +17,6 @@ from .table import (
     AttributeSet,
     IncompleteTable,
     Row,
-    SpWorld,
     complete_world,
     fresh_values,
     is_total,
@@ -137,11 +136,16 @@ class _FdSearch:
             for p in touched:
                 state[1][p] = None
 
-    def witness_world(self, assignment: dict) -> SpWorld:
-        """Each row takes its class value on the left side and the
-        class's fixed cells on the right; all members agree with those."""
-        return complete_world(self.table, self.x_cols + self.y_cols,
-                              lambda i: assignment[i] + tuple(self.classes[assignment[i]][1]))
+    def verdict(self, budget: Budget) -> ConstraintVerdict:
+        """The check on the whole table: each row takes its class value
+        on the left side and the class's fixed cells on the right; all
+        members agree with those."""
+        assignment = self.run(budget)
+        if assignment is None:
+            return ConstraintVerdict(False)
+        return ConstraintVerdict(True, complete_world(
+            self.table, self.x_cols + self.y_cols,
+            lambda i: assignment[i] + tuple(self.classes[assignment[i]][1])))
 
 
 def check_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
@@ -155,10 +159,7 @@ def check_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     search = _FdSearch(table, x, y)
     if search.removal_floor() > 0:
         return ConstraintVerdict(False)
-    assignment = search.run(Budget.of(budget))
-    if assignment is None:
-        return ConstraintVerdict(False)
-    return ConstraintVerdict(True, search.witness_world(assignment))
+    return search.verdict(Budget.of(budget))
 
 
 def total_part_satisfies_fd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> bool:
@@ -182,16 +183,18 @@ def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
 
     Unlike keys, minimum removal sets may contain left-side-total rows,
     so every row is in scope. Deepening starts at the conflict-clique
-    floor of ``_FdSearch.removal_floor``; each level runs the check's
-    search, whose classes draw on the whole table's active domains, with
-    a removal branch at every row.
+    floor of ``_FdSearch.removal_floor``. Level 0 runs the check's
+    search on the whole table; each further level runs the same search,
+    whose classes draw on the whole table's active domains, with a
+    removal branch at every row.
     """
     budget = Budget.of(budget)
     x, y = normalize_fd(lhs, rhs)
     search = _FdSearch(table, x, y)
     return smallest_removal(table, search.removal_floor(),
                             lambda m, leaf: search.run(budget, m, leaf),
-                            lambda sub: check_spfd(sub, x, y, budget))
+                            lambda sub: check_spfd(sub, x, y, budget),
+                            (lambda: search.verdict(budget)) if y else None)
 
 
 def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,

@@ -6,9 +6,12 @@ is imputed a left-side value, each class independently needs its realized
 the degenerate case with a single class, evaluated on the two given
 attribute sets. Both reuse one backtracking cross-coverage search in
 which rows that are entirely NULL on the relevant columns never branch:
-they are counted and spent on missing combinations at the end, which is
-what keeps the added-all-NULL-row searches tractable. Both g3 measures
-deepen over the removal count on these same searches, as spFD's does.
+they are counted and spent on missing combinations at the end. The
+spMVD search over left-side completions counts the rows NULL on every
+column in the same way: each class takes the fewest of them with which
+it crosses, so the all-NULL rows that g5 adds do not multiply the
+search. Both g3 measures deepen over the removal count on these same
+searches, as spFD's does.
 
 Unlike the classical complete-table case, a satisfied dependency here
 does NOT license a lossless decomposition of the incomplete table into
@@ -68,7 +71,8 @@ class _CrossSearch:
     Completions draw from the active domains of the whole table. Rows
     NULL on all relevant columns are free: they are handled by counting,
     not branching, and never removed, since a free row can repeat any
-    kept row's combination.
+    kept row's combination. ``spare`` counts free rows beyond the
+    members, as the all-NULL rows that the spMVD search hands a class.
     """
 
     def __init__(self, table: IncompleteTable, members, a_cols, b_cols):
@@ -109,16 +113,20 @@ class _CrossSearch:
                 seen_a |= a_vals
                 seen_b |= b_vals
         self.max_removed = 0
+        self.fillers = len(self.free)  # free rows plus the run's spare rows
         self.unforced = [0, 0]  # placed A- and B-values outside the forced ones
         self.pairs: dict = defaultdict(int)
         self.avals: dict = defaultdict(int)
         self.bvals: dict = defaultdict(int)
 
-    def run(self, budget: Budget, max_removed: int = 0, leaf=None) -> dict | None:
-        """Index -> completion over the relevant columns of every kept
-        row, free rows included, on the first path that ``leaf`` accepts
-        (see ``backtrack``), or None."""
+    def run(self, budget: Budget, max_removed: int = 0, leaf=None,
+            spare: int = 0) -> tuple | None:
+        """On the first path that ``leaf`` accepts (see ``backtrack``),
+        index -> completion over the relevant columns of every kept row,
+        free rows included, and the completions that the ``spare`` rows
+        must take; or None."""
         self.max_removed = max_removed
+        self.fillers = len(self.free) + spare
         assignment = backtrack(
             self.order, self.options, self.same_as_prev, budget, self._push, self._pop,
             prune=self._prune,
@@ -149,14 +157,15 @@ class _CrossSearch:
     def _prune(self, pos: int) -> bool:
         """Rows still to place can each realize at most one new
         combination, and each removal drops at most one forced value from
-        each side. Without free rows, a placed value that no later row
-        can take must also meet every placed value of the other side."""
+        each side. Without free or spare rows, a placed value that no
+        later row can take must also meet every placed value of the other
+        side."""
         lb_a = max(len(self.avals), len(self.forced_a) + self.unforced[0] - self.max_removed)
         lb_b = max(len(self.bvals), len(self.forced_b) + self.unforced[1] - self.max_removed)
-        remaining = len(self.order) - pos + len(self.free)
+        remaining = len(self.order) - pos + self.fillers
         if lb_a * lb_b > len(self.pairs) + remaining:
             return True
-        closed = None if self.free else self.closing.get(pos)
+        closed = None if self.fillers else self.closing.get(pos)
         return closed is not None and (
             any(a in self.avals and any((a, b) not in self.pairs for b in self.bvals)
                 for a in closed[0])
@@ -165,24 +174,23 @@ class _CrossSearch:
 
     def _tail_feasible(self) -> bool:
         missing = _missing_pairs(self.avals, self.bvals, self.pairs, self.shared)
-        return missing is not None and len(missing) <= len(self.free)
+        return missing is not None and len(missing) <= self.fillers
 
-    def _finish(self, assignment: dict) -> dict:
+    def _finish(self, assignment: dict) -> tuple:
         """Free rows take the missing combinations, then repeat a kept
-        row's (or, with none kept, leave the completion to its default)."""
-        fills = _missing_pairs(self.avals, self.bvals, self.pairs, self.shared)
+        row's (or, with none kept, leave the completion to its default);
+        the spare rows take the combinations left over."""
+        fills = []
+        for a, b in _missing_pairs(self.avals, self.bvals, self.pairs, self.shared):
+            # Every column is on the A side or the B side, or both.
+            cells = [None] * len(self.cols)
+            for i, v in zip(self.a_pick + self.b_pick, a + b):
+                cells[i] = v
+            fills.append(tuple(cells))
         fallback = next(iter(assignment.values()), (None,) * len(self.cols))
         for pos, idx in enumerate(self.free):
-            if pos < len(fills):
-                # Every column is on the A side or the B side, or both.
-                a, b = fills[pos]
-                cells = [None] * len(self.cols)
-                for i, v in zip(self.a_pick + self.b_pick, a + b):
-                    cells[i] = v
-                assignment[idx] = tuple(cells)
-            else:
-                assignment[idx] = fallback
-        return assignment
+            assignment[idx] = fills[pos] if pos < len(fills) else fallback
+        return assignment, fills[len(self.free):]
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +200,24 @@ class _CrossSearch:
 def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
     """The search behind the spMVD check and g3, over left-side
     completions: the rows imputed one value form a class, and every class
-    must cross its right side with the rest of the schema. Returns
+    must cross its right side with the rest of the schema.
+
+    Rows NULL on every column are counted, not branched, and never
+    removed: one such row can join any class and fill one missing
+    combination there, or repeat any kept row. A path holds when the
+    classes' fewest spare rows (each found by deepening ``spare`` on the
+    class's cross search) add up to at most the all-NULL rows. Returns
     ``run(budget, max_removed, leaf)``, whose last two arguments are
     those of ``backtrack``, and the world of the path it accepted."""
     sides = (rhs - lhs, table.all_positions() - lhs - rhs)
     x_cols = tuple(sorted(lhs))
-    order, options, same_as_prev = row_order(table, range(table.row_count), x_cols,
-                                             range(table.arity))
+    blank = [i for i, row in enumerate(table.rows) if all(c is None for c in row)]
+    branching = [i for i, row in enumerate(table.rows) if any(c is not None for c in row)]
+    order, options, same_as_prev = row_order(table, branching, x_cols, range(table.arity))
     classes: dict = defaultdict(list)
-    crossings: dict = {}  # sorted class members -> their completions, or None
+    # sorted class members -> (spare rows tried, (completions, spare fills)
+    # at that count or None while it falls short)
+    needs: dict = {}
 
     def join(i: int, value: tuple) -> tuple:
         classes[value].append(i)
@@ -211,21 +228,49 @@ def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
         if not classes[value]:
             del classes[value]
 
+    def need(members: list, most: int, budget: Budget) -> int | None:
+        """The fewest spare rows with which ``members`` cross, or None
+        when that is above ``most``."""
+        key = tuple(sorted(members))
+        tried, found = needs.get(key, (-1, None))
+        if found is None and tried < most:
+            search = _CrossSearch(table, key, *sides)
+            while found is None and tried < most:
+                tried += 1
+                found = search.run(budget, spare=tried)
+            needs[key] = (tried, found)
+        return tried if found is not None and tried <= most else None
+
     def run(budget: Budget, max_removed: int = 0, leaf=None) -> dict | None:
-        def crosses(members: list) -> bool:
-            key = tuple(sorted(members))
-            if key not in crossings:
-                crossings[key] = _CrossSearch(table, key, *sides).run(budget)
-            return crossings[key] is not None
+        def crosses() -> bool:
+            unspent = len(blank)
+            for members in classes.values():
+                spent = need(members, unspent, budget)
+                if spent is None:
+                    return False
+                unspent -= spent
+            return True
 
         return backtrack(order, options, same_as_prev, budget, join, leave,
-                         leaf=lambda removed: (all(map(crosses, classes.values()))
-                                               and (leaf is None or leaf(removed))),
+                         leaf=lambda removed: crosses() and (leaf is None or leaf(removed)),
                          max_removed=max_removed)
 
-    def world(chosen: dict) -> SpWorld:
+    def world() -> SpWorld:
+        """Each class's all-NULL rows take its missing combinations; the
+        rows left over repeat a kept row."""
+        cells: dict = {}
+        spare = iter(blank)
+        for value, members in classes.items():
+            completions, fills = needs[tuple(sorted(members))][1]
+            for i in members:
+                cells[i] = value + completions[i]
+            for fill in fills:
+                cells[next(spare)] = value + fill
+        repeat = next(iter(cells.values()), (None,) * table.arity)
+        for i in spare:
+            cells[i] = repeat
         return complete_world(table, x_cols + tuple(sorted(sides[0] | sides[1])),
-                              lambda i: chosen[i] + crossings[tuple(sorted(classes[chosen[i]]))][i])
+                              cells.__getitem__)
 
     return run, world
 
@@ -233,12 +278,13 @@ def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
 def check_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
                 budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Holds iff some strongly possible world satisfies the classical
-    multivalued dependency; the full schema matters, not just lhs + rhs."""
+    multivalued dependency; the full schema matters, not just lhs + rhs.
+    The search counts the rows NULL on every column instead of branching
+    them (see ``_mvd_search``)."""
     run, world = _mvd_search(table, lhs, rhs)
-    chosen = run(Budget.of(budget))
-    if chosen is None:
+    if run(Budget.of(budget)) is None:
         return ConstraintVerdict(False)
-    return ConstraintVerdict(True, world(chosen))
+    return ConstraintVerdict(True, world())
 
 
 def check_nmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> bool:
@@ -277,10 +323,10 @@ def check_spcj_general(table: IncompleteTable, lhs: AttributeSet, rhs: Attribute
     """Exact cross-join check: complete every tuple on lhs + rhs so that
     realized projections cross fully. Only those columns matter."""
     search = _CrossSearch(table, range(table.row_count), lhs, rhs)
-    assignment = search.run(Budget.of(budget))
-    if assignment is None:
+    found = search.run(Budget.of(budget))
+    if found is None:
         return ConstraintVerdict(False)
-    return ConstraintVerdict(True, complete_world(table, search.cols, assignment.__getitem__))
+    return ConstraintVerdict(True, complete_world(table, search.cols, found[0].__getitem__))
 
 
 def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVerdict:
@@ -409,6 +455,7 @@ def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     n = table.row_count
     if n == 0:
         raise ValueError("g5 is undefined for an empty table")
+    budget = Budget.of(budget)
     bound = _cj_fill_need(table, lhs, rhs)
     if bound is None:
         domains = table.active_domains()
@@ -418,9 +465,9 @@ def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
         bound = space * space
         if bound > 100_000:
             raise BudgetExceededError(
-                "cross-join addition bound is too large to search exhaustively"
+                "cross-join addition bound is too large to search exhaustively",
+                spent=budget.spent, budget=budget.limit,
             )
-    budget = Budget.of(budget)
     return smallest_addition(
         table, bound,
         lambda k: [[(None,) * table.arity] * k],

@@ -26,6 +26,29 @@ def assert_removal_witness(t, result, holds):
     assert holds(result.witness.rows)
 
 
+def assert_addition_witness(t, result, holds, fresh=frozenset()):
+    """``result`` is a g5 result whose added rows number its numerator,
+    each all-NULL or, when ``fresh`` names columns, carrying a value
+    outside ``t``'s active domain on each of them and NULL elsewhere, and
+    whose witness is a strongly possible world of the extended table
+    (each NULL filled from its own active domain) on which the
+    constraint, given as ``holds(rows)``, holds classically."""
+    assert len(result.added_rows) == result.numerator
+    domains = t.active_domains()
+    for row in result.added_rows:
+        if any(cell is not None for cell in row):
+            assert fresh and all((row[a] is not None and row[a] not in domains[a].values)
+                                 == (a in fresh) for a in range(t.arity))
+    extended = t.with_rows_added(result.added_rows)
+    assert result.witness.origin == tuple(range(t.row_count)) + (None,) * result.numerator
+    assert len(result.witness.rows) == extended.row_count
+    domains = extended.active_domains()
+    for row, done in zip(extended.rows, result.witness.rows):
+        for a, (cell, value) in enumerate(zip(row, done)):
+            assert value == cell if cell is not None else value in domains[a].values
+    assert holds(result.witness.rows)
+
+
 @pytest.fixture
 def course_table():
     return table(

@@ -26,9 +26,11 @@ from spcheck.tuplegen import (
     check_spmvd,
     g3_spcj,
     g3_spmvd,
+    g5_spcj,
+    g5_spmvd,
 )
 
-from conftest import assert_removal_witness
+from conftest import assert_addition_witness, assert_removal_witness
 
 cells = st.one_of(st.none(), st.sampled_from(["1", "2"]))
 
@@ -139,6 +141,20 @@ def test_witnesses_replay(t):
     assert_removal_witness(t, g3_spmvd(t, lhs, rhs),
                            lambda rows: holds_mvd(rows, lhs, rhs, t.arity))
     assert_removal_witness(t, g3_spcj(t, lhs, rhs), lambda rows: holds_cj(rows, lhs, rhs))
+    # g5 adds rows fresh on the left side for fd, all-NULL rows or rows
+    # fresh on the left side for mvd, and all-NULL rows for cj.
+    additions = [
+        (g5_spmvd(t, lhs, rhs), lambda rows: holds_mvd(rows, lhs, rhs, t.arity), lhs),
+        (g5_spcj(t, lhs, rhs), lambda rows: holds_cj(rows, lhs, rhs), frozenset()),
+    ]
+    try:
+        additions.append((g5_spfd(t, lhs, rhs), lambda rows: holds_fd(rows, lhs, rhs),
+                          lhs - rhs))
+    except PreconditionError:
+        pass
+    for result, holds, fresh in additions:
+        if result.numerator is not None:
+            assert_addition_witness(t, result, holds, fresh)
 
 
 @given(tables(min_cols=2))

@@ -19,7 +19,7 @@ from spcheck.tuplegen import (
     g5_spmvd,
 )
 
-from conftest import assert_removal_witness, table
+from conftest import assert_addition_witness, assert_removal_witness, table
 
 X = frozenset({0})
 Y = frozenset({1})
@@ -226,3 +226,50 @@ def test_g3_spcj_is_bounded_by_its_budget():
     res = g3_spcj(t, X, Y)
     assert res.fraction_str == "8/20"
     assert_removal_witness(t, res, lambda rows: holds_cj(rows, X, Y))
+
+
+def test_g5_spcj_squared_domain_fallback_carries_its_budget():
+    # The sides share A2, so the lexmin completion's missing pair
+    # ((1,1), (2,2)) contradicts itself; the fallback bound is then the
+    # joint domain size squared, 7**3 ** 2 = 117,649 > 100,000.
+    t = table(["A1", "A2", "A3"], [(str(i), str(i), str(i)) for i in range(1, 8)])
+    with pytest.raises(BudgetExceededError) as err:
+        g5_spcj(t, frozenset({0, 1}), frozenset({1, 2}), budget=5_000)
+    assert (err.value.spent, err.value.budget) == (0, 5_000)
+
+
+MVD10 = [
+    (None, "59", None), ("73", "79", None), ("73", "54", "42"), ("97", "79", "21"),
+    ("91", "79", "77"), ("60", "31", None), ("73", "75", "77"), ("97", "54", "15"),
+    ("97", "75", "77"), ("60", "79", "77"), ("91", "54", "21"), ("60", "54", "15"),
+    ("97", "79", None), ("97", None, "77"),
+]
+
+
+def test_g5_spmvd_counts_its_all_null_rows():
+    # Each added all-NULL row is counted, not branched over the left-side
+    # values: 13 of them no longer multiply the search (458,782 nodes
+    # when they were branched).
+    t = table(["A1", "A2", "A3"], MVD10)
+    res = g5_spmvd(t, X, Y, budget=20_000)
+    assert res.fraction_str == "13/14"
+    assert_addition_witness(t, res, lambda rows: holds_mvd(rows, X, Y, 3), X)
+
+
+def test_spmvd_check_counts_all_null_rows():
+    # Class 5 misses 20 of its 25 combinations and the other classes none.
+    # Branched over the five left-side values, the all-NULL rows reach a
+    # split with 20 of them in class 5 only after 43,212 nodes; counted,
+    # the check answers at once, either way.
+    rows = [(x, "5", "5") for x in "1234"] + [("5", str(i), str(i)) for i in range(1, 6)]
+    t = table(["X", "Y", "Z"], rows + [(None, None, None)] * 40)
+    verdict = check_spmvd(t, X, Y, budget=200)
+    assert verdict.holds
+    assert holds_mvd(verdict.witness.rows, X, Y, 3)
+    assert verdict.witness.origin == tuple(range(49))
+    domains = t.active_domains()
+    for row, done in zip(t.rows, verdict.witness.rows):
+        for a, (cell, value) in enumerate(zip(row, done)):
+            assert value == cell if cell is not None else value in domains[a].values
+    short = table(["X", "Y", "Z"], rows + [(None, None, None)] * 19)
+    assert not check_spmvd(short, X, Y, budget=200).holds
