@@ -82,14 +82,15 @@ def load_csv(path, null_token: str = "", has_header: bool = True) -> IncompleteT
         header = [f"A{i + 1}" for i in range(width)]
         data = records
     arity = len(header)
+    intern = sys.intern
     rows = []
     for lineno, record in enumerate(data, start=2 if has_header else 1):
         if len(record) != arity:
             raise TableLoadError(
                 f"{path}: row {lineno} has {len(record)} fields, expected {arity}"
             )
-        rows.append(tuple(None if cell == null_token else cell for cell in record))
-    return IncompleteTable.build(header, rows, null_token)
+        rows.append(tuple([None if cell == null_token else intern(cell) for cell in record]))
+    return IncompleteTable(Schema(tuple(header)), tuple(rows), null_token)
 
 
 def write_csv(table: IncompleteTable, path) -> None:

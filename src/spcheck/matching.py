@@ -4,21 +4,25 @@ component classification.
 The left class holds tuple indices, the right class the distinct complete
 key projections over the active domains. The full right class is usually
 exponential, so construction stops materializing a tuple's extensions at
-``cap`` (default ``|T| + 1``): a tuple with more than ``|T|`` distinct
-extensions can always be matched after everyone else by pigeonhole, which
-is what keeps the matching check polynomial. Such tuples are recorded in
-``high_degree_left`` and matched greedily from a lazy enumeration.
+``cap`` (default ``|T| + 1``), and also leaves out the tuples a caller
+names. Each tuple left out must have more extensions than *rivals*, the
+other tuples weakly similar to it on the key: one over the cap has more
+than the table has other tuples, and :func:`rows_beyond_rivals` finds
+the rest. Only a rival can hold one of its extensions, so once everyone
+else is matched one is still free, which keeps the matching maximum and
+the check polynomial. Such tuples are recorded in ``high_degree_left``
+and matched greedily from a lazy enumeration.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 
 from .errors import UnmaterializedGraphError
-from .table import AttributeSet, IncompleteTable, column_values, extension_options, iter_extensions
+from .table import AttributeSet, IncompleteTable, column_values, extension_options, projector
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,7 @@ class ExtensionGraph:
     cap: int
     right_tuples: tuple[tuple, ...]
     adjacency: dict  # low-degree row index -> list of right ids, lex order
-    high_degree_left: dict  # row index -> exact extension count (>= cap)
+    high_degree_left: dict  # row index left out -> exact extension count
 
     @property
     def fully_materialized(self) -> bool:
@@ -67,12 +71,15 @@ class ComponentPartition:
         return sum(c.nu for c in self.satisfied + self.deficient)
 
 
-def build_extension_graph(table: IncompleteTable, key: AttributeSet, cap: int | None = None) -> ExtensionGraph:
+def build_extension_graph(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
+                          leave_out=()) -> ExtensionGraph:
     """Materialize each tuple's distinct key extensions up to ``cap``.
 
     A tuple's extensions are taken in lexicographic order of its
     per-position options on the sorted key, and each new extension gets
-    the next right id.
+    the next right id. The rows in ``leave_out`` are left out whatever
+    their count; each must have more extensions than rivals (see
+    :func:`rows_beyond_rivals`).
     """
     n = table.row_count
     if cap is None:
@@ -80,7 +87,7 @@ def build_extension_graph(table: IncompleteTable, key: AttributeSet, cap: int | 
     if cap < n + 1:
         raise ValueError(f"cap must be at least |T| + 1 = {n + 1}")
     right_ids: dict = {}
-    adjacency, high_degree = _materialize(table, key, range(n), cap, right_ids)
+    adjacency, high_degree = _materialize(table, key, range(n), cap, right_ids, leave_out)
     return ExtensionGraph(table, key, cap, tuple(right_ids), adjacency, high_degree)
 
 
@@ -98,9 +105,10 @@ def raise_cap(graph: ExtensionGraph, cap: int) -> ExtensionGraph:
 
 
 def _materialize(table: IncompleteTable, key: AttributeSet, rows, cap: int,
-                 right_ids: dict) -> tuple[dict, dict]:
-    """The edge lists of ``rows`` under ``cap`` and the counts of those at
-    or over it; ``right_ids`` (extension -> right id) grows in id order."""
+                 right_ids: dict, leave_out=()) -> tuple[dict, dict]:
+    """The edge lists of ``rows`` under ``cap`` and not in ``leave_out``,
+    and the counts of the others; ``right_ids`` (extension -> right id)
+    grows in id order."""
     cols = sorted(key)
     values = column_values(table)
     setdefault = right_ids.setdefault
@@ -109,11 +117,68 @@ def _materialize(table: IncompleteTable, key: AttributeSet, rows, cap: int,
     for i in rows:
         options = extension_options(table.rows[i], cols, values)
         count = prod(map(len, options))
-        if count >= cap:
+        if count >= cap or i in leave_out:
             high_degree[i] = count
             continue
         adjacency[i] = [setdefault(ext, len(right_ids)) for ext in product(*options)]
     return adjacency, high_degree
+
+
+def rows_beyond_rivals(table: IncompleteTable, key: AttributeSet) -> set:
+    """The rows with a NULL on ``key`` and more extensions than rivals:
+    the other rows weakly similar to them on ``key``.
+
+    Rows are grouped by the key columns they are NULL on (their mask).
+    Two rows are weakly similar when they agree on the key columns
+    neither mask covers, so a row's rivals in one group are counted by
+    one tally of that group's projections on those columns, kept for
+    every row that needs the same (group, columns) pair. The key-total
+    rows are counted first, then the groups by mask size, and a row's
+    count stops once it reaches the row's extension count or the rows
+    still uncounted cannot take it there. A row with more than
+    ``|T| - 1`` extensions is returned uncounted.
+    """
+    rows = table.rows
+    n = len(rows)
+    cols = sorted(key)
+    sizes = [len(v) for v in column_values(table)]
+    project = projector(cols)
+    totals = []
+    at: dict = {}  # mask -> indices of the rows NULL on just those key columns
+    for i, row in enumerate(rows):
+        if None in project(row):
+            at.setdefault(tuple(c for c in cols if row[c] is None), []).append(i)
+        else:
+            totals.append(row)
+    groups = {(): totals, **{mask: [rows[i] for i in idx] for mask, idx in at.items()}}
+    masks = sorted(groups, key=lambda mask: (len(mask), mask))
+    tallies: dict = {}  # (mask, shared columns) -> (projector, tally lookup)
+    out = set()
+    for mask in masks[1:]:
+        count = prod(sizes[c] for c in mask)
+        if count > n - 1:
+            out.update(at[mask])
+            continue
+        counters = []
+        rest = n
+        for other in masks:
+            shared = tuple(c for c in cols if c not in mask and c not in other)
+            tally = tallies.get((other, shared))
+            if tally is None:
+                get = projector(shared)
+                tally = tallies[other, shared] = (get, Counter(map(get, groups[other])).get)
+            rest -= len(groups[other])
+            counters.append((*tally, rest))
+        for i, row in zip(at[mask], groups[mask]):
+            rivals = -1  # the row itself
+            for get, lookup, uncounted in counters:
+                rivals += lookup(get(row), 0)
+                if rivals >= count:
+                    break
+                if rivals + uncounted < count:
+                    out.add(i)
+                    break
+    return out
 
 
 def hopcroft_karp(adjacency: list, n_right: int, match_l: list | None = None,
@@ -196,10 +261,9 @@ def max_matching(graph: ExtensionGraph) -> MatchingResult:
     """Maximum matching over materialized vertices, then every
     high-degree tuple greedily completed with an unused extension.
 
-    The greedy phase always succeeds: a high-degree tuple has more than
-    ``|T|`` distinct extensions while at most ``|T| - 1`` others are
-    occupied, so the overall size equals the maximum matching of the full
-    graph.
+    The greedy phase always succeeds: a tuple left out of the graph has
+    more extensions than rivals, and only a rival can hold one of them,
+    so the overall size equals the maximum matching of the full graph.
     """
     low_rows = sorted(graph.adjacency)
     adjacency = [graph.adjacency[i] for i in low_rows]
@@ -213,12 +277,15 @@ def max_matching(graph: ExtensionGraph) -> MatchingResult:
 def match_high_degree(table: IncompleteTable, key: AttributeSet, rows, matching: dict) -> None:
     """Give each of ``rows``, in index order, its first key extension in
     ``table`` that ``matching`` does not use yet, adding it to
-    ``matching``. Every row must have more extensions than ``table`` has
-    other rows (the pigeonhole bound), so one is always free.
+    ``matching``. Every row must have more extensions than rivals (the
+    other rows of ``table`` weakly similar to it on ``key``), so one is
+    always free.
     """
     used = set(matching.values())
+    cols = sorted(key)
+    values = column_values(table)
     for i in sorted(rows):
-        for ext in iter_extensions(table, table.rows[i], key):
+        for ext in product(*extension_options(table.rows[i], cols, values)):
             if ext not in used:
                 matching[i] = ext
                 used.add(ext)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations, combinations_with_replacement, product
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .constraints import (
@@ -30,7 +29,7 @@ from .constraints import (
     SpMvd,
 )
 from .errors import DEFAULT_BUDGET, BudgetExceededError, OracleGapError
-from .table import IncompleteTable, Row, SpWorld, fresh_values, iter_extensions
+from .table import IncompleteTable, Row, SpWorld, fresh_values, iter_extensions, projector
 
 # Instance-size limits for the extended-pool g5 cross-check.
 CROSS_CHECK_MAX_ROWS = 6
@@ -115,24 +114,13 @@ def enumerate_spworlds(table: IncompleteTable, budget: int = DEFAULT_BUDGET) -> 
 # Classical satisfaction on complete tables
 
 
-def _projector(cols) -> Callable[[Row], tuple]:
-    """A row's cells on the sorted ``cols``, always as a tuple."""
-    ordered = sorted(cols)
-    if len(ordered) > 1:
-        return itemgetter(*ordered)
-    if ordered:
-        (a,) = ordered
-        return lambda r: (r[a],)
-    return lambda r: ()
-
-
 def _key_test(key) -> Callable[[Sequence[Row]], bool]:
-    kp = _projector(key)
+    kp = projector(key)
     return lambda rows: len({kp(r) for r in rows}) == len(rows)
 
 
 def _fd_test(lhs, rhs) -> Callable[[Sequence[Row]], bool]:
-    xp, yp = _projector(lhs), _projector(rhs)
+    xp, yp = projector(lhs), projector(rhs)
 
     def test(rows: Sequence[Row]) -> bool:
         image: dict = {}
@@ -159,15 +147,15 @@ def _missing_pairs(pairs) -> int:
 
 
 def _mvd_test(lhs, rhs, arity: int) -> Callable[[Sequence[Row]], bool]:
-    xp, yp = _projector(lhs), _projector(rhs)
-    rp = _projector(frozenset(range(arity)) - lhs - rhs)
+    xp, yp = projector(lhs), projector(rhs)
+    rp = projector(frozenset(range(arity)) - lhs - rhs)
     return lambda rows: not any(
         _missing_pairs(pairs) for pairs in _mvd_groups(rows, xp, yp, rp).values()
     )
 
 
 def _cj_test(lhs, rhs) -> Callable[[Sequence[Row]], bool]:
-    xp, yp = _projector(lhs), _projector(rhs)
+    xp, yp = projector(lhs), projector(rhs)
     return lambda rows: not _missing_pairs({(xp(r), yp(r)) for r in rows})
 
 
@@ -204,7 +192,7 @@ def _find_violation(rows: Sequence[Row], c: Constraint, arity: int) -> tuple | N
     """Some pair of row indices witnessing why ``rows`` fails ``c``."""
     index_pairs = product(range(len(rows)), repeat=2)
     if isinstance(c, SpKey):
-        kp = _projector(c.key)
+        kp = projector(c.key)
         seen: dict = {}
         for i, r in enumerate(rows):
             first = seen.setdefault(kp(r), i)
@@ -212,7 +200,7 @@ def _find_violation(rows: Sequence[Row], c: Constraint, arity: int) -> tuple | N
                 return (first, i)
         return None
     if isinstance(c, SpFd):
-        xp, yp = _projector(c.lhs), _projector(c.rhs)
+        xp, yp = projector(c.lhs), projector(c.rhs)
         seen = {}
         for i, r in enumerate(rows):
             x, y = xp(r), yp(r)
@@ -221,13 +209,13 @@ def _find_violation(rows: Sequence[Row], c: Constraint, arity: int) -> tuple | N
             seen.setdefault(x, (i, y))
         return None
     if isinstance(c, SpMvd):
-        xp, yp = _projector(c.lhs), _projector(c.rhs)
-        rp = _projector(frozenset(range(arity)) - c.lhs - c.rhs)
+        xp, yp = projector(c.lhs), projector(c.rhs)
+        rp = projector(frozenset(range(arity)) - c.lhs - c.rhs)
         present = {(xp(t), yp(t), rp(t)) for t in rows}
         return next(((i, j) for i, j in index_pairs if xp(rows[i]) == xp(rows[j])
                      and (xp(rows[i]), yp(rows[i]), rp(rows[j])) not in present), None)
     if isinstance(c, SpCj):
-        xp, yp = _projector(c.lhs), _projector(c.rhs)
+        xp, yp = projector(c.lhs), projector(c.rhs)
         present = {(xp(t), yp(t)) for t in rows}
         return next(((i, j) for i, j in index_pairs if (xp(rows[i]), yp(rows[j])) not in present), None)
     return None
@@ -339,8 +327,8 @@ def _g5_search_bound(table: IncompleteTable, c: Constraint, budget: int) -> int 
     if isinstance(c, (SpKey, SpFd)):
         return oracle_g3(table, c, budget).numerator
     if isinstance(c, SpMvd):
-        xp, yp = _projector(c.lhs), _projector(c.rhs - c.lhs)
-        rp = _projector(frozenset(range(table.arity)) - c.lhs - c.rhs)
+        xp, yp = projector(c.lhs), projector(c.rhs - c.lhs)
+        rp = projector(frozenset(range(table.arity)) - c.lhs - c.rhs)
         best = None
         for rows in _iter_completions(table, budget):
             groups = _mvd_groups(rows, xp, yp, rp)
@@ -351,7 +339,7 @@ def _g5_search_bound(table: IncompleteTable, c: Constraint, budget: int) -> int 
                 break
         return best
     if isinstance(c, SpCj):
-        xp, yp = _projector(c.lhs), _projector(c.rhs)
+        xp, yp = projector(c.lhs), projector(c.rhs)
         xs, ys = sorted(c.lhs), sorted(c.rhs)
         overlap = [(xs.index(a), ys.index(a)) for a in sorted(c.lhs & c.rhs)]
         best = None

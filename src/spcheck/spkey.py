@@ -1,9 +1,9 @@
 """Polynomial spKey satisfaction check and the g3, g4, g5 key measures.
 
 All four derive from one :class:`KeyAnalysis` of a (table, key) pair:
-its extension graph and that graph's maximum matching, built once on
-first use. Pass the same analysis to each call to share that work; no
-call changes it.
+its first duplicated key-total row, its extension graph and that
+graph's maximum matching, each found once on first use. Pass the same
+analysis to each call to share that work; no call changes it.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .matching import (
     match_high_degree,
     max_matching,
     raise_cap,
+    rows_beyond_rivals,
 )
 from .search import smallest_addition
 from .table import (
@@ -37,13 +38,21 @@ from .table import (
     fresh_values,
     is_total,
     projection,
+    projector,
 )
 
 
 class KeyAnalysis:
-    """The extension graph of ``table`` on ``key`` (materialized up to
-    the ``|T| + 1`` cap) and its maximum matching, each computed on
-    first use and kept for the life of the analysis."""
+    """The first key-total duplicate of ``table`` on ``key``, its
+    extension graph and that graph's maximum matching, each computed on
+    first use and kept for the life of the analysis.
+
+    The graph leaves out every row with more extensions than rivals (the
+    other rows weakly similar to it on the key, see
+    :func:`~spcheck.matching.rows_beyond_rivals`), which include the rows
+    over the ``|T| + 1`` cap; the matching gives them free extensions
+    greedily after the rest, so it is still maximum.
+    """
 
     def __init__(self, table: IncompleteTable, key: AttributeSet):
         if not key:
@@ -53,8 +62,13 @@ class KeyAnalysis:
         self.cols = sorted(key)
 
     @cached_property
+    def duplicate(self) -> int | None:
+        return first_total_duplicate(self.table, self.key)
+
+    @cached_property
     def graph(self) -> ExtensionGraph:
-        return build_extension_graph(self.table, self.key)
+        return build_extension_graph(self.table, self.key,
+                                     leave_out=rows_beyond_rivals(self.table, self.key))
 
     @cached_property
     def matching(self) -> MatchingResult:
@@ -77,11 +91,21 @@ def _analysis(table: IncompleteTable, key: AttributeSet, analysis: KeyAnalysis |
 def check_spkey(table: IncompleteTable, key: AttributeSet,
                 analysis: KeyAnalysis | None = None) -> ConstraintVerdict:
     """Holds iff a maximum matching of the key extension graph covers
-    every tuple; the matching doubles as the certifying world."""
+    every tuple; the matching doubles as the certifying world.
+
+    ``violation_rows`` is one row that some maximum matching leaves
+    unmatched. When a key-total row repeats an earlier one on the key, it
+    is that later row, found without building the graph: a strongly
+    possible world keeps total rows as they are, and of two rows with the
+    same single extension a matching covers at most one. Otherwise it is
+    the first row the analysis's matching leaves unmatched.
+    """
     a = _analysis(table, key, analysis)
     n = table.row_count
     if n == 0:
         return ConstraintVerdict(True, SpWorld((), ()))
+    if a.duplicate is not None:
+        return ConstraintVerdict(False, None, (a.duplicate,))
     result = a.matching
     if result.size == n:
         return ConstraintVerdict(True, a.world(result.matching))
@@ -160,16 +184,23 @@ def g4_spkey(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
     return MeasureResult("g4", n - parts.total_nu, n + parts.satisfied_tuple_count)
 
 
-def total_part_satisfies_key(table: IncompleteTable, key: AttributeSet) -> bool:
-    seen = set()
-    for row in table.rows:
-        if not is_total(row, key):
+def first_total_duplicate(table: IncompleteTable, key: AttributeSet) -> int | None:
+    """The first key-total row whose projection on ``key`` repeats an
+    earlier key-total row's, or None."""
+    project = projector(key)
+    seen: set = set()
+    for i, row in enumerate(table.rows):
+        p = project(row)
+        if None in p:
             continue
-        p = projection(row, key)
         if p in seen:
-            return False
+            return i
         seen.add(p)
-    return True
+    return None
+
+
+def total_part_satisfies_key(table: IncompleteTable, key: AttributeSet) -> bool:
+    return first_total_duplicate(table, key) is None
 
 
 def g5_spkey(table: IncompleteTable, key: AttributeSet,
@@ -183,7 +214,7 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet,
     when the search is exhausted the measure is undefined.
     """
     a = _analysis(table, key, analysis)
-    if not total_part_satisfies_key(table, key):
+    if a.duplicate is not None:
         raise PreconditionError(
             "the key-total part violates the key; additions cannot repair duplicate total rows"
         )
@@ -213,10 +244,13 @@ def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
     The fresh value only enlarges the key columns' domains, so every
     edge of round k - 1 stays and its matching stays valid; round k adds
     the edges that use the new value (plus the fresh row's own edge) and
-    augments that matching. As in a graph built for the extended table,
-    a row with ``|T| + k + 1`` or more extensions in round k is left to
-    the greedy pigeonhole step. Its count grows by at least one a round,
-    so it stays there; a row beyond the cap at the base starts there.
+    augments that matching. A row with ``|T| + k + 1`` or more
+    extensions in round k is left to the greedy pigeonhole step. Its
+    count grows by at least one a round, so it stays there. A row the
+    base graph left out starts there and stays too: a fresh row is weakly
+    similar only to the rows NULL on the whole key, and those gain at
+    least k extensions by round k, so each still has more extensions
+    than rivals.
     """
     table, graph, base = a.table, a.graph, a.matching
     n = table.row_count

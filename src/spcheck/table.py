@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 AttributeSet = frozenset[int]
@@ -254,6 +255,17 @@ def project(table: IncompleteTable, x: AttributeSet) -> IncompleteTable:
 def projection(row: Row, positions: Iterable[int]) -> tuple:
     """Row restricted to sorted ``positions`` as a plain tuple."""
     return tuple(row[a] for a in sorted(positions))
+
+
+def projector(positions: Iterable[int]) -> Callable[[Row], tuple]:
+    """A row's cells on the sorted ``positions``, always as a tuple."""
+    ordered = sorted(positions)
+    if len(ordered) > 1:
+        return itemgetter(*ordered)
+    if ordered:
+        (a,) = ordered
+        return lambda r: (r[a],)
+    return lambda r: ()
 
 
 def row_key(row: Row, positions: Iterable[int]) -> tuple:

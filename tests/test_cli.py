@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from spcheck.cli import (
 from spcheck.constraints import Nmvd, SpCj, SpFd, SpKey, SpMvd
 from spcheck.errors import ConstraintParseError, TableLoadError
 from spcheck.oracle import holds_cj, holds_fd, holds_key, holds_mvd
-from spcheck.table import Schema
+from spcheck.table import IncompleteTable, Schema
 
 TABLE4_CSV = "a,b\n,1\n2,\n2,\n2,2\n"
 
@@ -38,6 +39,18 @@ def test_load_csv_custom_null_token(tmp_path):
     path.write_text("a,b\nNULL,1\n,2\n", encoding="utf-8")
     t = load_csv(path, null_token="NULL")
     assert t.rows == ((None, "1"), ("", "2"))
+
+
+def test_load_csv_equals_build(tmp_path):
+    # Quoted cells keep their commas, quotes, spaces and line breaks;
+    # only the exact NULL token becomes NULL.
+    path = tmp_path / "t.csv"
+    path.write_text('a,"b,c"\nNA,"x, y"\n"say ""hi""",NA\n" NA",\n"two\nlines",NA\n',
+                    encoding="utf-8")
+    t = load_csv(path, null_token="NA")
+    rows = [(None, "x, y"), ('say "hi"', None), (" NA", ""), ("two\nlines", None)]
+    assert t == IncompleteTable.build(["a", "b,c"], rows, "NA")
+    assert all(cell is sys.intern(cell) for row in t.rows for cell in row if cell is not None)
 
 
 def test_load_csv_no_header(tmp_path):

@@ -9,8 +9,10 @@ from spcheck.matching import (
     hopcroft_karp,
     max_matching,
     raise_cap,
+    rows_beyond_rivals,
 )
-from spcheck.table import IncompleteTable, extension_count, iter_extensions
+from spcheck.spkey import KeyAnalysis
+from spcheck.table import IncompleteTable, extension_count, is_total, iter_extensions, weakly_similar
 
 from conftest import table
 
@@ -143,14 +145,23 @@ def matching_grid_tables():
             yield IncompleteTable.build([f"A{i}" for i in range(width)], rows)
 
 
-def _assert_capped_equals_full(t):
-    key = t.all_positions()
+def _assert_capped_equals_full(t, key=None):
+    """The |T| + 1 capped graph and the shared graph of a key analysis
+    both match as many rows as the full graph; returns the analysis."""
+    key = t.all_positions() if key is None else key
     capped = max_matching(build_extension_graph(t, key, cap=t.row_count + 1))
     full_graph = build_extension_graph(t, key, cap=10**9)
     assert not full_graph.high_degree_left
     adjacency = [full_graph.adjacency[i] for i in range(t.row_count)]
     reference = kuhn_matching_size(adjacency, len(full_graph.right_tuples))
     assert capped.size == reference
+    analysis = KeyAnalysis(t, key)
+    matching = analysis.matching.matching
+    assert analysis.matching.size == len(matching) == reference
+    assert len(set(matching.values())) == len(matching)
+    for i, ext in matching.items():
+        assert ext in set(iter_extensions(t, t.rows[i], key))
+    return analysis
 
 
 def test_capped_matching_equals_full_matching_on_grid():
@@ -177,6 +188,42 @@ def test_capped_matching_equals_full_matching_sampled():
         _assert_capped_equals_full(
             IncompleteTable.build([f"A{i}" for i in range(width)], rows)
         )
+
+
+def test_rival_capped_matching_equals_full_matching_sampled():
+    """Rows the shared graph leaves out below the |T| + 1 cap, each with
+    more extensions than rivals, still leave its matching maximum."""
+    import random
+
+    rng = random.Random(43)
+    below_cap = 0
+    for _ in range(400):
+        width, domain, n = rng.randint(1, 4), rng.randint(1, 8), rng.randint(1, 12)
+        rows = [tuple(None if rng.random() < 0.35 else str(rng.randint(1, domain))
+                      for _ in range(width)) for _ in range(n)]
+        t = IncompleteTable.build([f"A{i}" for i in range(width)], rows)
+        key = frozenset(rng.sample(range(width), rng.randint(1, width)))
+        left_out = _assert_capped_equals_full(t, key).graph.high_degree_left
+        below_cap += sum(1 for count in left_out.values() if count < n + 1)
+    assert below_cap >= 100
+
+
+def test_rows_beyond_rivals_matches_pairwise_count():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(300):
+        width, domain, n = rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 12)
+        rows = [tuple(None if rng.random() < 0.4 else str(rng.randint(1, domain))
+                      for _ in range(width)) for _ in range(n)]
+        t = IncompleteTable.build([f"A{i}" for i in range(width)], rows)
+        key = frozenset(rng.sample(range(width), rng.randint(1, width)))
+        expected = {
+            i for i, row in enumerate(t.rows)
+            if not is_total(row, key) and extension_count(t, row, key) > sum(
+                1 for j, other in enumerate(t.rows) if j != i and weakly_similar(row, other, key))
+        }
+        assert rows_beyond_rivals(t, key) == expected
 
 
 def test_hopcroft_karp_deterministic():

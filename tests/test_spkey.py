@@ -8,7 +8,7 @@ from spcheck import spkey
 from spcheck.cli import RunOptions, run
 from spcheck.constraints import SpKey
 from spcheck.errors import PreconditionError
-from spcheck.matching import build_extension_graph, hall_components
+from spcheck.matching import build_extension_graph, hall_components, hopcroft_karp
 from spcheck.generators import gen_prop3, gen_thm1
 from spcheck.oracle import holds_key
 from spcheck.search import smallest_addition
@@ -45,6 +45,40 @@ def test_check_table4_violated(table4):
 def test_check_single_row():
     t = table(["A", "B"], [(None, None)])
     assert check_spkey(t, BOTH).holds
+
+
+def test_check_reports_a_total_duplicate_without_a_graph(monkeypatch):
+    # Row 3 repeats row 0 on the key; row 4 repeats row 2 later on.
+    t = table(["A", "B", "C"], [("1", "1", "1"), (None, "1", "2"), ("2", "2", "1"),
+                                ("1", "1", "3"), ("2", "2", "2"), ("1", None, "1")])
+    full = KeyAnalysis(t, BOTH).matching.size
+    builds = []
+    monkeypatch.setattr(spkey, "build_extension_graph", lambda *args, **kw: builds.append(args))
+    verdict = check_spkey(t, BOTH)
+    assert (verdict.holds, verdict.witness, verdict.violation) == (False, None, (3,))
+    assert builds == []
+    monkeypatch.undo()
+    assert KeyAnalysis(t.with_rows_removed([3]), BOTH).matching.size == full
+
+
+def test_violation_row_is_left_unmatched_by_a_maximum_matching():
+    # Without the reported row's vertex the full graph still has a
+    # matching as large as with it.
+    duplicates = unmatched = 0
+    for t in _random_tables(400, seed=13):
+        for key in (t.all_positions(), frozenset({0})):
+            verdict = check_spkey(t, key)
+            if verdict.holds:
+                continue
+            (row,) = verdict.violation
+            if total_part_satisfies_key(t, key):
+                unmatched += 1
+            else:
+                duplicates += 1
+            g = build_extension_graph(t, key, cap=10**6)
+            size = lambda rows: hopcroft_karp([g.adjacency[i] for i in rows], len(g.right_tuples))[0]
+            assert size([i for i in range(t.row_count) if i != row]) == size(range(t.row_count))
+    assert duplicates >= 200 and unmatched >= 100
 
 
 def test_check_rejects_empty_key(table4):
@@ -183,9 +217,9 @@ def test_one_graph_build_per_key(monkeypatch, table4, cars_table):
     builds = []
     real = spkey.build_extension_graph
 
-    def counting(table, key, cap=None):
+    def counting(table, key, cap=None, leave_out=()):
         builds.append(table)
-        return real(table, key, cap)
+        return real(table, key, cap, leave_out)
 
     monkeypatch.setattr(spkey, "build_extension_graph", counting)
     for t in (table4, cars_table):
@@ -206,9 +240,9 @@ def test_g4_raises_the_shared_graph_cap(monkeypatch):
     builds = []
     real = spkey.build_extension_graph
 
-    def counting(table, key, cap=None):
+    def counting(table, key, cap=None, leave_out=()):
         builds.append(table)
-        return real(table, key, cap)
+        return real(table, key, cap, leave_out)
 
     monkeypatch.setattr(spkey, "build_extension_graph", counting)
     report = run(t, [SpKey(BOTH)], RunOptions(measures=("g3", "g4")))
