@@ -14,6 +14,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -226,16 +227,10 @@ def _engines(c: Constraint) -> _Engines:
         raise TypeError(f"unsupported constraint {type(c).__name__}") from None
 
 
-def _cell_json(cell):
-    if cell is None:
-        return None
-    if cell is SSYMB:
-        return "ssymb"
-    return cell
-
-
 def _rows_json(rows) -> list:
-    return [[_cell_json(c) for c in row] for row in rows]
+    """Rows as lists, the reserved symbol written as "ssymb"."""
+    return [["ssymb" if c is SSYMB else c for c in row] if SSYMB in row else list(row)
+            for row in rows]
 
 
 def _measure_json(result: MeasureResult) -> dict:
@@ -377,6 +372,73 @@ def _summarize(report: dict, out) -> None:
         print(line, file=out)
 
 
+# The report's flat lists go through json's C encoder with "\x01" as the
+# item separator. JSON escapes every control character inside a string,
+# so a raw "\x01" in its output is always a separator; and since no
+# scalar's text ends in "]", "]\x01[" only ever joins two inner lists.
+_encode_flat = json.JSONEncoder(separators=("\x01", ": "), check_circular=False).encode
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_LIST = frozenset((list,))
+_STR = frozenset((str,))
+
+
+def _dump(obj, indent: str, write) -> None:
+    """Write the text of ``json.dumps(obj, indent=2)``, nested at
+    ``indent``, through ``write``: dicts and mixed lists are walked here,
+    a list of scalars or a non-empty list of non-empty lists of scalars
+    is encoded in one C call."""
+    kind = type(obj)
+    if kind is str or kind is float:
+        write(_encode_flat(obj))
+    elif obj is None or kind is bool:
+        write("null" if obj is None else "true" if obj else "false")
+    elif kind is int:
+        write(int.__repr__(obj))  # what json writes, without building an encoder
+    elif kind is list:
+        if not obj:
+            write("[]")
+            return
+        inner = indent + "  "
+        if _SCALARS.issuperset(map(type, obj)):
+            write("[\n" + inner)
+            write(_encode_flat(obj)[1:-1].replace("\x01", ",\n" + inner))
+        elif (_LIST.issuperset(map(type, obj)) and all(obj)
+                and _SCALARS.issuperset(map(type, chain.from_iterable(obj)))):
+            cell = inner + "  "
+            write("[\n" + inner + "[\n" + cell)
+            write(_encode_flat(obj)[2:-2]
+                  .replace("]\x01[", "\n" + inner + "],\n" + inner + "[\n" + cell)
+                  .replace("\x01", ",\n" + cell))
+            write("\n" + inner + "]")
+        else:
+            sep = "[\n" + inner
+            for item in obj:
+                write(sep)
+                _dump(item, inner, write)
+                sep = ",\n" + inner
+        write("\n" + indent + "]")
+    elif kind is dict and obj and _STR.issuperset(map(type, obj)):
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            write(sep + _encode_flat(key) + ": ")
+            _dump(value, inner, write)
+            sep = ",\n" + inner
+        write("\n" + indent + "}")
+    else:
+        # An empty dict, a dict with a non-str key or another type: json.dumps
+        # itself, whose only raw newlines are those of the indent.
+        write(json.dumps(obj, indent=2).replace("\n", "\n" + indent))
+
+
+def _write_json(obj, path) -> None:
+    """Write ``json.dumps(obj, indent=2) + "\\n"`` to ``path`` as UTF-8,
+    byte for byte, without building the whole text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _dump(obj, "", fh.write)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # Command line
 
@@ -407,7 +469,7 @@ def _cmd_table(args, measures) -> int:
     report = run(table, constraints, options)
     _summarize(report, sys.stdout)
     if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        _write_json(report, args.json)
     if args.verb == "verify":
         disagree = any(
             e.get("oracle", {}).get("checked") and not e["oracle"]["agree"]
@@ -489,7 +551,7 @@ def _cmd_generate(args) -> int:
         "csv": csv_path.name,
         "null_token": "",
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    _write_json(manifest, manifest_path)
     print(f"wrote {csv_path} and {manifest_path}")
     return 0
 

@@ -44,8 +44,9 @@ from .table import (
 
 class KeyAnalysis:
     """The first key-total duplicate of ``table`` on ``key``, its
-    extension graph and that graph's maximum matching, each computed on
-    first use and kept for the life of the analysis.
+    extension graph, that graph's maximum matching and, on a holding key,
+    that matching's world, each computed on first use and kept for the
+    life of the analysis.
 
     The graph leaves out every row with more extensions than rivals (the
     other rows weakly similar to it on the key, see
@@ -73,6 +74,12 @@ class KeyAnalysis:
     @cached_property
     def matching(self) -> MatchingResult:
         return max_matching(self.graph)
+
+    @cached_property
+    def full_world(self) -> SpWorld:
+        """The world of the matching when it covers every row: the
+        witness that the check, g3 and g5 give on a holding key."""
+        return self.world(self.matching.matching)
 
     def world(self, matching: dict, rows=None) -> SpWorld:
         """The world in which each of ``rows`` (all by default) takes its
@@ -108,7 +115,7 @@ def check_spkey(table: IncompleteTable, key: AttributeSet,
         return ConstraintVerdict(False, None, (a.duplicate,))
     result = a.matching
     if result.size == n:
-        return ConstraintVerdict(True, a.world(result.matching))
+        return ConstraintVerdict(True, a.full_world)
     unmatched = min(i for i in range(n) if i not in result.matching)
     return ConstraintVerdict(False, None, (unmatched,))
 
@@ -143,6 +150,8 @@ def g3_spkey(table: IncompleteTable, key: AttributeSet,
     if n == 0:
         raise ValueError("g3 is undefined for an empty table")
     result = a.matching
+    if result.size == n:
+        return MeasureResult("g3", 0, n, removed_rows=(), witness=a.full_world)
     matching = _prefer_nontotal_unmatched(table, key, dict(result.matching))
     removed = tuple(sorted(i for i in range(n) if i not in matching))
     kept = [i for i in range(n) if i in matching]
@@ -223,7 +232,7 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet,
         raise ValueError("g5 is undefined for an empty table")
     result = a.matching
     if result.size == n:
-        return MeasureResult("g5", 0, n, added_rows=(), witness=a.world(result.matching))
+        return MeasureResult("g5", 0, n, added_rows=(), witness=a.full_world)
     bound = n - result.size
     tokens = fresh_values(table, bound)
     added = [(tokens[j],) * table.arity for j in range(bound)]

@@ -196,13 +196,19 @@ def complete_world(table: IncompleteTable, positions: Sequence[int] = (),
 
     Row ``i`` takes ``values(i)`` on ``positions`` (a None value leaves
     the cell as it is), and every NULL left over takes its column's
-    smallest active-domain value.
+    smallest active-domain value. A row without NULLs is kept as it is,
+    and ``values`` is not called for it: a strongly possible world keeps
+    every non-NULL cell, so its values could only restate them.
     """
     fill = tuple(d.sorted_values[0] for d in table.active_domains())
     picked = range(table.row_count) if rows is None else rows
     completed = []
     for i in picked:
-        cells = list(table.rows[i])
+        row = table.rows[i]
+        if None not in row:
+            completed.append(row)
+            continue
+        cells = list(row)
         if values is not None:
             for a, v in zip(positions, values(i)):
                 if v is not None:

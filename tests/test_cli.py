@@ -4,9 +4,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spcheck.cli import (
     RunOptions,
+    _write_json,
     load_csv,
     main,
     parse_constraint,
@@ -300,7 +303,9 @@ def test_cli_generate_roundtrip(tmp_path):
     code = main(["generate", "thm1", "--p", "1", "--q", "4",
                  "--out", str(tmp_path), "--prefix", "inst"])
     assert code == 0
-    manifest = json.loads((tmp_path / "inst.manifest.json").read_text())
+    text = (tmp_path / "inst.manifest.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    manifest = json.loads(text)
     assert manifest["expected"]["difference"] == "1/4"
     t = load_csv(tmp_path / "inst.csv", null_token=manifest["null_token"])
     constraint = parse_constraint(manifest["constraint"], t.schema)
@@ -340,3 +345,47 @@ def test_run_teaching_table_fd(tmp_path):
     entry = report["constraints"][0]
     assert entry["measures"]["g3"]["fraction"] == "3/6"
     assert entry["measures"]["g5"]["fraction"] == "1/6"
+
+
+# Strings that could be mistaken for the writer's "\x01" separators, or
+# that JSON escapes.
+_TRICKY = st.lists(st.sampled_from(["\x01", "]\x01[", ",", '"', "\\", "\n", "]", "[",
+                                    "é", "東京", "\U0001d11e", "a", " "]), max_size=4).map("".join)
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TRICKY, st.text(max_size=5))
+_ROWS = st.lists(st.lists(_SCALAR, max_size=4), max_size=4)
+_REPORTISH = st.recursive(
+    st.one_of(_SCALAR, _ROWS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_TRICKY, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_REPORTISH)
+def test_write_json_matches_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    _write_json(obj, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
+
+
+def test_write_json_falls_back_for_non_str_keys(tmp_path):
+    obj = {"a": {1: [[1, 2]], 2.5: {}, None: [], True: "x"}, "b": [(1, 2), {}]}
+    path = tmp_path / "r.json"
+    _write_json(obj, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
+
+
+def test_cli_json_report_is_indented_ascii_json(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('name,city,note\n"M\u00fcller, J\u00f6rg",Z\u00fcrich,\n'
+                    '\u03a9mega,"Paris, FR",\n,\u6771\u4eac,\n', encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = main(["measure", "--table", str(path), "--constraint", "spkey(name,city,note)",
+                 "--measures", "g3,g5", "--json", str(out)])
+    assert code == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.isascii()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    entry = json.loads(text)["constraints"][0]
+    assert entry["witness_world"][0] == ["M\u00fcller, J\u00f6rg", "Z\u00fcrich", "ssymb"]
+    assert entry["measures"]["g3"]["witness_world"] == entry["witness_world"]

@@ -213,6 +213,19 @@ def test_analysis_refuses_another_table(table4, cars_table):
         g3_spkey(table4, frozenset({0}), analysis=analysis)
 
 
+def test_holding_key_builds_one_world():
+    t = table(["A", "B"], [("1", None), (None, "2"), ("3", "3"), (None, None)])
+    analysis = KeyAnalysis(t, BOTH)
+    check = check_spkey(t, BOTH, analysis=analysis)
+    g3 = g3_spkey(t, BOTH, analysis=analysis)
+    g5 = g5_spkey(t, BOTH, analysis=analysis)
+    assert check.holds and g3.numerator == 0 and g5.numerator == 0
+    assert g5.witness is check.witness
+    assert g3.witness == check.witness
+    assert check.witness.rows[2] is t.rows[2]  # a NULL-free row is kept as it is
+    assert holds_key(check.witness.rows, BOTH)
+
+
 def test_one_graph_build_per_key(monkeypatch, table4, cars_table):
     builds = []
     real = spkey.build_extension_graph
