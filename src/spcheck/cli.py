@@ -165,16 +165,16 @@ class RunOptions:
 
 class _Engines(NamedTuple):
     """A constraint kind's check and its measures by name, each called as
-    ``f(table, constraint, budget, shared)``. ``shared`` is what
-    ``analyse(table, constraint)`` made for the constraint entry (None
-    for a kind without ``analyse``): work that the check and every
-    measure of the entry reuse, dropped with the entry. ``measures`` is
-    None for a kind evaluated on the incomplete table itself: it has no
+    ``f(table, constraint, budget, done)``. ``done`` holds what the
+    constraint entry has computed so far, dropped with the entry: the
+    check's verdict under "check", each measure's result under its name
+    and, for a key, the ``KeyAnalysis`` under "analysis". An engine
+    starts from that work instead of repeating it. ``measures`` is None
+    for a kind evaluated on the incomplete table itself: it has no
     measures and no worlds for the oracle to enumerate."""
 
     check: Callable
     measures: dict | None
-    analyse: Callable | None = None
 
 
 def _check_spcj(table: IncompleteTable, c: SpCj, budget: int, _):
@@ -183,40 +183,41 @@ def _check_spcj(table: IncompleteTable, c: SpCj, budget: int, _):
     return check_spcj_general(table, c.lhs, c.rhs, budget)
 
 
-def _g4_spkey(table: IncompleteTable, c: SpKey, budget: int, analysis) -> MeasureResult:
+def _g4_spkey(table: IncompleteTable, c: SpKey, budget: int, done: dict) -> MeasureResult:
     # Materialization is memory-bound, so the cap follows the budget only
     # up to a fixed ceiling per tuple, and the edges count against it.
     return g4_spkey(table, c.key, cap=max(table.row_count + 1, min(budget, 1_000_000)),
-                    budget=budget, analysis=analysis)
+                    budget=budget, analysis=done["analysis"])
 
 
 # The entries look the engine functions up when they are called, so a
 # wrapper set on an engine module's attribute after import sees the call.
 ENGINES = {
-    SpKey: _Engines(lambda t, c, b, a: check_spkey(t, c.key, analysis=a), {
-        "g3": lambda t, c, b, a: g3_spkey(t, c.key, analysis=a),
+    SpKey: _Engines(lambda t, c, b, d: check_spkey(
+        t, c.key, analysis=d.setdefault("analysis", KeyAnalysis(t, c.key))), {
+        "g3": lambda t, c, b, d: g3_spkey(t, c.key, analysis=d["analysis"]),
         "g4": _g4_spkey,
-        "g5": lambda t, c, b, a: g5_spkey(t, c.key, analysis=a),
-    }, lambda t, c: KeyAnalysis(t, c.key)),
+        "g5": lambda t, c, b, d: g5_spkey(t, c.key, analysis=d["analysis"]),
+    }),
     SpFd: _Engines(lambda t, c, b, _: check_spfd(t, c.lhs, c.rhs, b), {
-        "g3": lambda t, c, b, _: g3_spfd(t, c.lhs, c.rhs, b),
-        "g5": lambda t, c, b, _: g5_spfd(t, c.lhs, c.rhs, b),
+        "g3": lambda t, c, b, d: g3_spfd(t, c.lhs, c.rhs, b, verdict=d["check"]),
+        "g5": lambda t, c, b, d: g5_spfd(t, c.lhs, c.rhs, b, verdict=d["check"], g3=d.get("g3")),
     }),
     SpMvd: _Engines(lambda t, c, b, _: check_spmvd(t, c.lhs, c.rhs, b), {
-        "g3": lambda t, c, b, _: g3_spmvd(t, c.lhs, c.rhs, b),
-        "g5": lambda t, c, b, _: g5_spmvd(t, c.lhs, c.rhs, b),
+        "g3": lambda t, c, b, d: g3_spmvd(t, c.lhs, c.rhs, b, verdict=d["check"]),
+        "g5": lambda t, c, b, d: g5_spmvd(t, c.lhs, c.rhs, b, verdict=d["check"]),
     }),
     SpCj: _Engines(_check_spcj, {
-        "g3": lambda t, c, b, _: g3_spcj(t, c.lhs, c.rhs, b),
-        "g5": lambda t, c, b, _: g5_spcj(t, c.lhs, c.rhs, b),
+        "g3": lambda t, c, b, d: g3_spcj(t, c.lhs, c.rhs, b, verdict=d["check"]),
+        "g5": lambda t, c, b, d: g5_spcj(t, c.lhs, c.rhs, b, verdict=d["check"]),
     }),
     Nmvd: _Engines(lambda t, c, b, _: ConstraintVerdict(check_nmvd(t, c.lhs, c.rhs)), None),
 }
 
-# The oracle's counterpart of each engine measure it recomputes.
+# The oracle's counterpart of each engine measure, given its results so far.
 ORACLE_MEASURES = {
-    "g3": lambda t, c, b: oracle_g3(t, c, b),
-    "g5": lambda t, c, b: oracle_g5(t, c, b),
+    "g3": lambda t, c, b, found: oracle_g3(t, c, b),
+    "g5": lambda t, c, b, found: oracle_g5(t, c, b, g3=found.get("g3")),
 }
 
 
@@ -257,21 +258,22 @@ def _oracle_fits(table: IncompleteTable) -> bool:
     )
 
 
-def _oracle_block(table, c, verdict, measured, options: RunOptions) -> dict:
+def _oracle_block(table, c, done: dict, options: RunOptions) -> dict:
     if _engines(c).measures is None or not _oracle_fits(table):
         return {"checked": False}
     block = {"checked": True}
     agree = True
     skipped = []
+    found: dict = {}
     oracle_verdict = oracle_check(table, c, options.budget)
     block["holds"] = oracle_verdict.holds
-    agree &= oracle_verdict.holds == verdict.holds
-    for name, engine_result in measured.items():
+    agree &= oracle_verdict.holds == done["check"].holds
+    for name, engine_result in done.items():
         oracle_fn = ORACLE_MEASURES.get(name)
         if oracle_fn is None:
             continue
         try:
-            oracle_result = oracle_fn(table, c, options.budget)
+            oracle_result = found[name] = oracle_fn(table, c, options.budget, found)
             oracle_value = oracle_result.numerator
         except BudgetExceededError:
             skipped.append(name)
@@ -309,13 +311,10 @@ def run(table: IncompleteTable, constraints, options: RunOptions = RunOptions())
         spec = c.describe(table.schema)
         entry = {"spec": spec, "kind": type(c).__name__.lower()}
         started = time.perf_counter()
-        measured: dict = {}
-        shared = None  # the previous entry's analysis is dropped before this one builds
+        done: dict = {}  # the previous entry's work is dropped before this one starts
         try:
             engines = _engines(c)
-            if engines.analyse is not None:
-                shared = engines.analyse(table, c)
-            verdict = engines.check(table, c, options.budget, shared)
+            verdict = done["check"] = engines.check(table, c, options.budget, done)
             entry["holds"] = verdict.holds
             any_violated |= not verdict.holds
             if verdict.witness is not None:
@@ -330,14 +329,13 @@ def run(table: IncompleteTable, constraints, options: RunOptions = RunOptions())
                         raise SpcheckError(f"measure {name} is not defined for "
                                            f"{entry['kind']} constraints")
                     try:
-                        result = measure(table, c, options.budget, shared)
-                        measured[name] = result
+                        result = done[name] = measure(table, c, options.budget, done)
                         entry["measures"][name] = _measure_json(result)
                     except PreconditionError as err:
-                        measured[name] = None
+                        done[name] = None
                         entry["measures"][name] = {"error": str(err)}
             if options.verify_with_oracle:
-                entry["oracle"] = _oracle_block(table, c, verdict, measured, options)
+                entry["oracle"] = _oracle_block(table, c, done, options)
             entry["error"] = None
         except BudgetExceededError as err:
             any_budget = True

@@ -321,11 +321,12 @@ def _g5_candidate_sets(table: IncompleteTable, c: Constraint, k: int) -> Iterato
         raise TypeError(f"no g5 pool for {type(c).__name__}")
 
 
-def _g5_search_bound(table: IncompleteTable, c: Constraint, budget: int) -> int | None:
+def _g5_search_bound(table: IncompleteTable, c: Constraint, budget: int,
+                     g3: MeasureResult | None) -> int | None:
     """An addition count that certainly suffices, or None when additions
     provably cannot repair the table within the primary pool."""
     if isinstance(c, (SpKey, SpFd)):
-        return oracle_g3(table, c, budget).numerator
+        return (oracle_g3(table, c, budget) if g3 is None else g3).numerator
     if isinstance(c, SpMvd):
         xp, yp = projector(c.lhs), projector(c.rhs - c.lhs)
         rp = projector(frozenset(range(table.arity)) - c.lhs - c.rhs)
@@ -387,8 +388,10 @@ def _run_cross_check(table: IncompleteTable, c: Constraint, found: int, budget: 
                 )
 
 
-def oracle_g5(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGET) -> MeasureResult:
-    """Minimum addition ratio over the primary candidate pool.
+def oracle_g5(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGET,
+              g3: MeasureResult | None = None) -> MeasureResult:
+    """Minimum addition ratio over the primary candidate pool; ``g3``,
+    ``oracle_g3``'s result, spares the key and FD bound a second search.
 
     When the instance is small enough, the result is re-verified against
     the exhaustive pool; any cheaper repair found there raises
@@ -397,7 +400,7 @@ def oracle_g5(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGE
     n = table.row_count
     if n == 0:
         raise ValueError("g5 is undefined for an empty table")
-    bound = _g5_search_bound(table, c, budget)
+    bound = _g5_search_bound(table, c, budget, g3)
     result = None
     if bound is not None:
         for k in range(bound + 1):

@@ -138,13 +138,12 @@ def backtrack(order: list, options: dict, same_as_prev: list, budget: Budget,
 
 def smallest_removal(table: IncompleteTable, floor: int, run: Callable,
                      check: Callable[[IncompleteTable], ConstraintVerdict],
-                     whole: Callable[[], ConstraintVerdict] | None = None) -> MeasureResult:
+                     verdict: ConstraintVerdict) -> MeasureResult:
     """g3 as the fewest removed rows, by iterative deepening on their count.
 
-    Level 0 is ``whole()``, by default ``check`` on the whole table,
-    skipped when ``floor``, a lower bound on the rows any valid removal
-    set holds, is above 0.
-    Level m is ``run(m, leaf)``: the caller's assign-or-remove search with
+    Level 0 is ``verdict``, the check on the whole table. Level m, from
+    ``floor`` (a lower bound on the rows any valid removal set holds) or
+    1, is ``run(m, leaf)``: the caller's assign-or-remove search with
     at most m removals, which returns None when no path passes both its
     own tests and ``leaf(removed)``. That search is a relaxation (its
     rows draw from the whole table's active domains, which removal may
@@ -154,15 +153,13 @@ def smallest_removal(table: IncompleteTable, floor: int, run: Callable,
     n = table.row_count
     if n == 0:
         raise ValueError("g3 is undefined for an empty table")
-    if floor == 0:
-        verdict = check(table) if whole is None else whole()
-        if verdict.holds:
-            return MeasureResult("g3", 0, n, removed_rows=(), witness=verdict.witness)
+    if verdict.holds:
+        return MeasureResult("g3", 0, n, removed_rows=(), witness=verdict.witness)
     found = []
 
     def leaf(removed: list) -> bool:
         if not removed:
-            return False  # level 0 or the floor refuted the whole table
+            return False  # the whole table's verdict refuted it
         verdict = check(table.with_rows_removed(removed))
         if verdict.holds:
             found.append((tuple(sorted(removed)), verdict.witness))
@@ -179,16 +176,21 @@ def smallest_removal(table: IncompleteTable, floor: int, run: Callable,
 
 def smallest_addition(table: IncompleteTable, bound: int,
                       candidates: Callable[[int], Iterable[Sequence[Row]]],
-                      check: Callable[[IncompleteTable], ConstraintVerdict]) -> MeasureResult:
+                      check: Callable[[IncompleteTable], ConstraintVerdict],
+                      verdict: ConstraintVerdict) -> MeasureResult:
     """g5 as the fewest added rows that make ``check`` hold.
 
-    For k = 0, 1, ..., ``bound`` it tries each addition set of k rows
-    that ``candidates(k)`` yields, in turn; the first that passes is the
-    measure, and its witness world marks the added rows' origin None.
-    When no set up to ``bound`` passes, the measure is undefined.
+    k = 0 is ``verdict``, the table's own check. For k = 1, ..., ``bound``
+    it tries each addition set of k rows that ``candidates(k)`` yields, in
+    turn; the first that passes is the measure, and its witness world
+    marks the added rows' origin None. With none up to ``bound``, undefined.
     """
     n = table.row_count
-    for k in range(bound + 1):
+    if n == 0:
+        raise ValueError("g5 is undefined for an empty table")
+    if verdict.holds:
+        return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
+    for k in range(1, bound + 1):
         for added in candidates(k):
             verdict = check(table.with_rows_added(added))
             if verdict.holds:

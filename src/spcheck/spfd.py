@@ -136,30 +136,23 @@ class _FdSearch:
             for p in touched:
                 state[1][p] = None
 
-    def verdict(self, budget: Budget) -> ConstraintVerdict:
-        """The check on the whole table: each row takes its class value
-        on the left side and the class's fixed cells on the right; all
-        members agree with those."""
-        assignment = self.run(budget)
-        if assignment is None:
-            return ConstraintVerdict(False)
-        return ConstraintVerdict(True, complete_world(
-            self.table, self.x_cols + self.y_cols,
-            lambda i: assignment[i] + tuple(self.classes[assignment[i]][1])))
-
 
 def check_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
                budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Holds iff some strongly possible world satisfies the functional
-    dependency; exact backtracking, complete within the budget."""
+    dependency; exact backtracking, complete within the budget. Each row
+    of the witness takes its class's value and fixed right-side cells."""
     x, y = normalize_fd(lhs, rhs)
     if not y or table.row_count == 0:
         # Reflexive dependency: any world works, e.g. the smallest one.
         return ConstraintVerdict(True, complete_world(table))
     search = _FdSearch(table, x, y)
-    if search.removal_floor() > 0:
+    assignment = None if search.removal_floor() > 0 else search.run(Budget.of(budget))
+    if assignment is None:
         return ConstraintVerdict(False)
-    return search.verdict(Budget.of(budget))
+    return ConstraintVerdict(True, complete_world(
+        table, search.x_cols + search.y_cols,
+        lambda i: assignment[i] + tuple(search.classes[assignment[i]][1])))
 
 
 def total_part_satisfies_fd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> bool:
@@ -177,51 +170,51 @@ def total_part_satisfies_fd(table: IncompleteTable, lhs: AttributeSet, rhs: Attr
 
 
 def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-            budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
+            budget: int | Budget = DEFAULT_BUDGET,
+            verdict: ConstraintVerdict | None = None) -> MeasureResult:
     """Minimum removal ratio by ``smallest_removal``'s deepening on the
     removal count.
 
     Unlike keys, minimum removal sets may contain left-side-total rows,
-    so every row is in scope. Deepening starts at the conflict-clique
-    floor of ``_FdSearch.removal_floor``. Level 0 runs the check's
-    search on the whole table; each further level runs the same search,
-    whose classes draw on the whole table's active domains, with a
-    removal branch at every row.
+    so every row is in scope. Level 0 is ``verdict``, the check on the
+    whole table (run here when not given). Deepening starts at the
+    conflict-clique floor of ``_FdSearch.removal_floor``; each level runs
+    the check's search, whose classes draw on the whole table's active
+    domains, with a removal branch at every row.
     """
     budget = Budget.of(budget)
     x, y = normalize_fd(lhs, rhs)
+    verdict = check_spfd(table, x, y, budget) if verdict is None else verdict
     search = _FdSearch(table, x, y)
     return smallest_removal(table, search.removal_floor(),
                             lambda m, leaf: search.run(budget, m, leaf),
-                            lambda sub: check_spfd(sub, x, y, budget),
-                            (lambda: search.verdict(budget)) if y else None)
+                            lambda sub: check_spfd(sub, x, y, budget), verdict)
 
 
 def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-            budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
+            budget: int | Budget = DEFAULT_BUDGET, verdict: ConstraintVerdict | None = None,
+            g3: MeasureResult | None = None) -> MeasureResult:
     """Minimum number of added rows carrying a fresh left-side value.
 
     Each added row holds one globally new token on the (normalized) left
     side and NULL elsewhere: the fresh value gives crowded rows a class
     to escape to, and the free cells let the added row blend into any
-    class it lands in. The search range comes from the removal witness:
-    one row per removed non-total tuple plus one per distinct left-side
-    value among removed total tuples.
+    class it lands in. ``verdict``, the check on the table, answers
+    k = 0. The search range comes from ``g3``'s removal witness: one row
+    per removed non-total tuple plus one per distinct left-side value
+    among removed total tuples. Either is computed when not given.
     """
     if not total_part_satisfies_fd(table, lhs, rhs):
         raise PreconditionError(
             "the left-side-total part violates the dependency; additions cannot repair it"
         )
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g5 is undefined for an empty table")
+    if table.row_count == 0:
+        raise ValueError("g5 is undefined for an empty table")  # before g3's error
     budget = Budget.of(budget)
     x, y = normalize_fd(lhs, rhs)
-    if not y:
-        return MeasureResult("g5", 0, n, added_rows=(),
-                             witness=check_spfd(table, lhs, rhs, budget).witness)
-    g3res = g3_spfd(table, lhs, rhs, budget)
-    removed_rows = [table.rows[i] for i in g3res.removed_rows]
+    verdict = check_spfd(table, x, y, budget) if verdict is None else verdict
+    g3 = g3_spfd(table, x, y, budget, verdict) if g3 is None else g3
+    removed_rows = [table.rows[i] for i in g3.removed_rows]
     nontotal = sum(1 for r in removed_rows if not is_total(r, x))
     total_classes = {projection(r, x) for r in removed_rows if is_total(r, x)}
     bound = nontotal + len(total_classes)
@@ -230,5 +223,5 @@ def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
         table, bound,
         lambda k: [[tuple(tokens[j] if a in x else None for a in range(table.arity))
                     for j in range(k)]],
-        lambda extended: check_spfd(extended, x, y, budget),
+        lambda extended: check_spfd(extended, x, y, budget), verdict,
     )

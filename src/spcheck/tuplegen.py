@@ -11,7 +11,7 @@ spMVD search over left-side completions counts the rows NULL on every
 column in the same way: each class takes the fewest of them with which
 it crosses, so the all-NULL rows that g5 adds do not multiply the
 search. Both g3 measures deepen over the removal count on these same
-searches, as spFD's does.
+searches, as spFD's does; every g3 and g5 starts from the check's verdict.
 
 Unlike the classical complete-table case, a satisfied dependency here
 does NOT license a lossless decomposition of the incomplete table into
@@ -372,23 +372,27 @@ def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVer
 
 
 def g3_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-             budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
+             budget: int | Budget = DEFAULT_BUDGET,
+             verdict: ConstraintVerdict | None = None) -> MeasureResult:
     """Minimum removal ratio by ``smallest_removal``'s deepening: each
     level removes rows in the check's search over left-side completions."""
     budget = Budget.of(budget)
+    verdict = check_spmvd(table, lhs, rhs, budget) if verdict is None else verdict
     run = _mvd_search(table, lhs, rhs)[0]
     return smallest_removal(table, 0, lambda m, leaf: run(budget, m, leaf),
-                            lambda sub: check_spmvd(sub, lhs, rhs, budget))
+                            lambda sub: check_spmvd(sub, lhs, rhs, budget), verdict)
 
 
 def g3_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-            budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
+            budget: int | Budget = DEFAULT_BUDGET,
+            verdict: ConstraintVerdict | None = None) -> MeasureResult:
     """Minimum removal ratio by ``smallest_removal``'s deepening: each
     level removes rows, free rows never, in the check's cross search."""
     budget = Budget.of(budget)
+    verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict
     search = _CrossSearch(table, range(table.row_count), lhs, rhs)
     return smallest_removal(table, 0, lambda m, leaf: search.run(budget, m, leaf),
-                            lambda sub: check_spcj_general(sub, lhs, rhs, budget))
+                            lambda sub: check_spcj_general(sub, lhs, rhs, budget), verdict)
 
 
 def _mvd_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> int:
@@ -412,13 +416,12 @@ def _mvd_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet)
 
 
 def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-             budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
+             budget: int | Budget = DEFAULT_BUDGET,
+             verdict: ConstraintVerdict | None = None) -> MeasureResult:
     """Minimum additions over mixtures of all-NULL rows (combination
     fillers) and fresh-left-side rows (class escapes)."""
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g5 is undefined for an empty table")
     budget = Budget.of(budget)
+    verdict = check_spmvd(table, lhs, rhs, budget) if verdict is None else verdict
     bound = _mvd_fill_need(table, lhs, rhs)
     arity = table.arity
     tokens = fresh_values(table, max(bound, 1))
@@ -431,7 +434,7 @@ def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
                       for t in range(j)])
 
     return smallest_addition(table, bound, mixtures,
-                             lambda extended: check_spmvd(extended, lhs, rhs, budget))
+                             lambda extended: check_spmvd(extended, lhs, rhs, budget), verdict)
 
 
 def _cj_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> int | None:
@@ -448,13 +451,11 @@ def _cj_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) 
 
 
 def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-            budget: int | Budget = DEFAULT_BUDGET) -> MeasureResult:
+            budget: int | Budget = DEFAULT_BUDGET,
+            verdict: ConstraintVerdict | None = None) -> MeasureResult:
     """Minimum number of all-NULL rows making the cross join hold; may
     exceed 1. Fresh values never help here: they strictly enlarge the
     required combination set."""
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g5 is undefined for an empty table")
     budget = Budget.of(budget)
     bound = _cj_fill_need(table, lhs, rhs)
     if bound is None:
@@ -468,8 +469,9 @@ def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
                 "cross-join addition bound is too large to search exhaustively",
                 spent=budget.spent, budget=budget.limit,
             )
+    verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict
     return smallest_addition(
         table, bound,
         lambda k: [[(None,) * table.arity] * k],
-        lambda extended: check_spcj_general(extended, lhs, rhs, budget),
+        lambda extended: check_spcj_general(extended, lhs, rhs, budget), verdict,
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spcheck import cli, oracle, spfd, tuplegen
 from spcheck.cli import (
     RunOptions,
     _write_json,
@@ -389,3 +390,48 @@ def test_cli_json_report_is_indented_ascii_json(tmp_path):
     entry = json.loads(text)["constraints"][0]
     assert entry["witness_world"][0] == ["M\u00fcller, J\u00f6rg", "Z\u00fcrich", "ssymb"]
     assert entry["measures"]["g3"]["witness_world"] == entry["witness_world"]
+
+
+def _counting(calls, monkeypatch, module, name):
+    """Record ``(name, table)`` for each call of ``module.name``, under
+    that name in the module and in the CLI."""
+    real = getattr(module, name)
+
+    def wrapper(table, *args, **kwargs):
+        calls.append((name, table))
+        return real(table, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(cli, name, wrapper)
+
+
+@pytest.mark.parametrize("attrs, rows, spec, g3, g5", [
+    (["X", "Y"], [("1", "a"), (None, "b"), (None, "c")], "spfd(X -> Y)", "2/3", "2/3"),
+    (["A", "B", "C"], [("1", "1", "1"), ("1", "2", "2")], "spmvd(A ->> B)", "1/2", "2/2"),
+    (["A", "B", "C"], [("1", "1", "1"), ("2", "2", "2")], "spcj(A,B x C)", "1/2", "2/2"),
+])
+def test_an_entry_checks_its_table_once(monkeypatch, attrs, rows, spec, g3, g5):
+    # The entry's verdict is g3's level 0 and g5's k = 0, and an fd's g5
+    # takes its bound from the entry's g3 instead of running g3 again.
+    calls = []
+    for module, name in [(spfd, "check_spfd"), (spfd, "g3_spfd"),
+                         (tuplegen, "check_spmvd"), (tuplegen, "check_spcj_general")]:
+        _counting(calls, monkeypatch, module, name)
+    t = IncompleteTable.build(attrs, rows)
+    report = run(t, [parse_constraint(spec, t.schema)], RunOptions(measures=("g3", "g5")))
+    measures = report["constraints"][0]["measures"]
+    assert (measures["g3"]["fraction"], measures["g5"]["fraction"]) == (g3, g5)
+    whole = [s for name, s in calls if name.startswith("check") and s.rows == t.rows]
+    assert len(whole) == 1 and whole[0] is t
+    g3_calls = [s for name, s in calls if name == "g3_spfd"]
+    assert len(g3_calls) == spec.startswith("spfd") and all(s is t for s in g3_calls)
+
+
+def test_verify_bounds_the_oracle_g5_by_its_g3(monkeypatch):
+    calls = []
+    _counting(calls, monkeypatch, oracle, "oracle_g3")
+    t = IncompleteTable.build(["X", "Y"], [("1", "a"), (None, "b"), (None, "c")])
+    constraints = [parse_constraint(s, t.schema) for s in ("spkey(X,Y)", "spfd(X -> Y)")]
+    report = run(t, constraints, RunOptions(measures=("g3", "g5"), verify_with_oracle=True))
+    assert all(e["oracle"]["agree"] for e in report["constraints"])
+    assert [s is t for _, s in calls] == [True, True]  # one per entry

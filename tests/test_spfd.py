@@ -95,6 +95,22 @@ def test_g5_single_column_left_side():
     assert added[1] is None
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="g5 searches up to the additions g3's removal witness implies, here 1; "
+    "the left-side column is all NULL, so one fresh row replaces its reserved "
+    "symbol and the two conflicting rows still share a class, while two fresh "
+    "rows give each its own: g5 is 2/3, reported undefined (the oracle, bounded "
+    "the same way, agrees)",
+)
+def test_g5_beyond_the_g3_bound_on_an_all_null_left_side():
+    t = table(["A0", "A1", "A2"], [(None, None, "2"), (None, None, None), (None, None, "1")])
+    x, y = frozenset({0}), frozenset({1, 2})
+    assert g3_spfd(t, x, y).fraction_str == "1/3"
+    assert check_spfd(t.with_rows_added([("z1", None, None), ("z2", None, None)]), x, y).holds
+    assert g5_spfd(t, x, y).numerator == 2
+
+
 def test_teaching_table(teaching_table):
     assert g3_spfd(teaching_table, X, Y).fraction_str == "3/6"
     assert g5_spfd(teaching_table, X, Y).fraction_str == "1/6"

@@ -271,7 +271,7 @@ def _cold_g5(t, key):
     bound = g3_spkey(t, key).numerator
     tokens = fresh_values(t, bound)
     return smallest_addition(t, bound, lambda k: [[(tokens[j],) * t.arity for j in range(k)]],
-                             lambda extended: check_spkey(extended, key))
+                             lambda extended: check_spkey(extended, key), check_spkey(t, key))
 
 
 def _assert_warm_equals_cold(t, key):
