@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .table import AttributeSet, Row, Schema, SpWorld
+from .errors import PreconditionError
+from .table import AttributeSet, IncompleteTable, Row, Schema, SpWorld
 
 
 @dataclass(frozen=True)
@@ -110,3 +111,11 @@ class MeasureResult:
         if self.numerator is None:
             return "undefined"
         return f"{self.numerator}/{self.denominator}"
+
+
+def measure_denominator(table: IncompleteTable, kind: str) -> int:
+    """``table``'s row count, the denominator of every measure of it. A
+    measure of an empty table is undefined: a precondition fails."""
+    if not table.row_count:
+        raise PreconditionError(f"{kind} is undefined for an empty table")
+    return table.row_count

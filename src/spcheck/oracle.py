@@ -27,6 +27,7 @@ from .constraints import (
     SpFd,
     SpKey,
     SpMvd,
+    measure_denominator,
 )
 from .errors import DEFAULT_BUDGET, BudgetExceededError, OracleGapError
 from .table import IncompleteTable, Row, SpWorld, fresh_values, iter_extensions, projector
@@ -252,9 +253,7 @@ def oracle_check(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BU
 def oracle_g3(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGET) -> MeasureResult:
     """Minimum removal ratio, found by subset enumeration ordered by size;
     ties broken by the lexicographically smallest row-index set."""
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g3 is undefined for an empty table")
+    n = measure_denominator(table, "g3")
     for m in range(n + 1):
         for subset in combinations(range(n), m):
             sub = table.with_rows_removed(subset)
@@ -292,9 +291,9 @@ def _g5_candidate_sets(table: IncompleteTable, c: Constraint, k: int) -> Iterato
     """Candidate addition sets of size ``k`` for the primary pool.
 
     Keys take one globally fresh value replicated across the whole row.
-    FDs take a fresh value on the (normalized) left side and NULL
-    elsewhere: the fresh value opens an escape class, the free cells let
-    the row blend into whatever class it lands in. MVDs mix all-NULL rows
+    FDs take a fresh value on the left side and NULL elsewhere: the
+    fresh value opens an escape class, the free cells let the row blend
+    into whatever class it lands in. MVDs mix all-NULL rows
     with fresh-on-X rows; cross joins take all-NULL rows only, since a
     fresh value strictly enlarges the required pair set.
     """
@@ -306,9 +305,8 @@ def _g5_candidate_sets(table: IncompleteTable, c: Constraint, k: int) -> Iterato
         tokens = fresh_values(table, k)
         yield tuple(_fresh_row(arity, range(arity), t) for t in tokens)
     elif isinstance(c, SpFd):
-        lhs = c.lhs - c.rhs
         tokens = fresh_values(table, k)
-        yield tuple(_fresh_row(arity, lhs, t) for t in tokens)
+        yield tuple(_fresh_row(arity, c.lhs, t) for t in tokens)
     elif isinstance(c, SpMvd):
         tokens = fresh_values(table, k)
         for j in range(k + 1):
@@ -397,9 +395,7 @@ def oracle_g5(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGE
     the exhaustive pool; any cheaper repair found there raises
     :class:`OracleGapError` instead of being silently absorbed.
     """
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g5 is undefined for an empty table")
+    n = measure_denominator(table, "g5")
     bound = _g5_search_bound(table, c, budget, g3)
     result = None
     if bound is not None:

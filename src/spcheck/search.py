@@ -1,6 +1,6 @@
 """Budgeted backtracking shared by the spFD, spMVD and spCJ engines, the
-removal deepening behind their g3, and the addition search behind every
-g5.
+removal deepening behind their g3, and the addition search behind the
+spFD and spMVD g5.
 
 Every engine assigns each row one completion of some columns and keeps
 its own state for the rows assigned so far. The kernel here walks the
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .constraints import ConstraintVerdict, MeasureResult
+from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from .errors import BudgetExceededError
 from .table import IncompleteTable, Row, SpWorld, iter_extensions, row_key
 
@@ -150,9 +150,7 @@ def smallest_removal(table: IncompleteTable, floor: int, run: Callable,
     shrink), so ``leaf`` re-checks each removal set on the real sub-table,
     and the first re-check that holds supplies the witness.
     """
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g3 is undefined for an empty table")
+    n = measure_denominator(table, "g3")
     if verdict.holds:
         return MeasureResult("g3", 0, n, removed_rows=(), witness=verdict.witness)
     found = []
@@ -185,9 +183,7 @@ def smallest_addition(table: IncompleteTable, bound: int,
     turn; the first that passes is the measure, and its witness world
     marks the added rows' origin None. With none up to ``bound``, undefined.
     """
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g5 is undefined for an empty table")
+    n = measure_denominator(table, "g5")
     if verdict.holds:
         return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
     for k in range(1, bound + 1):

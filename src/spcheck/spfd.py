@@ -10,7 +10,7 @@ value). The search is exact within a node budget.
 
 from __future__ import annotations
 
-from .constraints import ConstraintVerdict, MeasureResult
+from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from .errors import DEFAULT_BUDGET, PreconditionError
 from .search import Budget, backtrack, row_order, smallest_addition, smallest_removal
 from .table import (
@@ -25,8 +25,9 @@ from .table import (
 
 
 def normalize_fd(lhs: AttributeSet, rhs: AttributeSet) -> tuple[AttributeSet, AttributeSet]:
-    """Disjointify: X -> Y holds iff X\\Y -> Y\\X holds."""
-    return lhs - rhs, rhs - lhs
+    """Disjointify: X -> Y holds iff X -> Y\\X holds. The left side
+    stays whole: rows that agree on X\\Y only need not agree on Y\\X."""
+    return lhs, rhs - lhs
 
 
 def _merge(fixed: list, row: Row, y_cols: tuple[int, ...]) -> list | None:
@@ -196,8 +197,8 @@ def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
             g3: MeasureResult | None = None) -> MeasureResult:
     """Minimum number of added rows carrying a fresh left-side value.
 
-    Each added row holds one globally new token on the (normalized) left
-    side and NULL elsewhere: the fresh value gives crowded rows a class
+    Each added row holds one globally new token on the left side and
+    NULL elsewhere: the fresh value gives crowded rows a class
     to escape to, and the free cells let the added row blend into any
     class it lands in. ``verdict``, the check on the table, answers
     k = 0. The search range comes from ``g3``'s removal witness: one row
@@ -208,8 +209,7 @@ def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
         raise PreconditionError(
             "the left-side-total part violates the dependency; additions cannot repair it"
         )
-    if table.row_count == 0:
-        raise ValueError("g5 is undefined for an empty table")  # before g3's error
+    measure_denominator(table, "g5")  # before g3's precondition
     budget = Budget.of(budget)
     x, y = normalize_fd(lhs, rhs)
     verdict = check_spfd(table, x, y, budget) if verdict is None else verdict

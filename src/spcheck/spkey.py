@@ -13,7 +13,7 @@ from itertools import product
 from math import prod
 from typing import Iterator
 
-from .constraints import ConstraintVerdict, MeasureResult
+from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from .errors import BudgetExceededError, PreconditionError, UnmaterializedGraphError
 from .matching import (
     ExtensionGraph,
@@ -146,9 +146,7 @@ def g3_spkey(table: IncompleteTable, key: AttributeSet,
              analysis: KeyAnalysis | None = None) -> MeasureResult:
     """(|T| - nu) / |T| with the unmatched rows as removal witness."""
     a = _analysis(table, key, analysis)
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g3 is undefined for an empty table")
+    n = measure_denominator(table, "g3")
     result = a.matching
     if result.size == n:
         return MeasureResult("g3", 0, n, removed_rows=(), witness=a.full_world)
@@ -170,9 +168,7 @@ def g4_spkey(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
     graph would hold more edges than that.
     """
     a = _analysis(table, key, analysis)
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g4 is undefined for an empty table")
+    n = measure_denominator(table, "g4")
     if cap is None:
         cap = n + 1
     if cap < n + 1:
@@ -227,9 +223,7 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet,
         raise PreconditionError(
             "the key-total part violates the key; additions cannot repair duplicate total rows"
         )
-    n = table.row_count
-    if n == 0:
-        raise ValueError("g5 is undefined for an empty table")
+    n = measure_denominator(table, "g5")
     result = a.matching
     if result.size == n:
         return MeasureResult("g5", 0, n, added_rows=(), witness=a.full_world)

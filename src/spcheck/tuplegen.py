@@ -22,11 +22,12 @@ table (1,1,1), (1,NULL,2).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from itertools import product
 
-from .constraints import ConstraintVerdict, MeasureResult
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
+from .errors import DEFAULT_BUDGET
 from .matching import hopcroft_karp
 from .search import Budget, backtrack, row_order, smallest_addition, smallest_removal
 from .table import (
@@ -38,11 +39,6 @@ from .table import (
     is_total,
     projection,
 )
-
-
-def _shared_positions(a_cols: tuple, b_cols: tuple) -> tuple:
-    """(index in ``a_cols``, index in ``b_cols``) of each column on both sides."""
-    return tuple((a_cols.index(c), b_cols.index(c)) for c in a_cols if c in b_cols)
 
 
 def _missing_pairs(avals, bvals, pairs, shared: tuple) -> list | None:
@@ -81,7 +77,9 @@ class _CrossSearch:
         self.cols = tuple(sorted(set(self.a_cols) | set(self.b_cols)))
         self.a_pick = tuple(self.cols.index(a) for a in self.a_cols)
         self.b_pick = tuple(self.cols.index(b) for b in self.b_cols)
-        self.shared = _shared_positions(self.a_cols, self.b_cols)
+        # (index in a_cols, index in b_cols) of each column on both sides
+        self.shared = tuple((self.a_cols.index(c), self.b_cols.index(c))
+                            for c in self.a_cols if c in self.b_cols)
         rows = table.rows
         self.free: list[int] = []
         branching = []
@@ -337,8 +335,7 @@ def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVer
     the two sorted domains; a row's edges go to the pairs it can take,
     in id order: any value where its cell is NULL, else the cell's own.
     """
-    n = table.row_count
-    if n == 0:
+    if table.row_count == 0:
         return ConstraintVerdict(True, SpWorld((), ()))
     domains = table.active_domains()
     a_values, b_values = domains[a].sorted_values, domains[b].sorted_values
@@ -437,41 +434,40 @@ def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
                              lambda extended: check_spmvd(extended, lhs, rhs, budget), verdict)
 
 
-def _cj_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> int | None:
-    """All-NULL additions that suffice for the cross join under the
-    lexicographically smallest completion; None when some required
-    combination is self-contradictory on shared columns."""
-    a_cols = tuple(sorted(lhs))
-    b_cols = tuple(sorted(rhs))
-    rows = complete_world(table).rows
-    pairs = {(tuple(r[a] for a in a_cols), tuple(r[b] for b in b_cols)) for r in rows}
-    missing = _missing_pairs({p[0] for p in pairs}, {p[1] for p in pairs}, pairs,
-                             _shared_positions(a_cols, b_cols))
-    return None if missing is None else len(missing)
-
-
 def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
             budget: int | Budget = DEFAULT_BUDGET,
             verdict: ConstraintVerdict | None = None) -> MeasureResult:
     """Minimum number of all-NULL rows making the cross join hold; may
     exceed 1. Fresh values never help here: they strictly enlarge the
-    required combination set."""
+    required combination set.
+
+    Added all-NULL rows change no active domain, so the check on the
+    table plus k of them is the check's own cross search with k spare
+    rows. One run with unlimited spare rows finds no path exactly when
+    every completion's missing combinations contradict each other on a
+    shared column: g5 is then undefined. Otherwise its spare fills bound
+    g5, and the search deepens on ``spare`` from 1.
+    """
     budget = Budget.of(budget)
-    bound = _cj_fill_need(table, lhs, rhs)
-    if bound is None:
-        domains = table.active_domains()
-        space = 1
-        for a in lhs | rhs:
-            space *= len(domains[a].sorted_values)
-        bound = space * space
-        if bound > 100_000:
-            raise BudgetExceededError(
-                "cross-join addition bound is too large to search exhaustively",
-                spent=budget.spent, budget=budget.limit,
-            )
+    n = measure_denominator(table, "g5")
     verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict
-    return smallest_addition(
-        table, bound,
-        lambda k: [[(None,) * table.arity] * k],
-        lambda extended: check_spcj_general(extended, lhs, rhs, budget), verdict,
-    )
+    if verdict.holds:
+        return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
+    # Its own search: a run that succeeds leaves the search at its path.
+    found = _CrossSearch(table, range(n), lhs, rhs).run(budget, spare=math.inf)
+    if found is None:
+        return MeasureResult("g5", None, n)
+    # The check failed, so that bound is at least 1, and the prune is
+    # sound, so the run at the bound succeeds. A path found with k spare
+    # rows and not with k - 1 fills exactly k of them.
+    search = _CrossSearch(table, range(n), lhs, rhs)
+    for k in range(1, len(found[1]) + 1):
+        found = search.run(budget, spare=k)
+        if found is not None:
+            break
+    assignment, fills = found
+    added = ((None,) * table.arity,) * k
+    assignment.update(zip(range(n, n + k), fills))
+    world = complete_world(table.with_rows_added(added), search.cols, assignment.__getitem__)
+    return MeasureResult("g5", k, n, added_rows=added,
+                         witness=SpWorld(world.rows, tuple(range(n)) + (None,) * k))

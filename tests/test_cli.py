@@ -1,13 +1,18 @@
+import contextlib
+import csv
+import io
 import json
 import random
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spcheck import cli, oracle, spfd, tuplegen
+from spcheck import cli, oracle, spfd, spkey, tuplegen
 from spcheck.cli import (
     RunOptions,
     _write_json,
@@ -18,7 +23,7 @@ from spcheck.cli import (
     write_csv,
 )
 from spcheck.constraints import Nmvd, SpCj, SpFd, SpKey, SpMvd
-from spcheck.errors import ConstraintParseError, TableLoadError
+from spcheck.errors import ConstraintParseError, PreconditionError, TableLoadError
 from spcheck.oracle import holds_cj, holds_fd, holds_key, holds_mvd
 from spcheck.table import IncompleteTable, Schema
 
@@ -435,3 +440,103 @@ def test_verify_bounds_the_oracle_g5_by_its_g3(monkeypatch):
     report = run(t, constraints, RunOptions(measures=("g3", "g5"), verify_with_oracle=True))
     assert all(e["oracle"]["agree"] for e in report["constraints"])
     assert [s is t for _, s in calls] == [True, True]  # one per entry
+
+
+def test_every_measure_of_an_empty_table_is_undefined():
+    # One definition, shared by the engines and the oracle: the measure's
+    # precondition fails, and the CLI reports it per measure.
+    t = IncompleteTable.build(["a", "b"], [])
+    a, b = frozenset({0}), frozenset({1})
+    calls = {
+        "g3": [lambda: spkey.g3_spkey(t, a), lambda: spfd.g3_spfd(t, a, b),
+               lambda: tuplegen.g3_spmvd(t, a, b), lambda: tuplegen.g3_spcj(t, a, b)],
+        "g4": [lambda: spkey.g4_spkey(t, a)],
+        "g5": [lambda: spkey.g5_spkey(t, a), lambda: spfd.g5_spfd(t, a, b),
+               lambda: tuplegen.g5_spmvd(t, a, b), lambda: tuplegen.g5_spcj(t, a, b)],
+    }
+    for c in (SpKey(a), SpFd(a, b), SpMvd(a, b), SpCj(a, b)):
+        calls["g3"].append(lambda c=c: oracle.oracle_g3(t, c))
+        calls["g5"].append(lambda c=c: oracle.oracle_g5(t, c))
+    for kind, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(PreconditionError, match=f"{kind} is undefined for an empty table"):
+                fn()
+
+
+@pytest.mark.parametrize("verb", ["measure", "verify"])
+def test_cli_measures_a_header_only_csv(tmp_path, verb):
+    path = tmp_path / "header.csv"
+    path.write_text("a,b\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = [verb, "--table", str(path), "--json", str(out)]
+    for spec in ("spkey(a)", "spfd(a -> b)", "spmvd(a ->> b)", "spcj(a x b)", "spcj(a,b x b)"):
+        argv += ["--constraint", spec]
+    assert main(argv) == 0
+    for entry in json.loads(out.read_text())["constraints"]:
+        assert entry["holds"] and entry["error"] is None
+        assert entry["measures"] == {
+            name: {"error": f"{name} is undefined for an empty table"} for name in ("g3", "g5")}
+        if verb == "verify":
+            assert entry["oracle"] == {"checked": True, "holds": True, "g3": "undefined",
+                                       "g5": "undefined", "agree": True}
+
+
+def test_verify_names_each_unchecked_constraint_and_why(tmp_path, capsys):
+    path = tmp_path / "two.csv"
+    path.write_text("a,b\n1,2\n2,1\n", encoding="utf-8")
+    assert main(["verify", "--table", str(path), "--constraint", "nmvd(a ->> b)",
+                 "--constraint", "spkey(a)"]) == 0
+    assert capsys.readouterr().err == (
+        "the oracle did not check nmvd(a ->> b) (evaluated on the incomplete table itself, "
+        "with no worlds to compare)\n")
+    path.write_text("a,b\n" + "".join(f"{i},{i}\n" for i in range(9)), encoding="utf-8")
+    assert main(["verify", "--table", str(path), "--constraint", "spkey(a)"]) == 0
+    assert capsys.readouterr().err == (
+        "the oracle did not check spkey(a) (over the oracle's instance limits of 8 rows, "
+        "4 columns and 1,000,000 worlds)\n")
+
+
+@st.composite
+def cli_requests(draw):
+    """argv for one ``check``, ``measure`` or ``verify`` request on a
+    small CSV (header-only and one-column files, all-NULL columns,
+    duplicate rows, non-ASCII names), with the file's text."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "ñ", "列"]), min_size=1, max_size=3,
+                          unique=True))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(["1", "2", ""])] * len(names)),
+                         max_size=4))
+    side = st.lists(st.sampled_from(names), min_size=1, max_size=2).map(",".join)
+    # The last two, an empty side and an unknown attribute, are usage errors.
+    kinds = ["spkey({})", "spfd({} -> {})", "spmvd({} ->> {})", "spcj({} x {})",
+             "nmvd({} ->> {})"] * 2 + ["spcj({} x )", "spfd({} -> zz)"]
+    specs = draw(st.lists(st.sampled_from(kinds).flatmap(
+        lambda kind: st.tuples(side, side).map(lambda s: kind.format(*s))),
+        min_size=1, max_size=2))
+    verb = draw(st.sampled_from(["check", "measure", "verify"]))
+    argv = [verb, "--null", draw(st.sampled_from(["", "1"])),  # "1" is also a value
+            "--budget", str(draw(st.sampled_from([5, 2_000])))]
+    if verb != "check":
+        argv += ["--measures", draw(st.sampled_from(["g3,g5", "g3,g4,g5"]))]
+    for spec in specs:
+        argv += ["--constraint", spec]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([names] + rows)
+    return argv, text.getvalue()
+
+
+@given(cli_requests())
+@settings(max_examples=200, deadline=None)
+def test_cli_ends_every_input_in_an_exit_code(request):
+    argv, text = request
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = Path(tmp, "t.csv"), Path(tmp, "report.json")
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        # An exception escaping main is what would end the command in a traceback.
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--table", str(path), "--json", str(report)])
+        entries = json.loads(report.read_text())["constraints"] if report.exists() else []
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue() and "disagreement" not in err.getvalue()
+    if code == 1:
+        assert any(e.get("holds") is False for e in entries)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spcheck.constraints import SpCj, SpFd, SpKey, SpMvd
-from spcheck.errors import PreconditionError
+from spcheck.errors import BudgetExceededError, PreconditionError
 from spcheck.oracle import (
     _find_violation,
     _iter_completions,
@@ -14,6 +14,8 @@ from spcheck.oracle import (
     holds_key,
     holds_mvd,
     oracle_check,
+    oracle_g3,
+    oracle_g5,
     world_count,
 )
 from spcheck.spfd import check_spfd, g3_spfd, g5_spfd, total_part_satisfies_fd
@@ -98,6 +100,26 @@ def test_mvd_equivalent_to_disjoint_rhs(t):
     assert check_spmvd(t, lhs, rhs).holds == check_spmvd(t, lhs, rhs - lhs).holds
 
 
+def _with_two_sides(t):
+    side = st.frozensets(st.sampled_from(range(t.arity)), min_size=1)
+    return st.tuples(st.just(t), side, side)
+
+
+@given(tables(min_cols=2).flatmap(_with_two_sides))
+@example((IncompleteTable.build(["A0", "A1", "A2"], [("1", "1", "1"), ("2", "2", "1")]),
+          frozenset({0}), frozenset({0, 1})))  # was violated: A0 was dropped as shared
+@settings(max_examples=60, deadline=None)
+def test_fd_on_overlapping_sides_matches_oracle(case):
+    t, lhs, rhs = case
+    rhs |= {min(lhs)}  # the sides share at least one column
+    c = SpFd(lhs, rhs)
+    assert check_spfd(t, lhs, rhs).holds == oracle_check(t, c).holds
+    g3 = g3_spfd(t, lhs, rhs)
+    assert g3.numerator == oracle_g3(t, c).numerator
+    if total_part_satisfies_fd(t, lhs, rhs):
+        assert g5_spfd(t, lhs, rhs).numerator == oracle_g5(t, c).numerator
+
+
 @given(tables(min_cols=2))
 @settings(max_examples=60, deadline=None)
 def test_fd_normalization_invariance(t):
@@ -155,6 +177,32 @@ def test_witnesses_replay(t):
     for result, holds, fresh in additions:
         if result.numerator is not None:
             assert_addition_witness(t, result, holds, fresh)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["1", "1", "1", None, "2"]),
+                          st.sampled_from(["1", "2", None]), st.sampled_from(["1", "2", None])),
+                min_size=2, max_size=6),
+       st.permutations(range(3)))
+# g5 is 1 here, while the first path found with unlimited spare rows fills 2.
+@example([(None, None, "1"), ("2", "1", "1"), ("2", "2", "2")], [1, 0, 2])
+@settings(max_examples=100, deadline=None)
+def test_g5_spcj_on_overlapping_sides_matches_oracle(rows, cols):
+    # The other properties cross disjoint sides. Here the sides share
+    # column cols[0], so a missing pair can contradict itself there, and
+    # each side has a column of its own, so all-NULL rows can still help.
+    # A second value in the shared column is rare: with one, most tables
+    # need additions; with two, most cannot be repaired.
+    t = IncompleteTable.build(["A0", "A1", "A2"],
+                              [tuple(r[cols.index(c)] for c in range(3)) for r in rows])
+    lhs, rhs = frozenset(cols[:2]), frozenset({cols[0], cols[2]})
+    try:
+        expected = oracle_g5(t, SpCj(lhs, rhs), budget=200_000)
+    except BudgetExceededError:
+        return
+    result = g5_spcj(t, lhs, rhs)
+    assert result.numerator == expected.numerator
+    if result.numerator is not None:
+        assert_addition_witness(t, result, lambda rows: holds_cj(rows, lhs, rhs))
 
 
 @given(tables(min_cols=2))

@@ -22,8 +22,9 @@ Y = frozenset({2})
 
 
 def test_normalize():
+    # AB -> BC holds iff AB -> C does; A -> C is stronger.
     assert normalize_fd(frozenset({0, 1}), frozenset({1, 2})) == (
-        frozenset({0}),
+        frozenset({0, 1}),
         frozenset({2}),
     )
 

@@ -228,14 +228,22 @@ def test_g3_spcj_is_bounded_by_its_budget():
     assert_removal_witness(t, res, lambda rows: holds_cj(rows, X, Y))
 
 
-def test_g5_spcj_squared_domain_fallback_carries_its_budget():
-    # The sides share A2, so the lexmin completion's missing pair
-    # ((1,1), (2,2)) contradicts itself; the fallback bound is then the
-    # joint domain size squared, 7**3 ** 2 = 117,649 > 100,000.
+def test_g5_spcj_with_self_contradicting_missing_pairs_is_undefined_within_its_budget():
+    # The sides share A2, and this total table's missing pairs, such as
+    # ((1,1), (2,2)), disagree on it: no number of all-NULL rows repairs
+    # the cross join. One run with unlimited spare rows shows that.
     t = table(["A1", "A2", "A3"], [(str(i), str(i), str(i)) for i in range(1, 8)])
-    with pytest.raises(BudgetExceededError) as err:
-        g5_spcj(t, frozenset({0, 1}), frozenset({1, 2}), budget=5_000)
-    assert (err.value.spent, err.value.budget) == (0, 5_000)
+    res = g5_spcj(t, frozenset({0, 1}), frozenset({1, 2}), budget=5_000)
+    assert (res.numerator, res.denominator) == (None, 7)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_g5_spcj_on_overlapping_sides_decides_undefined_within_its_budget(seed):
+    # Every completion of these tables leaves some missing pair that
+    # disagrees on the shared column A2. A bound taken from one completion
+    # cannot see that; the search with unlimited spare rows does.
+    t = random_table(8, 3, 3, 0.3, seed=seed)
+    assert g5_spcj(t, frozenset({0, 1}), frozenset({1, 2}), budget=5_000).numerator is None
 
 
 MVD10 = [
