@@ -86,6 +86,8 @@ def load_csv(path, null_token: str = "", has_header: bool = True) -> IncompleteT
     intern = sys.intern
     rows = []
     for lineno, record in enumerate(data, start=2 if has_header else 1):
+        if not record and arity == 1:  # a blank line is one empty field
+            record = [""]
         if len(record) != arity:
             raise TableLoadError(
                 f"{path}: row {lineno} has {len(record)} fields, expected {arity}"
@@ -288,8 +290,9 @@ def _oracle_block(table, c, done: dict, options: RunOptions) -> dict:
 def run(table: IncompleteTable, constraints, options: RunOptions = RunOptions()) -> dict:
     """Evaluate every constraint, returning a JSON-ready report.
 
-    Engine budget and precondition errors are recorded per constraint;
-    the run continues for the remaining specifications.
+    A budget error ends its constraint entry; a measure that is undefined
+    on the table or for the entry's kind is recorded under its name. The
+    run continues for the remaining measures and specifications.
     """
     report = {
         "table": {
@@ -324,8 +327,9 @@ def run(table: IncompleteTable, constraints, options: RunOptions = RunOptions())
                 for name in options.measures:
                     measure = engines.measures.get(name)
                     if measure is None:
-                        raise SpcheckError(f"measure {name} is not defined for "
-                                           f"{entry['kind']} constraints")
+                        entry["measures"][name] = {"error": f"measure {name} is not defined "
+                                                            f"for {entry['kind']} constraints"}
+                        continue
                     try:
                         result = done[name] = measure(table, c, options.budget, done)
                         entry["measures"][name] = _measure_json(result)

@@ -4,33 +4,29 @@ Everything here trades speed for obviousness: strongly possible worlds are
 enumerated outright, measures are found by exhaustive search ordered by
 repair size, and budgets fail hard rather than truncate. The polynomial
 and backtracking engines are tested against this module; it is the
-correctness reference, never the fast path.
+correctness reference, never the fast path. It imports no engine module,
+and :data:`KINDS` is its one dispatch on constraint kind.
 
-The one shortcut: no classical check cares about row order, so the
-existential searches see each world once per reordering of identical
-rows, while the budget still counts every world. The public
-:func:`enumerate_spworlds` yields all of them.
+Two shortcuts, neither of which changes an answer. No classical check
+cares about row order, so the existential searches see each world once
+per reordering of identical rows. And they drop every world prefix that
+no completion can satisfy (see :func:`_iter_completions`). The budget
+still counts every world, and the public :func:`enumerate_spworlds`
+yields all of them.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, combinations_with_replacement, product
-from typing import Callable, Iterator, Sequence
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import inf
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .constraints import (
-    Constraint,
-    ConstraintVerdict,
-    MeasureResult,
-    Nmvd,
-    SpCj,
-    SpFd,
-    SpKey,
-    SpMvd,
-    measure_denominator,
-)
+from .constraints import (Constraint, ConstraintVerdict, MeasureResult, Nmvd, SpCj, SpFd,
+                          SpKey, SpMvd, measure_denominator)
 from .errors import DEFAULT_BUDGET, BudgetExceededError, OracleGapError
-from .table import IncompleteTable, Row, SpWorld, fresh_values, iter_extensions, projector
+from .table import (IncompleteTable, Row, SpWorld, column_values, complete_world,
+                    extension_options, fresh_values, projector, strongly_similar)
 
 # Instance-size limits for the extended-pool g5 cross-check.
 CROSS_CHECK_MAX_ROWS = 6
@@ -54,8 +50,8 @@ def world_count(table: IncompleteTable) -> int:
     return count
 
 
-def _iter_completions(table: IncompleteTable, budget: int,
-                      up_to_reordering: bool = True) -> Iterator[tuple[Row, ...]]:
+def _iter_completions(table: IncompleteTable, budget: int, up_to_reordering: bool = True,
+                      deficit: Callable | None = None) -> Iterator[tuple[Row, ...]]:
     """Completed row tuples, in lexicographic order of the NULL-cell
     assignments (row-major).
 
@@ -66,14 +62,20 @@ def _iter_completions(table: IncompleteTable, budget: int,
     representative, which is the first of its reorderings in the full
     order. Every classical check here ignores row order, so the first
     world and the first satisfying world stay the same.
+
+    With a ``deficit`` (see :data:`KINDS`), only worlds of deficit 0 are
+    yielded, and a prefix is dropped with all its completions when the
+    deficit of its placed rows (the rows without NULLs, then the
+    completions chosen so far) exceeds the number of rows still to
+    place: each later row lowers the deficit by at most one.
     """
     total = world_count(table)
     if total > budget:
         raise BudgetExceededError(
             f"{total} strongly possible worlds exceed the budget of {budget}"
         )
-    every = range(table.arity)
-    options = [tuple(iter_extensions(table, row, every)) for row in table.rows]
+    every, values = range(table.arity), column_values(table)
+    options = [tuple(product(*extension_options(row, every, values))) for row in table.rows]
     world = [opts[0] for opts in options]
     # The odometer turns only the rows with a choice; ``floor[p]`` is the
     # odometer position of the nearest earlier identical row, or -1.
@@ -85,21 +87,29 @@ def _iter_completions(table: IncompleteTable, budget: int,
         floor.append(last.get(row, -1) if up_to_reordering else -1)
         last[row] = p
     free_options = [options[i] for i in free]
-    index = [0] * len(free)
-    yield tuple(world)
-    while True:
-        p = len(free) - 1
-        while p >= 0 and index[p] + 1 == len(free_options[p]):
-            p -= 1
-        if p < 0:
-            return
-        index[p] += 1
-        world[free[p]] = free_options[p][index[p]]
-        for q in range(p + 1, len(free)):
-            start = index[floor[q]] if floor[q] >= 0 else 0
-            index[q] = start
-            world[free[q]] = free_options[q][start]
-        yield tuple(world)
+    placed = [opts[0] for opts in options if len(opts) == 1]
+    fixed, m = len(placed), len(free)
+    if not m:
+        if deficit is None or not deficit(placed):
+            yield tuple(world)
+        return
+    placed += [None] * m
+    index = [0] * m
+    q = 0
+    while True:  # depth first: place position q, then descend, yield or drop
+        world[free[q]] = placed[fixed + q] = free_options[q][index[q]]
+        left = m - 1 - q
+        if deficit is None or deficit(placed[:fixed + q + 1]) <= left:
+            if left:
+                q += 1
+                index[q] = index[floor[q]] if floor[q] >= 0 else 0
+                continue
+            yield tuple(world)
+        while index[q] + 1 == len(free_options[q]):
+            q -= 1
+            if q < 0:
+                return
+        index[q] += 1
 
 
 def enumerate_spworlds(table: IncompleteTable, budget: int = DEFAULT_BUDGET) -> Iterator[SpWorld]:
@@ -112,114 +122,108 @@ def enumerate_spworlds(table: IncompleteTable, budget: int = DEFAULT_BUDGET) -> 
 
 
 # ---------------------------------------------------------------------------
-# Classical satisfaction on complete tables
+# Classical satisfaction on complete tables. A kind's deficit is 0 exactly
+# when the rows satisfy it, and adding a row lowers it by at most one.
 
 
-def _key_test(key) -> Callable[[Sequence[Row]], bool]:
-    kp = projector(key)
-    return lambda rows: len({kp(r) for r in rows}) == len(rows)
+def _key_deficit(kp) -> Callable[[Sequence[Row]], float]:
+    """Infinite once two rows share the key: no later row undoes that."""
+    return lambda rows: 0 if len(set(map(kp, rows))) == len(rows) else inf
 
 
-def _fd_test(lhs, rhs) -> Callable[[Sequence[Row]], bool]:
-    xp, yp = projector(lhs), projector(rhs)
+def _fd_deficit(xp, yp) -> Callable[[Sequence[Row]], float]:
+    """Infinite once two rows agree on X but not on Y."""
 
-    def test(rows: Sequence[Row]) -> bool:
-        image: dict = {}
+    def deficit(rows: Sequence[Row]) -> float:
+        xs = list(map(xp, rows))
+        return 0 if len(set(xs)) == len(set(zip(xs, map(yp, rows)))) else inf
+
+    return deficit
+
+
+def _cj_deficit(gp, xp, yp) -> Callable[[Sequence[Row]], int]:
+    """|A|·|B| − |P| for the rows' A and B values and their (A, B) pairs."""
+
+    def deficit(rows: Sequence[Row]) -> int:
+        xs, ys = list(map(xp, rows)), list(map(yp, rows))
+        return len(set(xs)) * len(set(ys)) - len(set(zip(xs, ys)))
+
+    return deficit
+
+
+def _mvd_deficit(xp, yp, rp) -> Callable[[Sequence[Row]], int]:
+    """The (Y, rest) pairs missing from each X-group's product of its Y
+    and rest values, summed over the groups. X, Y and the rest split the
+    columns, so the pairs present are the distinct rows."""
+
+    def deficit(rows: Sequence[Row]) -> int:
+        ys, rests = defaultdict(set), defaultdict(set)
         for r in rows:
-            y = yp(r)
-            if image.setdefault(xp(r), y) != y:
-                return False
-        return True
+            x = xp(r)
+            ys[x].add(yp(r))
+            rests[x].add(rp(r))
+        return sum(len(v) * len(rests[x]) for x, v in ys.items()) - len(set(rows))
 
-    return test
-
-
-def _mvd_groups(rows: Sequence[Row], xp, yp, rp) -> dict:
-    """The (Y, rest) pairs of each X-group."""
-    groups: dict = defaultdict(set)
-    for r in rows:
-        groups[xp(r)].add((yp(r), rp(r)))
-    return groups
+    return deficit
 
 
-def _missing_pairs(pairs) -> int:
-    """How many pairs the product of ``pairs``' two sides lacks."""
-    return len({p[0] for p in pairs}) * len({p[1] for p in pairs}) - len(pairs)
+def _first_clash(rows: Sequence[Row], xp, yp=None) -> tuple | None:
+    """The first rows (i, j) equal on ``xp`` and unequal on ``yp``, i the
+    first row of its ``xp`` value; without ``yp``, every two rows differ."""
+    seen: dict = {}
+    for j, r in enumerate(rows):
+        y = j if yp is None else yp(r)
+        i, first = seen.setdefault(xp(r), (j, y))
+        if first != y:
+            return (i, j)
+    return None
 
 
-def _mvd_test(lhs, rhs, arity: int) -> Callable[[Sequence[Row]], bool]:
-    xp, yp = projector(lhs), projector(rhs)
-    rp = projector(frozenset(range(arity)) - lhs - rhs)
-    return lambda rows: not any(
-        _missing_pairs(pairs) for pairs in _mvd_groups(rows, xp, yp, rp).values()
-    )
+def _cross_violation(rows: Sequence[Row], gp, lp, rp) -> tuple | None:
+    """The first rows (i, j) of a group whose (i's left, j's right) pair
+    no row of the group has."""
+    present = {(gp(t), lp(t), rp(t)) for t in rows}
+    return next(((i, j) for i, j in product(range(len(rows)), repeat=2)
+                 if gp(rows[i]) == gp(rows[j])
+                 and (gp(rows[i]), lp(rows[i]), rp(rows[j])) not in present), None)
 
 
-def _cj_test(lhs, rhs) -> Callable[[Sequence[Row]], bool]:
-    xp, yp = projector(lhs), projector(rhs)
-    return lambda rows: not _missing_pairs({(xp(r), yp(r)) for r in rows})
+def _holds(rows: Sequence[Row], c: Constraint, arity: int = 0) -> bool:
+    kind = _kind(c)
+    return not kind.deficit(*kind.parts(c, arity))(rows)
 
 
 def holds_key(rows: Sequence[Row], key) -> bool:
-    return _key_test(key)(rows)
+    return _holds(rows, SpKey(key))
 
 
 def holds_fd(rows: Sequence[Row], lhs, rhs) -> bool:
-    return _fd_test(lhs, rhs)(rows)
+    return _holds(rows, SpFd(lhs, rhs))
 
 
 def holds_mvd(rows: Sequence[Row], lhs, rhs, arity: int) -> bool:
-    return _mvd_test(lhs, rhs, arity)(rows)
+    return _holds(rows, SpMvd(lhs, rhs), arity)
 
 
 def holds_cj(rows: Sequence[Row], lhs, rhs) -> bool:
-    return _cj_test(lhs, rhs)(rows)
+    return _holds(rows, SpCj(lhs, rhs))
 
 
-def _classical_test(c: Constraint, arity: int) -> Callable[[Sequence[Row]], bool]:
-    """The classical satisfaction test for ``c``, its projectors built once."""
-    if isinstance(c, SpKey):
-        return _key_test(c.key)
-    if isinstance(c, SpFd):
-        return _fd_test(c.lhs, c.rhs)
-    if isinstance(c, SpMvd):
-        return _mvd_test(c.lhs, c.rhs, arity)
-    if isinstance(c, SpCj):
-        return _cj_test(c.lhs, c.rhs)
-    raise TypeError(f"no classical check for {type(c).__name__}")
+def holds_nmvd(rows: Sequence[Row], lhs, rhs, arity: int) -> bool:
+    """Lien's null multivalued dependency on the rows as they are, a NULL
+    equal to nothing: whenever two rows agree on X, some row agrees with
+    the first on X and Y and with the second on X and the rest."""
+    xy, xz = lhs | rhs, frozenset(range(arity)) - (rhs - lhs)
+    return all(
+        any(strongly_similar(t1, t, xy) and strongly_similar(t2, t, xz) for t in rows)
+        for t1, t2 in permutations(rows, 2) if strongly_similar(t1, t2, lhs)
+    )
 
 
 def _find_violation(rows: Sequence[Row], c: Constraint, arity: int) -> tuple | None:
     """Some pair of row indices witnessing why ``rows`` fails ``c``."""
-    index_pairs = product(range(len(rows)), repeat=2)
-    if isinstance(c, SpKey):
-        kp = projector(c.key)
-        seen: dict = {}
-        for i, r in enumerate(rows):
-            first = seen.setdefault(kp(r), i)
-            if first != i:
-                return (first, i)
-        return None
-    if isinstance(c, SpFd):
-        xp, yp = projector(c.lhs), projector(c.rhs)
-        seen = {}
-        for i, r in enumerate(rows):
-            x, y = xp(r), yp(r)
-            if x in seen and seen[x][1] != y:
-                return (seen[x][0], i)
-            seen.setdefault(x, (i, y))
-        return None
-    if isinstance(c, SpMvd):
-        xp, yp = projector(c.lhs), projector(c.rhs)
-        rp = projector(frozenset(range(arity)) - c.lhs - c.rhs)
-        present = {(xp(t), yp(t), rp(t)) for t in rows}
-        return next(((i, j) for i, j in index_pairs if xp(rows[i]) == xp(rows[j])
-                     and (xp(rows[i]), yp(rows[i]), rp(rows[j])) not in present), None)
-    if isinstance(c, SpCj):
-        xp, yp = projector(c.lhs), projector(c.rhs)
-        present = {(xp(t), yp(t)) for t in rows}
-        return next(((i, j) for i, j in index_pairs if (xp(rows[i]), yp(rows[j])) not in present), None)
-    return None
+    kind = _kind(c)
+    return kind.violation(rows, *kind.parts(c, arity))
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +232,16 @@ def _find_violation(rows: Sequence[Row], c: Constraint, arity: int) -> tuple | N
 
 def oracle_check(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Holds iff some strongly possible world satisfies the classical
-    constraint; returns the certifying world or a violating index pair."""
-    if isinstance(c, Nmvd):
-        from .tuplegen import check_nmvd
-
-        return ConstraintVerdict(check_nmvd(table, c.lhs, c.rhs))
-    if table.row_count == 0:
-        return ConstraintVerdict(True, SpWorld((), ()))
-    holds = _classical_test(c, table.arity)
-    first: tuple[Row, ...] | None = None
-    origin = tuple(range(table.row_count))
-    for rows in _iter_completions(table, budget):
-        if first is None:
-            first = rows
-        if holds(rows):
-            return ConstraintVerdict(True, SpWorld(rows, origin))
-    return ConstraintVerdict(False, None, _find_violation(first, c, table.arity))
+    constraint; returns the certifying world or a violating index pair
+    in the lexicographically smallest world."""
+    kind = _kind(c)
+    if kind.direct is not None:
+        return ConstraintVerdict(kind.direct(table, c))
+    parts = kind.parts(c, table.arity)
+    rows = next(_iter_completions(table, budget, deficit=kind.deficit(*parts)), None)
+    if rows is not None:
+        return ConstraintVerdict(True, SpWorld(rows, tuple(range(table.row_count))))
+    return ConstraintVerdict(False, None, kind.violation(complete_world(table).rows, *parts))
 
 
 # ---------------------------------------------------------------------------
@@ -272,90 +270,104 @@ def oracle_g3(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGE
 
 
 # ---------------------------------------------------------------------------
-# g5 by candidate-pool addition search
+# g5 by candidate-pool addition search. Each pool lists the candidate
+# addition sets of size k, the empty set alone at k = 0; each bound is an
+# addition count that certainly suffices, or None when additions provably
+# cannot repair the table within the pool.
 
 
-def _all_null_row(arity: int) -> Row:
-    return (None,) * arity
+def _fresh_rows(table: IncompleteTable, positions, k: int) -> tuple[Row, ...]:
+    """``k`` rows, each with its own fresh value on ``positions`` and NULL
+    elsewhere."""
+    return tuple(tuple(t if a in positions else None for a in range(table.arity))
+                 for t in fresh_values(table, k))
 
 
-def _fresh_row(arity: int, positions, token: str) -> Row:
-    """``token`` on ``positions``, NULL elsewhere."""
-    cells = [None] * arity
-    for a in positions:
-        cells[a] = token
-    return tuple(cells)
+def _mvd_pool(table: IncompleteTable, c: SpMvd, k: int) -> list[tuple[Row, ...]]:
+    """All-NULL rows mixed with fresh-on-X rows."""
+    fresh = _fresh_rows(table, c.lhs, k)
+    return [((None,) * table.arity,) * (k - j) + fresh[:j] for j in range(k + 1)]
 
 
-def _g5_candidate_sets(table: IncompleteTable, c: Constraint, k: int) -> Iterator[tuple[Row, ...]]:
-    """Candidate addition sets of size ``k`` for the primary pool.
-
-    Keys take one globally fresh value replicated across the whole row.
-    FDs take a fresh value on the left side and NULL elsewhere: the
-    fresh value opens an escape class, the free cells let the row blend
-    into whatever class it lands in. MVDs mix all-NULL rows
-    with fresh-on-X rows; cross joins take all-NULL rows only, since a
-    fresh value strictly enlarges the required pair set.
-    """
-    arity = table.arity
-    if k == 0:
-        yield ()
-        return
-    if isinstance(c, SpKey):
-        tokens = fresh_values(table, k)
-        yield tuple(_fresh_row(arity, range(arity), t) for t in tokens)
-    elif isinstance(c, SpFd):
-        tokens = fresh_values(table, k)
-        yield tuple(_fresh_row(arity, c.lhs, t) for t in tokens)
-    elif isinstance(c, SpMvd):
-        tokens = fresh_values(table, k)
-        for j in range(k + 1):
-            nulls = tuple(_all_null_row(arity) for _ in range(k - j))
-            fresh = tuple(_fresh_row(arity, c.lhs, tokens[i]) for i in range(j))
-            yield nulls + fresh
-    elif isinstance(c, SpCj):
-        yield tuple(_all_null_row(arity) for _ in range(k))
-    else:
-        raise TypeError(f"no g5 pool for {type(c).__name__}")
+def _g3_bound(table: IncompleteTable, c: Constraint, budget: int,
+              g3: MeasureResult | None) -> int | None:
+    return (oracle_g3(table, c, budget) if g3 is None else g3).numerator
 
 
-def _g5_search_bound(table: IncompleteTable, c: Constraint, budget: int,
-                     g3: MeasureResult | None) -> int | None:
-    """An addition count that certainly suffices, or None when additions
-    provably cannot repair the table within the primary pool."""
-    if isinstance(c, (SpKey, SpFd)):
-        return (oracle_g3(table, c, budget) if g3 is None else g3).numerator
-    if isinstance(c, SpMvd):
-        xp, yp = projector(c.lhs), projector(c.rhs - c.lhs)
-        rp = projector(frozenset(range(table.arity)) - c.lhs - c.rhs)
-        best = None
-        for rows in _iter_completions(table, budget):
-            groups = _mvd_groups(rows, xp, yp, rp)
-            need = sum(_missing_pairs(pairs) for pairs in groups.values())
-            if best is None or need < best:
-                best = need
-            if best == 0:
+def _least(table: IncompleteTable, budget: int, need: Callable) -> int | None:
+    """The least ``need`` over the worlds of ``table``, where None is no
+    need at all; the search stops at 0."""
+    best = None
+    for rows in _iter_completions(table, budget):
+        n = need(rows)
+        if n is not None and (best is None or n < best):
+            best = n
+            if not best:
                 break
-        return best
-    if isinstance(c, SpCj):
-        xp, yp = projector(c.lhs), projector(c.rhs)
-        xs, ys = sorted(c.lhs), sorted(c.rhs)
-        overlap = [(xs.index(a), ys.index(a)) for a in sorted(c.lhs & c.rhs)]
-        best = None
-        for rows in _iter_completions(table, budget):
-            pairs = {(xp(r), yp(r)) for r in rows}
-            missing = [
-                (xv, yv)
-                for xv, yv in product({p[0] for p in pairs}, {p[1] for p in pairs})
-                if (xv, yv) not in pairs
-            ]
-            fillable = all(xv[i] == yv[j] for xv, yv in missing for i, j in overlap)
-            if fillable and (best is None or len(missing) < best):
-                best = len(missing)
-            if best == 0:
-                break
-        return best
-    raise TypeError(f"no g5 bound for {type(c).__name__}")
+    return best
+
+
+def _cj_bound(table: IncompleteTable, c: SpCj, budget: int, g3) -> int | None:
+    """The fewest missing pairs over the worlds whose missing pairs agree
+    on the shared columns, the only ones all-NULL rows can fill."""
+    xp, yp = projector(c.lhs), projector(c.rhs)
+    xs, ys = sorted(c.lhs), sorted(c.rhs)
+    overlap = [(xs.index(a), ys.index(a)) for a in sorted(c.lhs & c.rhs)]
+
+    def need(rows: Sequence[Row]) -> int | None:
+        pairs = set(zip(map(xp, rows), map(yp, rows)))
+        missing = set(product({x for x, _ in pairs}, {y for _, y in pairs})) - pairs
+        if all(x[i] == y[j] for x, y in missing for i, j in overlap):
+            return len(missing)
+        return None
+
+    return _least(table, budget, need)
+
+
+def _mvd_parts(c: SpMvd, arity: int) -> tuple:
+    return (projector(c.lhs), projector(c.rhs - c.lhs),
+            projector(frozenset(range(arity)) - c.lhs - c.rhs))
+
+
+class _Kind(NamedTuple):
+    """A constraint kind's reference semantics. ``parts(c, arity)``
+    builds the projectors that ``deficit(*parts)`` and
+    ``violation(rows, *parts)`` compare rows by; ``pool(table, c, k)``
+    and ``bound(table, c, budget, g3)`` drive g5. A kind evaluated on the
+    incomplete table itself has only ``direct(table, c)``: it has no
+    worlds, and no measures here."""
+
+    parts: Callable | None = None
+    deficit: Callable | None = None
+    violation: Callable | None = None
+    pool: Callable | None = None
+    bound: Callable | None = None
+    direct: Callable | None = None
+
+
+KINDS = {
+    # A key's pool fills the whole row with one fresh value; an FD's fills
+    # the left side and lets the row blend into whatever class it lands in.
+    SpKey: _Kind(lambda c, arity: (projector(c.key),), _key_deficit, _first_clash,
+                 lambda t, c, k: [_fresh_rows(t, t.all_positions(), k)], _g3_bound),
+    SpFd: _Kind(lambda c, arity: (projector(c.lhs), projector(c.rhs)), _fd_deficit, _first_clash,
+                lambda t, c, k: [_fresh_rows(t, c.lhs, k)], _g3_bound),
+    SpMvd: _Kind(_mvd_parts, _mvd_deficit, _cross_violation, _mvd_pool,
+                 lambda t, c, b, g3: _least(t, b, _mvd_deficit(*_mvd_parts(c, t.arity)))),
+    # A cross join is an MVD with one group. Its pool is all-NULL rows
+    # only, since a fresh value strictly enlarges the required pair set.
+    SpCj: _Kind(lambda c, arity: (projector(()), projector(c.lhs), projector(c.rhs)),
+                _cj_deficit, _cross_violation,
+                lambda t, c, k: [((None,) * t.arity,) * k], _cj_bound),
+    Nmvd: _Kind(direct=lambda t, c: holds_nmvd(t.rows, c.lhs, c.rhs, t.arity)),
+}
+
+
+def _kind(c: Constraint) -> _Kind:
+    try:
+        return KINDS[type(c)]
+    except KeyError:
+        raise TypeError(f"unsupported constraint {type(c).__name__}") from None
 
 
 def _cross_check_pool(table: IncompleteTable) -> list[Row]:
@@ -396,35 +408,23 @@ def oracle_g5(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGE
     :class:`OracleGapError` instead of being silently absorbed.
     """
     n = measure_denominator(table, "g5")
-    bound = _g5_search_bound(table, c, budget, g3)
-    result = None
-    if bound is not None:
-        for k in range(bound + 1):
-            for addition in _g5_candidate_sets(table, c, k):
-                ext = table.with_rows_added(addition)
-                try:
-                    verdict = oracle_check(ext, c, budget)
-                except BudgetExceededError as err:
-                    raise BudgetExceededError(
-                        f"g5 search stopped at addition size {k}: {err}",
-                        partial_bound=k,
-                    ) from err
-                if verdict.holds:
-                    origin = tuple(range(n)) + (None,) * k
-                    witness = SpWorld(verdict.witness.rows, origin)
-                    result = MeasureResult(
-                        "g5", k, n, added_rows=addition, witness=witness
-                    )
-                    break
-            if result is not None:
-                break
-    if result is None:
-        return MeasureResult("g5", None, n)
-    small = (
-        n <= CROSS_CHECK_MAX_ROWS
-        and table.arity <= CROSS_CHECK_MAX_COLS
-        and (result.numerator or 0) <= CROSS_CHECK_MAX_COUNT + 1
-    )
-    if small and result.numerator:
-        _run_cross_check(table, c, result.numerator, budget)
-    return result
+    kind = _kind(c)
+    if kind.bound is None:
+        raise TypeError(f"no g5 bound for {type(c).__name__}")
+    bound = kind.bound(table, c, budget, g3)
+    for k in range(0 if bound is None else bound + 1):
+        for addition in kind.pool(table, c, k):
+            try:
+                verdict = oracle_check(table.with_rows_added(addition), c, budget)
+            except BudgetExceededError as err:
+                raise BudgetExceededError(
+                    f"g5 search stopped at addition size {k}: {err}",
+                    partial_bound=k,
+                ) from err
+            if verdict.holds:
+                if (0 < k <= CROSS_CHECK_MAX_COUNT + 1 and n <= CROSS_CHECK_MAX_ROWS
+                        and table.arity <= CROSS_CHECK_MAX_COLS):
+                    _run_cross_check(table, c, k, budget)
+                witness = SpWorld(verdict.witness.rows, tuple(range(n)) + (None,) * k)
+                return MeasureResult("g5", k, n, added_rows=addition, witness=witness)
+    return MeasureResult("g5", None, n)

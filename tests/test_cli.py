@@ -70,6 +70,19 @@ def test_load_csv_no_header(tmp_path):
     assert t.row_count == 2
 
 
+def test_load_csv_one_column_blank_line_is_null(tmp_path):
+    # csv reads a blank line as no fields at all; in a one-column file it
+    # is the one empty field, as "" is.
+    path = tmp_path / "t.csv"
+    path.write_text('a\n1\n\n2\n""\n', encoding="utf-8")
+    assert load_csv(path).rows == (("1",), (None,), ("2",), (None,))
+    assert load_csv(path, null_token="NA").rows == (("1",), ("",), ("2",), ("",))
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b\n1,2\n\n", encoding="utf-8")
+    with pytest.raises(TableLoadError, match="row 3 has 0 fields"):
+        load_csv(wide)
+
+
 def test_load_csv_ragged_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n3\n", encoding="utf-8")
@@ -160,10 +173,15 @@ def test_run_g4_rejected_for_fd(table4_csv, measure):
     t = load_csv(table4_csv)
     constraints = [parse_constraint("spfd(a -> b)", t.schema),
                    parse_constraint("spkey(a,b)", t.schema)]
-    report = run(t, constraints, RunOptions(measures=("g3", measure)))
+    report = run(t, constraints, RunOptions(measures=("g3", measure, "g5")))
     first, second = report["constraints"]
-    assert first["error"] == f"measure {measure} is not defined for spfd constraints"
+    # The undefined measure is recorded under its name, and the entry's
+    # later measures still run.
+    assert first["error"] is None
+    assert first["measures"][measure] == {
+        "error": f"measure {measure} is not defined for spfd constraints"}
     assert first["measures"]["g3"]["fraction"] == "1/4"
+    assert first["measures"]["g5"]["fraction"] == "1/4"
     assert second["measures"]["g3"]["fraction"] == "2/4"
 
 
@@ -181,7 +199,7 @@ def test_run_continues_after_error(table4_csv):
         parse_constraint("spkey(a,b)", t.schema),
     ]
     report = run(t, constraints, RunOptions(measures=("g4",)))
-    assert report["constraints"][0]["error"]
+    assert report["constraints"][0]["measures"]["g4"]["error"]
     assert report["constraints"][1]["measures"]["g4"]["fraction"] == "2/4"
 
 

@@ -3,9 +3,10 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spcheck.constraints import SpCj, SpFd, SpKey, SpMvd
+from spcheck.constraints import Nmvd, SpCj, SpFd, SpKey, SpMvd
 from spcheck.errors import BudgetExceededError, PreconditionError
 from spcheck.oracle import (
+    KINDS,
     _find_violation,
     _iter_completions,
     enumerate_spworlds,
@@ -20,7 +21,7 @@ from spcheck.oracle import (
 )
 from spcheck.spfd import check_spfd, g3_spfd, g5_spfd, total_part_satisfies_fd
 from spcheck.spkey import check_spkey, g3_spkey, g5_spkey, total_part_satisfies_key
-from spcheck.table import IncompleteTable
+from spcheck.table import IncompleteTable, fresh_values
 from spcheck.tuplegen import (
     check_nmvd,
     check_spcj_general,
@@ -255,15 +256,35 @@ def _reference_check(t, c, holds):
     return False, None, _find_violation(first, c, t.arity)
 
 
-@given(tables(max_rows=5))
-@example(IncompleteTable.build(["A0", "A1"], [("1", None), ("2", None), ("1", "2"), ("2", "1")]))
+def _g5_extension(t, nulls, fresh, cap=3_000):
+    """``t`` plus ``nulls`` all-NULL rows and ``fresh`` rows fresh on the
+    left side, the rows ``oracle_g5`` adds; while the worlds would exceed
+    ``cap``, fewer all-NULL rows, then fewer fresh rows."""
+    lhs, _ = sides(t)
+    fresh_rows = [tuple(v if a in lhs else None for a in range(t.arity))
+                  for v in fresh_values(t, fresh)]
+    while True:
+        ext = t.with_rows_added([(None,) * t.arity] * nulls + fresh_rows)
+        if world_count(ext) <= cap or not (nulls or fresh_rows):
+            return ext
+        if nulls:
+            nulls -= 1
+        else:
+            fresh_rows.pop()
+
+
+@given(tables(max_rows=5), st.integers(0, 3), st.integers(0, 2))
+@example(IncompleteTable.build(["A0", "A1"], [("1", None), ("2", None), ("1", "2"), ("2", "1")]),
+         0, 0)
 @settings(max_examples=80, deadline=None)
-def test_oracle_check_matches_the_first_world_of_the_full_enumeration(t):
+def test_oracle_check_matches_the_first_world_of_the_full_enumeration(t, nulls, fresh):
     # Cells from {NULL, 1, 2} make identical rows common, so the
-    # oracle's enumeration skips many of the full enumeration's worlds.
-    # The explicit example has rows with the same NULLs but other values,
+    # oracle's enumeration skips many of the full enumeration's worlds,
+    # and it drops every prefix that no completion can satisfy. The
+    # explicit example has rows with the same NULLs but other values,
     # which are not interchangeable: its FD holds only when the first
     # NULL takes the later value.
+    t = _g5_extension(t, nulls, fresh)
     lhs, rhs = sides(t)
     key = t.all_positions()
     for c, holds in (
@@ -274,6 +295,21 @@ def test_oracle_check_matches_the_first_world_of_the_full_enumeration(t):
     ):
         verdict = oracle_check(t, c)
         assert (verdict.holds, verdict.witness, verdict.violation) == _reference_check(t, c, holds)
+        # The cut drops no satisfying world, not only none before the first.
+        budget, kind = world_count(t), KINDS[type(c)]
+        cut = _iter_completions(t, budget, deficit=kind.deficit(*kind.parts(c, t.arity)))
+        assert list(cut) == [rows for rows in _iter_completions(t, budget) if holds(rows)]
+
+
+@given(tables(max_rows=5, max_cols=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_oracle_nmvd_matches_the_engine(t, data):
+    # The oracle evaluates Lien's definition on its own; the engine's
+    # check_nmvd is the independent counterpart.
+    every = sorted(t.all_positions())
+    lhs = frozenset(data.draw(st.sets(st.sampled_from(every))))
+    rhs = frozenset(data.draw(st.sets(st.sampled_from(every))))
+    assert oracle_check(t, Nmvd(lhs, rhs)).holds == check_nmvd(t, lhs, rhs)
 
 
 def test_identical_rows_are_enumerated_once_per_reordering():
