@@ -2,22 +2,40 @@
 component classification.
 
 The left class holds tuple indices, the right class the distinct complete
-key projections over the active domains. The full right class is usually
-exponential, so construction stops materializing a tuple's extensions at
-``cap`` (default ``|T| + 1``), and also leaves out the tuples a caller
-names. Each tuple left out must have more extensions than *rivals*, the
-other tuples weakly similar to it on the key: one over the cap has more
-than the table has other tuples, and :func:`rows_beyond_rivals` finds
-the rest. Only a rival can hold one of its extensions, so once everyone
-else is matched one is still free, which keeps the matching maximum and
-the check polynomial. Such tuples are recorded in ``high_degree_left``
-and matched greedily from a lazy enumeration.
+key projections over the active domains. A caller can settle the
+key-total tuples first: each has one extension, its own projection, so
+the first tuple of each distinct projection is matched to it, the later
+ones stay unmatched, and the graph holds only the tuples with a NULL on
+the key, without the settled projections. Any maximum matching can be
+exchanged into one that covers one tuple of each total projection, so
+the settled tuples plus a maximum matching of this reduced graph are a
+maximum matching of the full one.
+
+The full right class is usually exponential, so construction stops
+materializing a tuple's extensions at ``cap`` (default ``|T| + 1``), and
+also leaves out the tuples a caller names. Each tuple left out must have
+more extensions than *rivals*, the other tuples weakly similar to it on
+the key: one over the cap has more than the table has other tuples, and
+:func:`rows_beyond_rivals` finds the rest. Only a rival can hold one of
+its extensions, so once everyone else is matched one is still free,
+which keeps the matching maximum and the check polynomial. In the
+reduced graph the test reads the same: a tuple's total rivals are the
+key-total tuples whose projections are among its extensions, at least
+one per settled projection there, so more extensions than rivals means
+more free extensions than non-total rivals. Such tuples are recorded in
+``high_degree_left`` and matched greedily from a lazy enumeration.
+
+Components of the full graph group the tuples by the transitive closure
+of weak similarity on the key, since two tuples share an extension
+exactly when they are weakly similar: :func:`satisfied_row_count` counts
+them without the graph, and :func:`hall_components` classifies them on
+a full graph built with nothing settled.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 
@@ -33,6 +51,7 @@ class ExtensionGraph:
     right_tuples: tuple[tuple, ...]
     adjacency: dict  # low-degree row index -> list of right ids, lex order
     high_degree_left: dict  # row index left out -> exact extension count
+    settled: dict = field(default_factory=dict)  # settled row -> its projection
 
     @property
     def fully_materialized(self) -> bool:
@@ -72,56 +91,54 @@ class ComponentPartition:
 
 
 def build_extension_graph(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
-                          leave_out=()) -> ExtensionGraph:
+                          leave_out=(), settled=()) -> ExtensionGraph:
     """Materialize each tuple's distinct key extensions up to ``cap``.
 
     A tuple's extensions are taken in lexicographic order of its
     per-position options on the sorted key, and each new extension gets
     the next right id. The rows in ``leave_out`` are left out whatever
     their count; each must have more extensions than rivals (see
-    :func:`rows_beyond_rivals`).
+    :func:`rows_beyond_rivals`). The rows in ``settled`` must be
+    key-total: the first of them with each projection is matched to it
+    (``ExtensionGraph.settled``), the later ones stay unmatched, and
+    none of them is a left vertex; their projections are left out of
+    every other row's edges. With nothing settled the graph is the full
+    one.
     """
     n = table.row_count
     if cap is None:
         cap = n + 1
     if cap < n + 1:
         raise ValueError(f"cap must be at least |T| + 1 = {n + 1}")
-    right_ids: dict = {}
-    adjacency, high_degree = _materialize(table, key, range(n), cap, right_ids, leave_out)
-    return ExtensionGraph(table, key, cap, tuple(right_ids), adjacency, high_degree)
-
-
-def raise_cap(graph: ExtensionGraph, cap: int) -> ExtensionGraph:
-    """``graph`` materialized up to the larger ``cap``: the rows it left
-    out that fall under ``cap`` get their extensions, new ones after its
-    right ids. The rows it already holds share their lists with it."""
-    if cap < graph.cap:
-        raise ValueError(f"cap must be at least the graph's cap {graph.cap}")
-    right_ids = dict(zip(graph.right_tuples, range(len(graph.right_tuples))))
-    adjacency, high_degree = _materialize(graph.table, graph.key, sorted(graph.high_degree_left),
-                                          cap, right_ids)
-    return ExtensionGraph(graph.table, graph.key, cap, tuple(right_ids),
-                          {**graph.adjacency, **adjacency}, high_degree)
-
-
-def _materialize(table: IncompleteTable, key: AttributeSet, rows, cap: int,
-                 right_ids: dict, leave_out=()) -> tuple[dict, dict]:
-    """The edge lists of ``rows`` under ``cap`` and not in ``leave_out``,
-    and the counts of the others; ``right_ids`` (extension -> right id)
-    grows in id order."""
     cols = sorted(key)
+    rows = table.rows
+    project = projector(cols)
+    held: dict = {}  # settled projection -> its first settled row
+    for i in sorted(settled):
+        p = project(rows[i])
+        if None in p:
+            raise ValueError(f"settled row {i} has a NULL on the key")
+        held.setdefault(p, i)
+    skip = set(settled)
     values = column_values(table)
+    right_ids: dict = {}
     setdefault = right_ids.setdefault
     adjacency: dict = {}
     high_degree: dict = {}
-    for i in rows:
-        options = extension_options(table.rows[i], cols, values)
+    for i, row in enumerate(rows):
+        if i in skip:
+            continue
+        options = extension_options(row, cols, values)
         count = prod(map(len, options))
         if count >= cap or i in leave_out:
             high_degree[i] = count
-            continue
-        adjacency[i] = [setdefault(ext, len(right_ids)) for ext in product(*options)]
-    return adjacency, high_degree
+        elif held:
+            adjacency[i] = [setdefault(ext, len(right_ids))
+                            for ext in product(*options) if ext not in held]
+        else:
+            adjacency[i] = [setdefault(ext, len(right_ids)) for ext in product(*options)]
+    return ExtensionGraph(table, key, cap, tuple(right_ids), adjacency, high_degree,
+                          {i: p for p, i in held.items()})
 
 
 def rows_beyond_rivals(table: IncompleteTable, key: AttributeSet) -> set:
@@ -257,19 +274,30 @@ def hopcroft_karp(adjacency: list, n_right: int, match_l: list | None = None,
     return size, match_l, match_r
 
 
+def matching_order(graph: ExtensionGraph) -> list[int]:
+    """The materialized rows in the order the matching takes them: fewest
+    NULLs on the key first, then by row index, so that the rows it leaves
+    unmatched carry the fewest values."""
+    cols = sorted(graph.key)
+    rows = graph.table.rows
+    return sorted(graph.adjacency, key=lambda i: (sum(rows[i][c] is None for c in cols), i))
+
+
 def max_matching(graph: ExtensionGraph) -> MatchingResult:
-    """Maximum matching over materialized vertices, then every
+    """The settled rows on their projections, a maximum matching over
+    the materialized vertices in :func:`matching_order`, then every
     high-degree tuple greedily completed with an unused extension.
 
     The greedy phase always succeeds: a tuple left out of the graph has
     more extensions than rivals, and only a rival can hold one of them,
     so the overall size equals the maximum matching of the full graph.
     """
-    low_rows = sorted(graph.adjacency)
+    low_rows = matching_order(graph)
     adjacency = [graph.adjacency[i] for i in low_rows]
     _, match_l, _ = hopcroft_karp(adjacency, len(graph.right_tuples))
     right_ids = {i: rid for i, rid in zip(low_rows, match_l) if rid is not None}
-    matching = {i: graph.right_tuples[rid] for i, rid in right_ids.items()}
+    matching = dict(graph.settled)
+    matching.update((i, graph.right_tuples[rid]) for i, rid in right_ids.items())
     match_high_degree(graph.table, graph.key, graph.high_degree_left, matching)
     return MatchingResult(matching, len(matching), right_ids)
 
@@ -299,14 +327,15 @@ def hall_components(graph: ExtensionGraph, result: MatchingResult | None = None)
     all their tuple vertices.
 
     A maximum matching decomposes over components, so the global matching
-    restricted to a component is locally maximum. ``result`` is a
+    restricted to a component is locally maximum. ``graph`` must hold
+    every row, so nothing settled or over its cap. ``result`` is a
     maximum matching of the table's full extension graph, computed here
     when not given; any such matching counts the same rows per component.
     """
-    if not graph.fully_materialized:
+    if not graph.fully_materialized or len(graph.adjacency) < graph.table.row_count:
         raise UnmaterializedGraphError(
             "extension graph hit the materialization cap "
-            f"({graph.cap}); rebuild with a larger cap for the component partition"
+            f"({graph.cap}) or settled rows; rebuild it in full for the component partition"
         )
     if result is None:
         result = max_matching(graph)
@@ -346,3 +375,86 @@ def hall_components(graph: ExtensionGraph, result: MatchingResult | None = None)
     return ComponentPartition(
         tuple(sorted(satisfied, key=order)), tuple(sorted(deficient, key=order))
     )
+
+
+def satisfied_row_count(table: IncompleteTable, key: AttributeSet, matched) -> int:
+    """The rows of the components of the full extension graph of
+    ``table`` on ``key`` whose every row is in ``matched``, a maximum
+    matching's rows.
+
+    Two rows share an extension exactly when they are weakly similar on
+    the key, so a component's rows are a class of the transitive closure
+    of weak similarity, and no graph is needed. The rows with a NULL on
+    the key are grouped by the key columns they are NULL on (their
+    mask); for each pair of masks, the rows of both that agree on the
+    columns neither mask covers are joined. Two rows weakly similar to
+    one key-total row are weakly similar to each other, so a key-total
+    row joins the class of any row with a NULL it agrees with, or else
+    only the other key-total rows with its projection.
+    """
+    rows = table.rows
+    n = len(rows)
+    if all(i in matched for i in range(n)):
+        return n
+    cols = sorted(key)
+    projections = list(map(projector(cols), rows))
+    totals = []
+    at: dict = {}  # mask -> indices of the rows NULL on just those key columns
+    for i, p in enumerate(projections):
+        if None in p:
+            at.setdefault(tuple(c for c, v in zip(cols, p) if v is None), []).append(i)
+        else:
+            totals.append(i)
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    masks = list(at)
+    for pos, mask in enumerate(masks):
+        for other in masks[pos:]:
+            get = projector([c for c in cols if c not in mask and c not in other])
+            firsts: dict = {}  # shared projection -> first row of ``mask`` with it
+            for i in at[mask]:
+                j = firsts.setdefault(get(rows[i]), i)
+                if other is mask:
+                    union(i, j)
+            if other is mask:
+                continue
+            # Rows of the two masks with the same projection are joined
+            # through the first row of each side that has it.
+            seconds: dict = {}
+            for i in at[other]:
+                p = get(rows[i])
+                j = firsts.get(p)
+                if j is not None:
+                    union(i, j)
+                    seconds.setdefault(p, i)
+            for i in at[mask]:
+                j = seconds.get(get(rows[i]))
+                if j is not None:
+                    union(i, j)
+    loose = totals  # the key-total rows not yet joined to a row with a NULL
+    for mask in masks:
+        get = projector([c for c in cols if c not in mask])
+        firsts = {get(rows[i]): i for i in at[mask]}
+        still = []
+        for i, j in zip(loose, map(firsts.get, map(get, [rows[i] for i in loose]))):
+            if j is None:
+                still.append(i)
+            else:
+                union(i, j)
+        loose = still
+    firsts = {}
+    for i in loose:
+        union(i, firsts.setdefault(projections[i], i))
+    deficient = {find(i) for i in range(n) if i not in matched}
+    return sum(1 for i in range(n) if find(i) not in deficient)

@@ -51,7 +51,8 @@ def world_count(table: IncompleteTable) -> int:
 
 
 def _iter_completions(table: IncompleteTable, budget: int, up_to_reordering: bool = True,
-                      deficit: Callable | None = None) -> Iterator[tuple[Row, ...]]:
+                      deficit: Callable | None = None,
+                      best: Callable[[], float] = lambda: 1) -> Iterator[tuple[Row, ...]]:
     """Completed row tuples, in lexicographic order of the NULL-cell
     assignments (row-major).
 
@@ -63,11 +64,13 @@ def _iter_completions(table: IncompleteTable, budget: int, up_to_reordering: boo
     order. Every classical check here ignores row order, so the first
     world and the first satisfying world stay the same.
 
-    With a ``deficit`` (see :data:`KINDS`), only worlds of deficit 0 are
-    yielded, and a prefix is dropped with all its completions when the
-    deficit of its placed rows (the rows without NULLs, then the
-    completions chosen so far) exceeds the number of rows still to
-    place: each later row lowers the deficit by at most one.
+    With a ``deficit`` (see :data:`KINDS`), only worlds of deficit below
+    ``best()`` (by default 1: deficit 0) are yielded, and a prefix is
+    dropped with all its completions when the deficit of its placed rows
+    (the rows without NULLs, then the completions chosen so far) minus
+    the number of rows still to place is at least ``best()``: each later
+    row lowers the deficit by at most one. ``best`` is read at every
+    step, so a caller can lower it between yields.
     """
     total = world_count(table)
     if total > budget:
@@ -90,7 +93,7 @@ def _iter_completions(table: IncompleteTable, budget: int, up_to_reordering: boo
     placed = [opts[0] for opts in options if len(opts) == 1]
     fixed, m = len(placed), len(free)
     if not m:
-        if deficit is None or not deficit(placed):
+        if deficit is None or deficit(placed) < best():
             yield tuple(world)
         return
     placed += [None] * m
@@ -99,7 +102,7 @@ def _iter_completions(table: IncompleteTable, budget: int, up_to_reordering: boo
     while True:  # depth first: place position q, then descend, yield or drop
         world[free[q]] = placed[fixed + q] = free_options[q][index[q]]
         left = m - 1 - q
-        if deficit is None or deficit(placed[:fixed + q + 1]) <= left:
+        if deficit is None or deficit(placed[:fixed + q + 1]) - left < best():
             if left:
                 q += 1
                 index[q] = index[floor[q]] if floor[q] >= 0 else 0
@@ -294,12 +297,17 @@ def _g3_bound(table: IncompleteTable, c: Constraint, budget: int,
     return (oracle_g3(table, c, budget) if g3 is None else g3).numerator
 
 
-def _least(table: IncompleteTable, budget: int, need: Callable) -> int | None:
-    """The least ``need`` over the worlds of ``table``, where None is no
-    need at all; the search stops at 0."""
+def _least(table: IncompleteTable, budget: int, deficit: Callable,
+           need: Callable | None = None) -> int | None:
+    """The least ``need`` (by default ``deficit``) over the worlds of
+    ``table``, where None is no need at all; the search stops at 0. A
+    need is None or the world's deficit, so the worlds are walked with
+    the prefix cut of :func:`_iter_completions` below the best need so
+    far: no dropped world can lower it."""
     best = None
-    for rows in _iter_completions(table, budget):
-        n = need(rows)
+    for rows in _iter_completions(table, budget, deficit=deficit,
+                                  best=lambda: inf if best is None else best):
+        n = deficit(rows) if need is None else need(rows)
         if n is not None and (best is None or n < best):
             best = n
             if not best:
@@ -309,7 +317,8 @@ def _least(table: IncompleteTable, budget: int, need: Callable) -> int | None:
 
 def _cj_bound(table: IncompleteTable, c: SpCj, budget: int, g3) -> int | None:
     """The fewest missing pairs over the worlds whose missing pairs agree
-    on the shared columns, the only ones all-NULL rows can fill."""
+    on the shared columns, the only ones all-NULL rows can fill; the
+    missing pairs are the cross join's deficit."""
     xp, yp = projector(c.lhs), projector(c.rhs)
     xs, ys = sorted(c.lhs), sorted(c.rhs)
     overlap = [(xs.index(a), ys.index(a)) for a in sorted(c.lhs & c.rhs)]
@@ -321,7 +330,7 @@ def _cj_bound(table: IncompleteTable, c: SpCj, budget: int, g3) -> int | None:
             return len(missing)
         return None
 
-    return _least(table, budget, need)
+    return _least(table, budget, _cj_deficit(*KINDS[SpCj].parts(c, table.arity)), need)
 
 
 def _mvd_parts(c: SpMvd, arity: int) -> tuple:

@@ -1,9 +1,10 @@
 """Polynomial spKey satisfaction check and the g3, g4, g5 key measures.
 
 All four derive from one :class:`KeyAnalysis` of a (table, key) pair:
-its first duplicated key-total row, its extension graph and that
-graph's maximum matching, each found once on first use. Pass the same
-analysis to each call to share that work; no call changes it.
+its first duplicated key-total row, its extension graph over the rows
+with a NULL on the key and that graph's maximum matching, each found
+once on first use. Pass the same analysis to each call to share that
+work; no call changes it.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from .matching import (
     ExtensionGraph,
     MatchingResult,
     build_extension_graph,
-    hall_components,
     hopcroft_karp,
     match_high_degree,
+    matching_order,
     max_matching,
-    raise_cap,
     rows_beyond_rivals,
+    satisfied_row_count,
 )
 from .search import smallest_addition
 from .table import (
@@ -36,8 +37,6 @@ from .table import (
     extension_options,
     extension_count,
     fresh_values,
-    is_total,
-    projection,
     projector,
 )
 
@@ -48,11 +47,17 @@ class KeyAnalysis:
     that matching's world, each computed on first use and kept for the
     life of the analysis.
 
-    The graph leaves out every row with more extensions than rivals (the
-    other rows weakly similar to it on the key, see
-    :func:`~spcheck.matching.rows_beyond_rivals`), which include the rows
-    over the ``|T| + 1`` cap; the matching gives them free extensions
-    greedily after the rest, so it is still maximum.
+    The key-total rows are settled before the graph: the first row of
+    each total projection is matched to it and the later ones stay
+    unmatched, so the graph holds only the rows with a NULL on the key,
+    without the settled projections, and the matching is the settled
+    rows plus a maximum matching of that graph (an exchange argument
+    makes it maximum for the full graph). The graph also leaves out every
+    row with more extensions than rivals (the other rows weakly similar
+    to it on the key, see :func:`~spcheck.matching.rows_beyond_rivals`),
+    which include the rows over the ``|T| + 1`` cap: such a row has more
+    free extensions than non-total rivals, so the matching gives it one
+    greedily after the rest and is still maximum.
     """
 
     def __init__(self, table: IncompleteTable, key: AttributeSet):
@@ -68,7 +73,9 @@ class KeyAnalysis:
 
     @cached_property
     def graph(self) -> ExtensionGraph:
-        return build_extension_graph(self.table, self.key,
+        project = projector(self.cols)
+        totals = [i for i, row in enumerate(self.table.rows) if None not in project(row)]
+        return build_extension_graph(self.table, self.key, settled=totals,
                                      leave_out=rows_beyond_rivals(self.table, self.key))
 
     @cached_property
@@ -120,38 +127,18 @@ def check_spkey(table: IncompleteTable, key: AttributeSet,
     return ConstraintVerdict(False, None, (unmatched,))
 
 
-def _prefer_nontotal_unmatched(table: IncompleteTable, key: AttributeSet,
-                               matching: dict) -> dict:
-    """Swap matched edges so key-total tuples end up covered whenever the
-    key-total part satisfies the key; the removal witness then contains
-    only non-total rows."""
-    owner = {ext: i for i, ext in matching.items()}
-    changed = True
-    while changed:
-        changed = False
-        for i, row in enumerate(table.rows):
-            if i in matching or not is_total(row, key):
-                continue
-            ext = projection(row, key)
-            holder = owner.get(ext)
-            if holder is not None and not is_total(table.rows[holder], key):
-                del matching[holder]
-                matching[i] = ext
-                owner[ext] = i
-                changed = True
-    return matching
-
-
 def g3_spkey(table: IncompleteTable, key: AttributeSet,
              analysis: KeyAnalysis | None = None) -> MeasureResult:
-    """(|T| - nu) / |T| with the unmatched rows as removal witness."""
+    """(|T| - nu) / |T| with the unmatched rows as removal witness: rows
+    with a NULL on the key, and the later key-total rows of a repeated
+    projection."""
     a = _analysis(table, key, analysis)
     n = measure_denominator(table, "g3")
     result = a.matching
     if result.size == n:
         return MeasureResult("g3", 0, n, removed_rows=(), witness=a.full_world)
-    matching = _prefer_nontotal_unmatched(table, key, dict(result.matching))
-    removed = tuple(sorted(i for i in range(n) if i not in matching))
+    matching = result.matching
+    removed = tuple(i for i in range(n) if i not in matching)
     kept = [i for i in range(n) if i in matching]
     return MeasureResult("g3", n - result.size, n, removed_rows=removed,
                          witness=a.world(matching, kept))
@@ -159,13 +146,17 @@ def g3_spkey(table: IncompleteTable, key: AttributeSet,
 
 def g4_spkey(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
              budget: int | None = None, analysis: KeyAnalysis | None = None) -> MeasureResult:
-    """Component-weighted variant: components that already satisfy the
-    key count double in the denominator.
+    """Component-weighted variant: the rows of the full extension
+    graph's components that the maximum matching covers completely count
+    double in the denominator.
 
-    It needs the fully materialized extension graph, so before building
-    anything it refuses a table in which some row has ``cap`` (default
-    ``|T| + 1``) or more extensions, and, given a ``budget``, one whose
-    graph would hold more edges than that.
+    A settled row shares its projection's component, and a repeated
+    total projection leaves its component deficient. The components come
+    from weak similarity on the key, not from the full graph
+    (:func:`~spcheck.matching.satisfied_row_count`), but the measure is
+    defined on that graph, so it refuses a table in which some row has
+    ``cap`` (default ``|T| + 1``) or more extensions, and, given a
+    ``budget``, one whose full graph would hold more edges than that.
     """
     a = _analysis(table, key, analysis)
     n = measure_denominator(table, "g4")
@@ -182,11 +173,11 @@ def g4_spkey(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
     edges = sum(counts)
     if budget is not None and edges > budget:
         raise BudgetExceededError(
-            f"g4 would materialize {edges} extension edges, over the budget of {budget}",
+            f"g4's full extension graph holds {edges} edges, over the budget of {budget}",
             budget=budget)
-    full = a.graph if a.graph.fully_materialized else raise_cap(a.graph, cap)
-    parts = hall_components(full, a.matching)
-    return MeasureResult("g4", n - parts.total_nu, n + parts.satisfied_tuple_count)
+    result = a.matching
+    return MeasureResult("g4", n - result.size,
+                         n + satisfied_row_count(table, key, result.matching))
 
 
 def first_total_duplicate(table: IncompleteTable, key: AttributeSet) -> int | None:
@@ -245,34 +236,34 @@ def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
     """g5 rounds k = 1, 2, ... on one growing graph: round k adds the
     k-th fresh row to the table.
 
-    The fresh value only enlarges the key columns' domains, so every
-    edge of round k - 1 stays and its matching stays valid; round k adds
-    the edges that use the new value (plus the fresh row's own edge) and
-    augments that matching. A row with ``|T| + k + 1`` or more
-    extensions in round k is left to the greedy pigeonhole step. Its
-    count grows by at least one a round, so it stays there. A row the
-    base graph left out starts there and stays too: a fresh row is weakly
-    similar only to the rows NULL on the whole key, and those gain at
-    least k extensions by round k, so each still has more extensions
-    than rivals.
+    A fresh row is key-total, so it is settled like the others: it adds
+    no left vertex, and its projection is left out of the other rows'
+    new edges. The fresh value only enlarges the key columns' domains,
+    so every edge of round k - 1 stays and its matching stays valid;
+    round k adds the edges that use the new value and augments that
+    matching, and succeeds when it and the left-out rows cover every row
+    with a NULL on the key. A row with ``|T| + k + 1`` or more extensions
+    in round k is left to the greedy pigeonhole step. Its count grows by
+    at least one a round, so it stays there. A row the base graph left
+    out starts there and stays too: a fresh row is weakly similar only to
+    the rows NULL on the whole key, and those gain at least k extensions
+    by round k, one more than the fresh rows settle, so each still has
+    more free extensions than non-total rivals.
     """
     table, graph, base = a.table, a.graph, a.matching
     n = table.row_count
     cols = a.cols
     values = column_values(table)
-    low = sorted(graph.adjacency)
-    rows_of = list(low)  # left vertex -> row index of the extended table
+    rows_of = matching_order(graph)  # left vertex -> row index
     high = set(graph.high_degree_left)
-    # The base lists are shared with the analysis: copy those that grow.
-    adjacency = [graph.adjacency[i] for i in low]
-    growing = []  # (left vertex, NULL key positions, last round's options)
-    for pos, i in enumerate(low):
-        nulls = [p for p, c in enumerate(cols) if table.rows[i][c] is None]
-        if nulls:
-            adjacency[pos] = list(adjacency[pos])
-            growing.append((pos, nulls, extension_options(table.rows[i], cols, values)))
+    open_rows = len(rows_of) + len(high)  # the rows with a NULL on the key
+    # The base lists are shared with the analysis: copy them, they grow.
+    adjacency = [list(graph.adjacency[i]) for i in rows_of]
+    growing = [(pos, [p for p, c in enumerate(cols) if table.rows[i][c] is None],
+                extension_options(table.rows[i], cols, values))
+               for pos, i in enumerate(rows_of)]
     n_base = len(graph.right_tuples)
-    match_l = [base.right_ids.get(i) for i in low]
+    match_l = [base.right_ids.get(i) for i in rows_of]
     match_r = [None] * n_base
     for pos, rid in enumerate(match_l):
         if rid is not None:
@@ -281,6 +272,7 @@ def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
     setdefault = fresh_ids.setdefault
     for k in range(1, len(added) + 1):
         z = added[k - 1][0]
+        own = (z,) * len(cols)  # the fresh row's projection, settled
         for c in cols:
             values[c] += (z,)
         still = []
@@ -294,19 +286,19 @@ def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
                 high.add(rows_of[pos])
                 continue
             adjacency[pos].extend(setdefault(ext, n_base + len(fresh_ids))
-                                  for ext in _extensions_using(old, new, nulls, z))
+                                  for ext in _extensions_using(old, new, nulls, z) if ext != own)
             still.append((pos, nulls, new))
         growing = still
-        rows_of.append(n + k - 1)
-        adjacency.append([setdefault((z,) * len(cols), n_base + len(fresh_ids))])
-        match_l.append(None)
         match_r.extend([None] * (n_base + len(fresh_ids) - len(match_r)))
         size, match_l, match_r = hopcroft_karp(adjacency, len(match_r), match_l, match_r)
-        if size + len(high) < n + k:
+        if size + len(high) < open_rows:
             continue
         fresh = list(fresh_ids)
         ext_of = lambda rid: graph.right_tuples[rid] if rid < n_base else fresh[rid - n_base]
-        matching = {rows_of[pos]: ext_of(rid) for pos, rid in enumerate(match_l) if rid is not None}
+        matching = dict(graph.settled)
+        matching.update((n + j, (row[0],) * len(cols)) for j, row in enumerate(added[:k]))
+        matching.update((rows_of[pos], ext_of(rid)) for pos, rid in enumerate(match_l)
+                        if rid is not None)
         extended = table.with_rows_added(added[:k])
         match_high_degree(extended, a.key, high, matching)
         world = complete_world(extended, a.cols, matching.__getitem__)

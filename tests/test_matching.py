@@ -8,8 +8,8 @@ from spcheck.matching import (
     hall_components,
     hopcroft_karp,
     max_matching,
-    raise_cap,
     rows_beyond_rivals,
+    satisfied_row_count,
 )
 from spcheck.spkey import KeyAnalysis
 from spcheck.table import IncompleteTable, extension_count, is_total, iter_extensions, weakly_similar
@@ -276,28 +276,49 @@ def test_graph_build_matches_per_row_reference():
             assert (g.right_tuples, g.adjacency, g.high_degree_left) == _reference_graph(t, key, cap)
 
 
-def test_raise_cap_matches_a_build_at_that_cap():
+def test_settled_graph_is_the_full_graph_without_the_total_rows():
     import random
 
     rng = random.Random(11)
     for _ in range(200):
         width = rng.randint(1, 3)
-        rows = [tuple(None if rng.random() < 0.5 else str(rng.randint(1, 4))
-                      for _ in range(width)) for _ in range(rng.randint(1, 6))]
+        rows = [tuple(None if rng.random() < 0.4 else str(rng.randint(1, 3))
+                      for _ in range(width)) for _ in range(rng.randint(1, 7))]
         t = IncompleteTable.build([f"A{i}" for i in range(width)], rows)
         key = frozenset(rng.sample(range(width), rng.randint(1, width)))
-        base = build_extension_graph(t, key)
-        for cap in (t.row_count + 1, t.row_count + 9, 10**6):
-            raised, built = raise_cap(base, cap), build_extension_graph(t, key, cap)
-            extensions = lambda g: {i: [g.right_tuples[r] for r in edges]
-                                    for i, edges in g.adjacency.items()}
-            assert extensions(raised) == extensions(built)
-            assert raised.high_degree_left == built.high_degree_left
-            assert set(raised.right_tuples) == set(built.right_tuples)
-            assert all(raised.adjacency[i] is base.adjacency[i] for i in base.adjacency)
-            if built.fully_materialized:
-                a, b = hall_components(raised), hall_components(built)
-                assert (a.total_nu, a.satisfied_tuple_count) == (b.total_nu, b.satisfied_tuple_count)
+        totals = [i for i, row in enumerate(t.rows) if is_total(row, key)]
+        full, settled = build_extension_graph(t, key), build_extension_graph(t, key, settled=totals)
+        first: dict = {}  # total projection -> its first row
+        for i in totals:
+            first.setdefault(full.right_tuples[full.adjacency[i][0]], i)
+        assert settled.settled == {i: ext for ext, i in first.items()}
+        held = set(first)
+        extensions = lambda g, i: [g.right_tuples[r] for r in g.adjacency[i]]
+        assert set(settled.adjacency) == set(full.adjacency) - set(totals)
+        for i in settled.adjacency:
+            assert extensions(settled, i) == [e for e in extensions(full, i) if e not in held]
+        assert settled.high_degree_left == full.high_degree_left
+        if len(held) < len(totals):
+            assert max_matching(settled).size < t.row_count
+
+
+def test_satisfied_row_count_matches_hall_components():
+    import random
+
+    rng = random.Random(17)
+    deficient = 0
+    for _ in range(300):
+        width, domain, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 8)
+        rows = [tuple(None if rng.random() < 0.35 else str(rng.randint(1, domain))
+                      for _ in range(width)) for _ in range(n)]
+        t = IncompleteTable.build([f"A{i}" for i in range(width)], rows)
+        key = frozenset(rng.sample(range(width), rng.randint(1, width)))
+        full = build_extension_graph(t, key, cap=10**9)
+        result = max_matching(full)
+        parts = hall_components(full, result)
+        assert satisfied_row_count(t, key, result.matching) == parts.satisfied_tuple_count
+        deficient += bool(parts.deficient)
+    assert deficient >= 100
 
 
 def test_hopcroft_karp_warm_start():

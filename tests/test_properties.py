@@ -9,6 +9,7 @@ from spcheck.oracle import (
     KINDS,
     _find_violation,
     _iter_completions,
+    _least,
     enumerate_spworlds,
     holds_cj,
     holds_fd,
@@ -299,6 +300,32 @@ def test_oracle_check_matches_the_first_world_of_the_full_enumeration(t, nulls, 
         budget, kind = world_count(t), KINDS[type(c)]
         cut = _iter_completions(t, budget, deficit=kind.deficit(*kind.parts(c, t.arity)))
         assert list(cut) == [rows for rows in _iter_completions(t, budget) if holds(rows)]
+
+
+@given(tables(max_rows=5), st.integers(0, 3), st.integers(0, 2))
+@settings(max_examples=80, deadline=None)
+def test_least_with_the_cut_matches_the_full_enumeration(t, nulls, fresh):
+    # The g5 bound searches drop prefixes that cannot go below the best
+    # need so far; the least need must stay that of every world.
+    t = _g5_extension(t, nulls, fresh)
+    lhs, rhs = sides(t)
+    budget = world_count(t)
+    for c in (SpMvd(lhs, rhs), SpCj(lhs, rhs)):
+        kind = KINDS[type(c)]
+        deficit = kind.deficit(*kind.parts(c, t.arity))
+        needs = [deficit(rows) for rows in _iter_completions(t, budget)]
+        assert _least(t, budget, deficit) == min(needs)
+    assert kind.bound(t, c, budget, None) == min(
+        (n for n, rows in zip(needs, _iter_completions(t, budget))
+         if _missing_pairs_agree(rows, lhs, rhs)), default=None)
+
+
+def _missing_pairs_agree(rows, lhs, rhs):
+    """The cross join's missing pairs agree on the columns both sides share."""
+    xs, ys = sorted(lhs), sorted(rhs)
+    pairs = {(tuple(r[a] for a in xs), tuple(r[a] for a in ys)) for r in rows}
+    missing = {(x, y) for x, _ in pairs for _, y in pairs} - pairs
+    return all(x[xs.index(a)] == y[ys.index(a)] for x, y in missing for a in lhs & rhs)
 
 
 @given(tables(max_rows=5, max_cols=4), st.data())

@@ -7,7 +7,7 @@ import pytest
 from spcheck import spkey
 from spcheck.cli import RunOptions, run
 from spcheck.constraints import SpKey
-from spcheck.errors import PreconditionError
+from spcheck.errors import PreconditionError, UnmaterializedGraphError
 from spcheck.matching import build_extension_graph, hall_components, hopcroft_karp
 from spcheck.generators import gen_prop3, gen_thm1
 from spcheck.oracle import holds_key
@@ -20,7 +20,7 @@ from spcheck.spkey import (
     g5_spkey,
     total_part_satisfies_key,
 )
-from spcheck.table import extension_count, fresh_values, is_total, weakly_similar
+from spcheck.table import extension_count, fresh_values, is_total, projection, weakly_similar
 
 from conftest import table
 
@@ -107,16 +107,7 @@ def test_g3_removal_witness_prefers_nontotal():
     assert all(not is_total(t.rows[i], BOTH) for i in res.removed_rows)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the g3 witness keeps the maximum matching's fills, so a kept NULL "
-    "can take a value that only a removed row held; the fraction is right",
-)
-@pytest.mark.parametrize("rows", [
-    [(None, None), (None, "1")],
-    [("3", "3"), ("3", None), (None, "1")],
-])
-def test_g3_witness_fills_from_the_kept_rows_domains(rows):
+def _assert_g3_witness_fills_from_the_kept_rows_domains(rows):
     t = table(["A1", "A2"], rows)
     res = g3_spkey(t, BOTH)
     domains = t.with_rows_removed(res.removed_rows).active_domains()
@@ -124,6 +115,21 @@ def test_g3_witness_fills_from_the_kept_rows_domains(rows):
         for a, cell in enumerate(t.rows[i]):
             if cell is None:
                 assert filled[a] in domains[a].values
+
+
+def test_g3_witness_keeps_the_row_with_more_values():
+    # The matching takes the row with fewer NULLs first, so the all-NULL
+    # row is the one removed and the kept row fills from its own values.
+    _assert_g3_witness_fills_from_the_kept_rows_domains([(None, None), (None, "1")])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the g3 witness keeps the maximum matching's fills, so a kept NULL "
+    "can take a value that only a removed row held; the fraction is right",
+)
+def test_g3_witness_fills_from_the_kept_rows_domains():
+    _assert_g3_witness_fills_from_the_kept_rows_domains([("3", "3"), ("3", None), (None, "1")])
 
 
 def test_g4_examples(table4):
@@ -230,9 +236,9 @@ def test_one_graph_build_per_key(monkeypatch, table4, cars_table):
     builds = []
     real = spkey.build_extension_graph
 
-    def counting(table, key, cap=None, leave_out=()):
+    def counting(table, key, cap=None, leave_out=(), settled=()):
         builds.append(table)
-        return real(table, key, cap, leave_out)
+        return real(table, key, cap, leave_out, settled)
 
     monkeypatch.setattr(spkey, "build_extension_graph", counting)
     for t in (table4, cars_table):
@@ -244,18 +250,19 @@ def test_one_graph_build_per_key(monkeypatch, table4, cars_table):
         assert builds == [t, t]
 
 
-def test_g4_raises_the_shared_graph_cap(monkeypatch):
-    # The all-NULL row has 16 >= |T| + 1 extensions: g4 adds its edges to
-    # the shared graph instead of building the full graph again.
+def test_g4_counts_the_full_graph_with_one_build(monkeypatch):
+    # The all-NULL row has 16 >= |T| + 1 extensions, and the total rows
+    # are settled: g4 counts the full graph's components from the shared
+    # settled graph's matching instead of building the full graph.
     t = table(["A", "B"], [(v, v) for v in "1234"] + [("1", None)] * 5 + [(None, None)])
     n = t.row_count
     parts = hall_components(build_extension_graph(t, BOTH, cap=10**6))
     builds = []
     real = spkey.build_extension_graph
 
-    def counting(table, key, cap=None, leave_out=()):
+    def counting(table, key, cap=None, leave_out=(), settled=()):
         builds.append(table)
-        return real(table, key, cap, leave_out)
+        return real(table, key, cap, leave_out, settled)
 
     monkeypatch.setattr(spkey, "build_extension_graph", counting)
     report = run(t, [SpKey(BOTH)], RunOptions(measures=("g3", "g4")))
@@ -351,9 +358,13 @@ def test_warm_g5_rows_leave_the_graph_at_the_cap(monkeypatch):
     # The all-NULL row has 12 extensions at the base, 36 in round 1 and
     # 80 in round 2, against caps of 46, 47 and 48: from round 2 on the
     # pigeonhole step covers it, and in no round does an edge list reach
-    # that round's cap of |T| + k + 1.
+    # that round's cap of |T| + k + 1. The graph holds the 41 rows with a
+    # NULL, the all-NULL row last, and no fresh row; the all-NULL row's
+    # list in round 1 leaves out the four total projections and the
+    # fresh row's own.
     t = table(["A", "B", "C"], [("1", None, "1")] * 40 + [("2", b, "1") for b in "123"]
               + [("2", "1", "2"), (None, None, None)])
+    n = t.row_count
     lengths = []
     real = spkey.hopcroft_karp
 
@@ -363,14 +374,101 @@ def test_warm_g5_rows_leave_the_graph_at_the_cap(monkeypatch):
 
     monkeypatch.setattr(spkey, "hopcroft_karp", recording)
     assert _assert_warm_equals_cold(t, t.all_positions()) == 37 == len(lengths)
-    assert [round_lengths[44] for round_lengths in lengths[:3]] == [36, 0, 0]
-    assert all(max(round_lengths) <= len(round_lengths) for round_lengths in lengths)
+    assert all(len(round_lengths) == 41 for round_lengths in lengths)
+    assert [round_lengths[40] for round_lengths in lengths[:3]] == [36 - 4 - 1, 0, 0]
+    assert all(max(round_lengths) <= n + k for k, round_lengths in enumerate(lengths, 1))
 
 
 def test_warm_g5_all_null_key_column():
     # The reserved symbol of column A gives way to the fresh values.
     t = table(["A", "B"], [(None, "1"), (None, None), (None, "1")])
     assert _assert_warm_equals_cold(t, BOTH) == 2
+
+
+def _full_graph_nu(t, key):
+    g = build_extension_graph(t, key, cap=10**9)
+    return hopcroft_karp([g.adjacency[i] for i in range(t.row_count)], len(g.right_tuples))[0]
+
+
+def _reference_measures(t, key):
+    """check, g3, g4 and g5 from the full extension graph with nothing
+    settled: Hopcroft-Karp over every row, the Hall components, and g5
+    by a fresh full graph per added row."""
+    n = t.row_count
+    nu = _full_graph_nu(t, key)
+    if any(extension_count(t, row, key) >= n + 1 for row in t.rows):
+        g4 = None
+    else:
+        parts = hall_components(build_extension_graph(t, key, cap=10**9))
+        assert parts.total_nu == nu
+        g4 = (n - nu, n + parts.satisfied_tuple_count)
+    if not total_part_satisfies_key(t, key):
+        g5 = "precondition"
+    else:
+        tokens = fresh_values(t, n - nu)
+        g5 = next((k for k in range(n - nu + 1) if _full_graph_nu(
+            t.with_rows_added([(z,) * t.arity for z in tokens[:k]]), key) == n + k), None)
+    return nu == n, n - nu, g4, g5
+
+
+def _exactness_tables(count, seed):
+    """Random tables with, often, a repeated key-total row, an all-NULL
+    column and an all-NULL row, next to a key: the whole row or one
+    column."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        cols, n, domain = rng.randint(1, 3), rng.randint(1, 8), rng.randint(1, 5)
+        rows = [[None if rng.random() < 0.35 else str(rng.randint(1, domain))
+                 for _ in range(cols)] for _ in range(n)]
+        totals = [r for r in rows if None not in r]
+        if totals and rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), list(rng.choice(totals)))
+        if rng.random() < 0.15:
+            blank = rng.randrange(cols)
+            for r in rows:
+                r[blank] = None
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), [None] * cols)
+        t = table([f"A{i + 1}" for i in range(cols)], [tuple(r) for r in rows])
+        yield t, t.all_positions()
+        yield t, frozenset({rng.randrange(cols)})
+
+
+def test_settled_engine_equals_the_full_graph():
+    seen = dict.fromkeys(["duplicate", "blank column", "at cap", "over cap", "one column", "g5"],
+                         0)
+    for t, key in _exactness_tables(800, seed=23):
+        n = t.row_count
+        holds, g3, g4, g5 = _reference_measures(t, key)
+        analysis = KeyAnalysis(t, key)
+        assert check_spkey(t, key, analysis=analysis).holds == holds
+        removal = g3_spkey(t, key, analysis=analysis)
+        assert removal.numerator == g3
+        if g4 is None:
+            with pytest.raises(UnmaterializedGraphError):
+                g4_spkey(t, key, analysis=analysis)
+        else:
+            res = g4_spkey(t, key, analysis=analysis)
+            assert (res.numerator, res.denominator) == g4
+        if g5 == "precondition":
+            with pytest.raises(PreconditionError):
+                g5_spkey(t, key, analysis=analysis)
+        else:
+            assert g5_spkey(t, key, analysis=analysis).numerator == g5
+        # A removed key-total row repeats an earlier row's projection.
+        cols = sorted(key)
+        for i in removal.removed_rows:
+            if is_total(t.rows[i], key):
+                assert any(is_total(t.rows[j], key) and projection(t.rows[j], cols)
+                           == projection(t.rows[i], cols) for j in range(i))
+        seen["duplicate"] += not total_part_satisfies_key(t, key)
+        seen["blank column"] += any(t.active_domain(c).degenerate for c in key)
+        counts = [extension_count(t, row, key) for row in t.rows]
+        seen["at cap"] += n + 1 in counts
+        seen["over cap"] += max(counts) > n + 1
+        seen["one column"] += len(key) == 1 and t.arity > 1
+        seen["g5"] += g5 not in (0, None, "precondition")
+    assert min(seen.values()) >= 20, seen
 
 
 def _without_timing(report):
