@@ -304,15 +304,14 @@ def _least(table: IncompleteTable, budget: int, deficit: Callable,
     need is None or the world's deficit, so the worlds are walked with
     the prefix cut of :func:`_iter_completions` below the best need so
     far: no dropped world can lower it."""
-    best = None
-    for rows in _iter_completions(table, budget, deficit=deficit,
-                                  best=lambda: inf if best is None else best):
+    best = inf
+    for rows in _iter_completions(table, budget, deficit=deficit, best=lambda: best):
         n = deficit(rows) if need is None else need(rows)
-        if n is not None and (best is None or n < best):
+        if n is not None and n < best:
             best = n
             if not best:
                 break
-    return best
+    return None if best == inf else best
 
 
 def _cj_bound(table: IncompleteTable, c: SpCj, budget: int, g3) -> int | None:

@@ -247,8 +247,8 @@ def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
     at least one a round, so it stays there. A row the base graph left
     out starts there and stays too: a fresh row is weakly similar only to
     the rows NULL on the whole key, and those gain at least k extensions
-    by round k, one more than the fresh rows settle, so each still has
-    more free extensions than non-total rivals.
+    by round k, as many as the fresh rows settle, so each still has more
+    free extensions than non-total rivals.
     """
     table, graph, base = a.table, a.graph, a.matching
     n = table.row_count
