@@ -24,7 +24,6 @@ from .errors import (
     PreconditionError,
     SpcheckError,
     TableLoadError,
-    UnmaterializedGraphError,
 )
 from .oracle import enumerate_spworlds, oracle_check, oracle_g3, oracle_g5
 from .table import (
@@ -60,7 +59,6 @@ __all__ = [
     "SpWorld",
     "SpcheckError",
     "TableLoadError",
-    "UnmaterializedGraphError",
     "enumerate_spworlds",
     "is_total",
     "oracle_check",

@@ -185,20 +185,13 @@ def _check_spcj(table: IncompleteTable, c: SpCj, budget: int, _):
     return check_spcj_general(table, c.lhs, c.rhs, budget)
 
 
-def _g4_spkey(table: IncompleteTable, c: SpKey, budget: int, done: dict) -> MeasureResult:
-    # Materialization is memory-bound, so the cap follows the budget only
-    # up to a fixed ceiling per tuple, and the edges count against it.
-    return g4_spkey(table, c.key, cap=max(table.row_count + 1, min(budget, 1_000_000)),
-                    budget=budget, analysis=done["analysis"])
-
-
 # The entries look the engine functions up when they are called, so a
 # wrapper set on an engine module's attribute after import sees the call.
 ENGINES = {
     SpKey: _Engines(lambda t, c, b, d: check_spkey(
         t, c.key, analysis=d.setdefault("analysis", KeyAnalysis(t, c.key))), {
         "g3": lambda t, c, b, d: g3_spkey(t, c.key, analysis=d["analysis"]),
-        "g4": _g4_spkey,
+        "g4": lambda t, c, b, d: g4_spkey(t, c.key, analysis=d["analysis"]),
         "g5": lambda t, c, b, d: g5_spkey(t, c.key, analysis=d["analysis"]),
     }),
     SpFd: _Engines(lambda t, c, b, _: check_spfd(t, c.lhs, c.rhs, b), {
@@ -452,7 +445,7 @@ def _add_table_options(parser) -> None:
     parser.add_argument("--constraint", action="append", required=True,
                         metavar="SPEC", help="constraint such as 'spkey(A,B)'; repeatable")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="search/enumeration budget")
+                        help="search/enumeration budget, 0 or more")
     parser.add_argument("--oracle", action="store_true",
                         help="cross-check small instances against the brute-force oracle")
     parser.add_argument("--json", metavar="PATH", help="write the JSON report here")
@@ -616,6 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "budget", 0) < 0:
+        parser.error(f"argument --budget: must be at least 0, not {args.budget}")
     try:
         if args.verb == "check":
             return _cmd_table(args, measures=())
@@ -628,15 +623,9 @@ def main(argv=None) -> int:
         if args.verb == "generate":
             return _cmd_generate(args)
         raise SpcheckError(f"unknown verb {args.verb!r}")
-    except (TableLoadError, ConstraintParseError, SpcheckError) as err:
-        if isinstance(err, BudgetExceededError):
-            print(f"error: {err}", file=sys.stderr)
-            return 3
+    except (SpcheckError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(err, BudgetExceededError) else 2
 
 
 if __name__ == "__main__":

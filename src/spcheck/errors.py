@@ -26,14 +26,6 @@ class BudgetExceededError(SpcheckError):
         self.budget = budget
 
 
-class UnmaterializedGraphError(SpcheckError):
-    """An operation needs a fully materialized extension graph.
-
-    Raised when some tuple hit the materialization cap; re-run with a
-    larger cap to materialize the graph completely.
-    """
-
-
 class PreconditionError(SpcheckError):
     """A measure's standing assumption does not hold for the input table."""
 

@@ -11,25 +11,26 @@ exchanged into one that covers one tuple of each total projection, so
 the settled tuples plus a maximum matching of this reduced graph are a
 maximum matching of the full one.
 
-The full right class is usually exponential, so construction stops
-materializing a tuple's extensions at ``cap`` (default ``|T| + 1``), and
-also leaves out the tuples a caller names. Each tuple left out must have
-more extensions than *rivals*, the other tuples weakly similar to it on
-the key: one over the cap has more than the table has other tuples, and
-:func:`rows_beyond_rivals` finds the rest. Only a rival can hold one of
-its extensions, so once everyone else is matched one is still free,
-which keeps the matching maximum and the check polynomial. In the
-reduced graph the test reads the same: a tuple's total rivals are the
-key-total tuples whose projections are among its extensions, at least
-one per settled projection there, so more extensions than rivals means
-more free extensions than non-total rivals. Such tuples are recorded in
-``high_degree_left`` and matched greedily from a lazy enumeration.
+The full right class is usually exponential, so construction has one
+rule for leaving a tuple out: it must have more extensions than
+*rivals*, the other tuples weakly similar to it on the key
+(:func:`rows_beyond_rivals` finds them all). Only a rival can hold one
+of its extensions, so once everyone else is matched one is still free,
+which keeps the matching maximum. With every such tuple left out, as
+the key analysis does, a tuple kept has at most as many extensions as
+rivals, fewer than ``|T|``, so the check is polynomial.
+In the reduced graph the test reads the same: a tuple's total rivals
+are the key-total tuples whose projections are among its extensions,
+at least one per settled projection there, so more extensions than
+rivals means more free extensions than non-total rivals. Such tuples
+are recorded in ``high_degree_left`` and matched greedily from a lazy
+enumeration.
 
 Components of the full graph group the tuples by the transitive closure
 of weak similarity on the key, since two tuples share an extension
 exactly when they are weakly similar: :func:`satisfied_row_count` counts
 them without the graph, and :func:`hall_components` classifies them on
-a full graph built with nothing settled.
+a full graph built with nothing settled or left out.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 
-from .errors import UnmaterializedGraphError
 from .table import AttributeSet, IncompleteTable, column_values, extension_options, projector
 
 
@@ -47,15 +47,10 @@ from .table import AttributeSet, IncompleteTable, column_values, extension_optio
 class ExtensionGraph:
     table: IncompleteTable
     key: AttributeSet
-    cap: int
     right_tuples: tuple[tuple, ...]
     adjacency: dict  # low-degree row index -> list of right ids, lex order
     high_degree_left: dict  # row index left out -> exact extension count
     settled: dict = field(default_factory=dict)  # settled row -> its projection
-
-    @property
-    def fully_materialized(self) -> bool:
-        return not self.high_degree_left
 
 
 @dataclass(frozen=True)
@@ -90,26 +85,20 @@ class ComponentPartition:
         return sum(c.nu for c in self.satisfied + self.deficient)
 
 
-def build_extension_graph(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
-                          leave_out=(), settled=()) -> ExtensionGraph:
-    """Materialize each tuple's distinct key extensions up to ``cap``.
+def build_extension_graph(table: IncompleteTable, key: AttributeSet, leave_out=(),
+                          settled=()) -> ExtensionGraph:
+    """Materialize each tuple's distinct key extensions.
 
     A tuple's extensions are taken in lexicographic order of its
     per-position options on the sorted key, and each new extension gets
-    the next right id. The rows in ``leave_out`` are left out whatever
-    their count; each must have more extensions than rivals (see
-    :func:`rows_beyond_rivals`). The rows in ``settled`` must be
-    key-total: the first of them with each projection is matched to it
-    (``ExtensionGraph.settled``), the later ones stay unmatched, and
-    none of them is a left vertex; their projections are left out of
-    every other row's edges. With nothing settled the graph is the full
-    one.
+    the next right id. The rows in ``leave_out`` are left out; each must
+    have more extensions than rivals (see :func:`rows_beyond_rivals`).
+    The rows in ``settled`` must be key-total: the first of them with
+    each projection is matched to it (``ExtensionGraph.settled``), the
+    later ones stay unmatched, and none of them is a left vertex; their
+    projections are left out of every other row's edges. With nothing
+    settled or left out the graph is the full one.
     """
-    n = table.row_count
-    if cap is None:
-        cap = n + 1
-    if cap < n + 1:
-        raise ValueError(f"cap must be at least |T| + 1 = {n + 1}")
     cols = sorted(key)
     rows = table.rows
     project = projector(cols)
@@ -129,15 +118,14 @@ def build_extension_graph(table: IncompleteTable, key: AttributeSet, cap: int | 
         if i in skip:
             continue
         options = extension_options(row, cols, values)
-        count = prod(map(len, options))
-        if count >= cap or i in leave_out:
-            high_degree[i] = count
+        if i in leave_out:
+            high_degree[i] = prod(map(len, options))
         elif held:
             adjacency[i] = [setdefault(ext, len(right_ids))
                             for ext in product(*options) if ext not in held]
         else:
             adjacency[i] = [setdefault(ext, len(right_ids)) for ext in product(*options)]
-    return ExtensionGraph(table, key, cap, tuple(right_ids), adjacency, high_degree,
+    return ExtensionGraph(table, key, tuple(right_ids), adjacency, high_degree,
                           {i: p for p, i in held.items()})
 
 
@@ -328,15 +316,13 @@ def hall_components(graph: ExtensionGraph, result: MatchingResult | None = None)
 
     A maximum matching decomposes over components, so the global matching
     restricted to a component is locally maximum. ``graph`` must hold
-    every row, so nothing settled or over its cap. ``result`` is a
+    every row, so nothing settled or left out. ``result`` is a
     maximum matching of the table's full extension graph, computed here
     when not given; any such matching counts the same rows per component.
     """
-    if not graph.fully_materialized or len(graph.adjacency) < graph.table.row_count:
-        raise UnmaterializedGraphError(
-            "extension graph hit the materialization cap "
-            f"({graph.cap}) or settled rows; rebuild it in full for the component partition"
-        )
+    if len(graph.adjacency) < graph.table.row_count:
+        raise ValueError("the component partition needs the full extension graph, "
+                         "with no row settled or left out")
     if result is None:
         result = max_matching(graph)
     n_right = len(graph.right_tuples)

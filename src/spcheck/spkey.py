@@ -15,7 +15,7 @@ from math import prod
 from typing import Iterator
 
 from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
-from .errors import BudgetExceededError, PreconditionError, UnmaterializedGraphError
+from .errors import PreconditionError
 from .matching import (
     ExtensionGraph,
     MatchingResult,
@@ -35,7 +35,6 @@ from .table import (
     column_values,
     complete_world,
     extension_options,
-    extension_count,
     fresh_values,
     projector,
 )
@@ -52,10 +51,10 @@ class KeyAnalysis:
     unmatched, so the graph holds only the rows with a NULL on the key,
     without the settled projections, and the matching is the settled
     rows plus a maximum matching of that graph (an exchange argument
-    makes it maximum for the full graph). The graph also leaves out every
-    row with more extensions than rivals (the other rows weakly similar
-    to it on the key, see :func:`~spcheck.matching.rows_beyond_rivals`),
-    which include the rows over the ``|T| + 1`` cap: such a row has more
+    makes it maximum for the full graph). The graph leaves out a row by
+    one rule: it has more extensions than rivals (the other rows weakly
+    similar to it on the key, see
+    :func:`~spcheck.matching.rows_beyond_rivals`). Such a row has more
     free extensions than non-total rivals, so the matching gives it one
     greedily after the rest and is still maximum.
     """
@@ -144,8 +143,8 @@ def g3_spkey(table: IncompleteTable, key: AttributeSet,
                          witness=a.world(matching, kept))
 
 
-def g4_spkey(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
-             budget: int | None = None, analysis: KeyAnalysis | None = None) -> MeasureResult:
+def g4_spkey(table: IncompleteTable, key: AttributeSet,
+             analysis: KeyAnalysis | None = None) -> MeasureResult:
     """Component-weighted variant: the rows of the full extension
     graph's components that the maximum matching covers completely count
     double in the denominator.
@@ -153,28 +152,11 @@ def g4_spkey(table: IncompleteTable, key: AttributeSet, cap: int | None = None,
     A settled row shares its projection's component, and a repeated
     total projection leaves its component deficient. The components come
     from weak similarity on the key, not from the full graph
-    (:func:`~spcheck.matching.satisfied_row_count`), but the measure is
-    defined on that graph, so it refuses a table in which some row has
-    ``cap`` (default ``|T| + 1``) or more extensions, and, given a
-    ``budget``, one whose full graph would hold more edges than that.
+    (:func:`~spcheck.matching.satisfied_row_count`), so g4 answers every
+    table the check answers.
     """
     a = _analysis(table, key, analysis)
     n = measure_denominator(table, "g4")
-    if cap is None:
-        cap = n + 1
-    if cap < n + 1:
-        raise ValueError(f"cap must be at least |T| + 1 = {n + 1}")
-    counts = [extension_count(table, row, key) for row in table.rows]
-    over = sum(1 for c in counts if c >= cap)
-    if over:
-        raise UnmaterializedGraphError(
-            f"{over} rows have at least {cap} key extensions; g4 needs the "
-            "fully materialized extension graph")
-    edges = sum(counts)
-    if budget is not None and edges > budget:
-        raise BudgetExceededError(
-            f"g4's full extension graph holds {edges} edges, over the budget of {budget}",
-            budget=budget)
     result = a.matching
     return MeasureResult("g4", n - result.size,
                          n + satisfied_row_count(table, key, result.matching))

@@ -238,35 +238,62 @@ def test_cli_budget_exit_three(tmp_path):
     assert code == 3
 
 
-def test_cli_g4_counts_its_edges_against_the_budget(tmp_path):
-    # Each all-NULL row has 36 extensions, under the cap of 50, but the
-    # graph would hold 6 + 4 * 36 = 150 edges: more than the budget.
+def test_cli_budget_must_not_be_negative(tmp_path, capsys):
+    path = tmp_path / "ok.csv"
+    path.write_text("a,b\n1,1\n", encoding="utf-8")
+    argv = ["check", "--table", str(path), "--constraint", "spfd(a -> b)", "--budget"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["-1"])
+    assert exit_.value.code == 2
+    assert "--budget: must be at least 0, not -1" in capsys.readouterr().err
+    assert main(argv + ["0"]) == 3  # a budget of 0 is valid, and the search exceeds it
+
+
+def _grid_csv(path, values: int, width: int, all_null: int) -> None:
+    """Rows v,v,...,v for v = 1..values, then ``all_null`` all-NULL rows."""
+    rows = [",".join([str(v)] * width) for v in range(1, values + 1)]
+    rows += ["," * (width - 1)] * all_null
+    path.write_text(",".join("abcdef"[:width]) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+
+def test_cli_g4_spends_no_budget(tmp_path):
+    # Each all-NULL row has 36 extensions and the full graph would hold
+    # 6 + 4 * 36 = 150 edges; g4 builds no graph, so --budget 50 is moot.
     path = tmp_path / "grid.csv"
-    rows = [f"{v},{v}" for v in range(1, 7)] + [","] * 4
-    path.write_text("a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    _grid_csv(path, 6, 2, 4)
     out = tmp_path / "report.json"
-    argv = ["measure", "--table", str(path), "--constraint", "spkey(a,b)",
-            "--measures", "g4", "--json", str(out)]
-    assert main(argv + ["--budget", "50"]) == 3
-    assert json.loads(out.read_text())["constraints"][0]["error"].startswith("budget exceeded")
-    assert main(argv + ["--budget", "150"]) == 0
-    assert json.loads(out.read_text())["constraints"][0]["measures"]["g4"]["fraction"] == "0/20"
+    for budget in ("50", "150"):
+        assert main(["measure", "--table", str(path), "--constraint", "spkey(a,b)",
+                     "--measures", "g4", "--budget", budget, "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["constraints"][0]["measures"]["g4"]["fraction"] == "0/20"
 
 
-def test_cli_g4_refuses_rows_at_the_cap(tmp_path):
-    # 36 extensions reach the cap of max(|T| + 1, budget) = 36 before any
-    # graph is built; the entry reports the error and the run goes on
-    # (exit 1: spkey(a) is violated).
+def test_cli_g4_answers_rows_with_many_extensions(tmp_path):
+    # On (a, b) each all-NULL row has 36 extensions, as many as the
+    # budget; g4 answers both entries (exit 1: spkey(a) is violated).
     path = tmp_path / "grid.csv"
-    rows = [f"{v},{v}" for v in range(1, 7)] + [","] * 4
-    path.write_text("a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    _grid_csv(path, 6, 2, 4)
     out = tmp_path / "report.json"
     assert main(["measure", "--table", str(path), "--constraint", "spkey(a,b)",
                  "--constraint", "spkey(a)", "--measures", "g4", "--budget", "36",
                  "--json", str(out)]) == 1
     entries = json.loads(out.read_text())["constraints"]
-    assert "4 rows have at least 36 key extensions" in entries[0]["error"]
-    assert entries[1]["measures"]["g4"]["fraction"] == "4/10"
+    assert [e["error"] for e in entries] == [None, None]
+    assert [e["measures"]["g4"]["fraction"] for e in entries] == ["0/20", "4/10"]
+
+
+def test_cli_key_measures_answer_a_row_with_a_million_extensions(tmp_path):
+    # The all-NULL row has 11^6 = 1,771,561 key extensions, more than it
+    # has rivals, so no measure enumerates them.
+    path = tmp_path / "wide.csv"
+    _grid_csv(path, 11, 6, 1)
+    out = tmp_path / "report.json"
+    assert main(["measure", "--table", str(path), "--constraint", "spkey(a,b,c,d,e,f)",
+                 "--measures", "g3,g4,g5", "--json", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["constraints"]
+    assert entry["holds"] and entry["error"] is None
+    assert {name: m["fraction"] for name, m in entry["measures"].items()} == {
+        "g3": "0/12", "g4": "0/24", "g5": "0/12"}
 
 
 def test_cli_verify_verb(table4_csv):

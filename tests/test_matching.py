@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from spcheck.errors import UnmaterializedGraphError
 from spcheck.matching import (
     build_extension_graph,
     hall_components,
@@ -56,14 +55,9 @@ def test_total_table_graph():
 def test_high_degree_flagging():
     rows = [(str(i), str(i)) for i in range(1, 5)] + [(None, None)]
     t = table(["A", "B"], rows)
-    g = build_extension_graph(t, frozenset({0, 1}), cap=6)
+    g = build_extension_graph(t, frozenset({0, 1}), leave_out={4})
     assert g.high_degree_left == {4: 16}
     assert 4 not in g.adjacency
-
-
-def test_cap_validation(table4):
-    with pytest.raises(ValueError):
-        build_extension_graph(table4, frozenset({0, 1}), cap=3)
 
 
 def test_max_matching_table4(table4):
@@ -82,7 +76,7 @@ def test_max_matching_total_distinct():
 def test_greedy_phase_completes_high_degree():
     rows = [(str(i), str(i)) for i in range(1, 5)] + [(None, None)]
     t = table(["A", "B"], rows)
-    g = build_extension_graph(t, frozenset({0, 1}), cap=6)
+    g = build_extension_graph(t, frozenset({0, 1}), leave_out={4})
     result = max_matching(g)
     assert result.size == 5
     values = list(result.matching.values())
@@ -121,8 +115,8 @@ def test_hall_components_mixed():
 def test_hall_components_refuses_unmaterialized():
     rows = [(str(i), str(i)) for i in range(1, 5)] + [(None, None)]
     t = table(["A", "B"], rows)
-    g = build_extension_graph(t, frozenset({0, 1}), cap=6)
-    with pytest.raises(UnmaterializedGraphError):
+    g = build_extension_graph(t, frozenset({0, 1}), leave_out={4})
+    with pytest.raises(ValueError):
         hall_components(g)
 
 
@@ -145,16 +139,17 @@ def matching_grid_tables():
             yield IncompleteTable.build([f"A{i}" for i in range(width)], rows)
 
 
-def _assert_capped_equals_full(t, key=None):
-    """The |T| + 1 capped graph and the shared graph of a key analysis
-    both match as many rows as the full graph; returns the analysis."""
+def _assert_left_out_equals_full(t, key=None):
+    """The graph without the rows beyond their rivals, with nothing
+    settled, and the shared graph of a key analysis both match as many
+    rows as the full graph; returns the analysis."""
     key = t.all_positions() if key is None else key
-    capped = max_matching(build_extension_graph(t, key, cap=t.row_count + 1))
-    full_graph = build_extension_graph(t, key, cap=10**9)
+    left_out = max_matching(build_extension_graph(t, key, leave_out=rows_beyond_rivals(t, key)))
+    full_graph = build_extension_graph(t, key)
     assert not full_graph.high_degree_left
     adjacency = [full_graph.adjacency[i] for i in range(t.row_count)]
     reference = kuhn_matching_size(adjacency, len(full_graph.right_tuples))
-    assert capped.size == reference
+    assert left_out.size == reference
     analysis = KeyAnalysis(t, key)
     matching = analysis.matching.matching
     assert analysis.matching.size == len(matching) == reference
@@ -168,7 +163,7 @@ def test_capped_matching_equals_full_matching_on_grid():
     """The pigeonhole completion must reproduce the matching size of the
     fully materialized graph; checked against an independent matcher."""
     for t in matching_grid_tables():
-        _assert_capped_equals_full(t)
+        _assert_left_out_equals_full(t)
 
 
 def test_capped_matching_equals_full_matching_sampled():
@@ -185,27 +180,28 @@ def test_capped_matching_equals_full_matching_sampled():
             )
             for _ in range(n)
         ]
-        _assert_capped_equals_full(
+        _assert_left_out_equals_full(
             IncompleteTable.build([f"A{i}" for i in range(width)], rows)
         )
 
 
 def test_rival_capped_matching_equals_full_matching_sampled():
-    """Rows the shared graph leaves out below the |T| + 1 cap, each with
-    more extensions than rivals, still leave its matching maximum."""
+    """Rows the shared graph leaves out with at most |T| extensions,
+    each with more extensions than rivals, still leave its matching
+    maximum."""
     import random
 
     rng = random.Random(43)
-    below_cap = 0
+    small = 0
     for _ in range(400):
         width, domain, n = rng.randint(1, 4), rng.randint(1, 8), rng.randint(1, 12)
         rows = [tuple(None if rng.random() < 0.35 else str(rng.randint(1, domain))
                       for _ in range(width)) for _ in range(n)]
         t = IncompleteTable.build([f"A{i}" for i in range(width)], rows)
         key = frozenset(rng.sample(range(width), rng.randint(1, width)))
-        left_out = _assert_capped_equals_full(t, key).graph.high_degree_left
-        below_cap += sum(1 for count in left_out.values() if count < n + 1)
-    assert below_cap >= 100
+        left_out = _assert_left_out_equals_full(t, key).graph.high_degree_left
+        small += sum(1 for count in left_out.values() if count < n + 1)
+    assert small >= 100
 
 
 def test_rows_beyond_rivals_matches_pairwise_count():
@@ -248,13 +244,12 @@ def test_wide_key_construction_matching_size():
     assert g3_spkey(inst.table, inst.constraint.key).fraction_str == "2/3"
 
 
-def _reference_graph(t, key, cap):
+def _reference_graph(t, key, leave_out):
     """The graph built row by row through the public per-row helpers."""
     right_ids, adjacency, high = {}, {}, {}
     for i, row in enumerate(t.rows):
-        count = extension_count(t, row, key)
-        if count >= cap:
-            high[i] = count
+        if i in leave_out:
+            high[i] = extension_count(t, row, key)
             continue
         adjacency[i] = [right_ids.setdefault(ext, len(right_ids))
                         for ext in iter_extensions(t, row, key)]
@@ -271,9 +266,10 @@ def test_graph_build_matches_per_row_reference():
                       for _ in range(width)) for _ in range(rng.randint(1, 7))]
         t = IncompleteTable.build([f"A{i}" for i in range(width)], rows)
         key = frozenset(rng.sample(range(width), rng.randint(1, width)))
-        for cap in (t.row_count + 1, 10**6):
-            g = build_extension_graph(t, key, cap)
-            assert (g.right_tuples, g.adjacency, g.high_degree_left) == _reference_graph(t, key, cap)
+        for leave_out in (rows_beyond_rivals(t, key), set()):
+            g = build_extension_graph(t, key, leave_out)
+            assert (g.right_tuples, g.adjacency,
+                    g.high_degree_left) == _reference_graph(t, key, leave_out)
 
 
 def test_settled_graph_is_the_full_graph_without_the_total_rows():
@@ -313,7 +309,7 @@ def test_satisfied_row_count_matches_hall_components():
                       for _ in range(width)) for _ in range(n)]
         t = IncompleteTable.build([f"A{i}" for i in range(width)], rows)
         key = frozenset(rng.sample(range(width), rng.randint(1, width)))
-        full = build_extension_graph(t, key, cap=10**9)
+        full = build_extension_graph(t, key)
         result = max_matching(full)
         parts = hall_components(full, result)
         assert satisfied_row_count(t, key, result.matching) == parts.satisfied_tuple_count

@@ -7,7 +7,7 @@ import pytest
 from spcheck import spkey
 from spcheck.cli import RunOptions, run
 from spcheck.constraints import SpKey
-from spcheck.errors import PreconditionError, UnmaterializedGraphError
+from spcheck.errors import PreconditionError
 from spcheck.matching import build_extension_graph, hall_components, hopcroft_karp
 from spcheck.generators import gen_prop3, gen_thm1
 from spcheck.oracle import holds_key
@@ -75,7 +75,7 @@ def test_violation_row_is_left_unmatched_by_a_maximum_matching():
                 unmatched += 1
             else:
                 duplicates += 1
-            g = build_extension_graph(t, key, cap=10**6)
+            g = build_extension_graph(t, key)
             size = lambda rows: hopcroft_karp([g.adjacency[i] for i in rows], len(g.right_tuples))[0]
             assert size([i for i in range(t.row_count) if i != row]) == size(range(t.row_count))
     assert duplicates >= 200 and unmatched >= 100
@@ -236,9 +236,9 @@ def test_one_graph_build_per_key(monkeypatch, table4, cars_table):
     builds = []
     real = spkey.build_extension_graph
 
-    def counting(table, key, cap=None, leave_out=(), settled=()):
+    def counting(table, key, leave_out=(), settled=()):
         builds.append(table)
-        return real(table, key, cap, leave_out, settled)
+        return real(table, key, leave_out, settled)
 
     monkeypatch.setattr(spkey, "build_extension_graph", counting)
     for t in (table4, cars_table):
@@ -256,13 +256,13 @@ def test_g4_counts_the_full_graph_with_one_build(monkeypatch):
     # settled graph's matching instead of building the full graph.
     t = table(["A", "B"], [(v, v) for v in "1234"] + [("1", None)] * 5 + [(None, None)])
     n = t.row_count
-    parts = hall_components(build_extension_graph(t, BOTH, cap=10**6))
+    parts = hall_components(build_extension_graph(t, BOTH))
     builds = []
     real = spkey.build_extension_graph
 
-    def counting(table, key, cap=None, leave_out=(), settled=()):
+    def counting(table, key, leave_out=(), settled=()):
         builds.append(table)
-        return real(table, key, cap, leave_out, settled)
+        return real(table, key, leave_out, settled)
 
     monkeypatch.setattr(spkey, "build_extension_graph", counting)
     report = run(t, [SpKey(BOTH)], RunOptions(measures=("g3", "g4")))
@@ -386,7 +386,7 @@ def test_warm_g5_all_null_key_column():
 
 
 def _full_graph_nu(t, key):
-    g = build_extension_graph(t, key, cap=10**9)
+    g = build_extension_graph(t, key)
     return hopcroft_karp([g.adjacency[i] for i in range(t.row_count)], len(g.right_tuples))[0]
 
 
@@ -396,12 +396,9 @@ def _reference_measures(t, key):
     by a fresh full graph per added row."""
     n = t.row_count
     nu = _full_graph_nu(t, key)
-    if any(extension_count(t, row, key) >= n + 1 for row in t.rows):
-        g4 = None
-    else:
-        parts = hall_components(build_extension_graph(t, key, cap=10**9))
-        assert parts.total_nu == nu
-        g4 = (n - nu, n + parts.satisfied_tuple_count)
+    parts = hall_components(build_extension_graph(t, key))
+    assert parts.total_nu == nu
+    g4 = (n - nu, n + parts.satisfied_tuple_count)
     if not total_part_satisfies_key(t, key):
         g5 = "precondition"
     else:
@@ -435,8 +432,8 @@ def _exactness_tables(count, seed):
 
 
 def test_settled_engine_equals_the_full_graph():
-    seen = dict.fromkeys(["duplicate", "blank column", "at cap", "over cap", "one column", "g5"],
-                         0)
+    seen = dict.fromkeys(["duplicate", "blank column", "at |T| + 1", "over |T| + 1", "one column",
+                          "g5"], 0)
     for t, key in _exactness_tables(800, seed=23):
         n = t.row_count
         holds, g3, g4, g5 = _reference_measures(t, key)
@@ -444,12 +441,8 @@ def test_settled_engine_equals_the_full_graph():
         assert check_spkey(t, key, analysis=analysis).holds == holds
         removal = g3_spkey(t, key, analysis=analysis)
         assert removal.numerator == g3
-        if g4 is None:
-            with pytest.raises(UnmaterializedGraphError):
-                g4_spkey(t, key, analysis=analysis)
-        else:
-            res = g4_spkey(t, key, analysis=analysis)
-            assert (res.numerator, res.denominator) == g4
+        res = g4_spkey(t, key, analysis=analysis)
+        assert (res.numerator, res.denominator) == g4
         if g5 == "precondition":
             with pytest.raises(PreconditionError):
                 g5_spkey(t, key, analysis=analysis)
@@ -464,8 +457,8 @@ def test_settled_engine_equals_the_full_graph():
         seen["duplicate"] += not total_part_satisfies_key(t, key)
         seen["blank column"] += any(t.active_domain(c).degenerate for c in key)
         counts = [extension_count(t, row, key) for row in t.rows]
-        seen["at cap"] += n + 1 in counts
-        seen["over cap"] += max(counts) > n + 1
+        seen["at |T| + 1"] += n + 1 in counts
+        seen["over |T| + 1"] += max(counts) > n + 1
         seen["one column"] += len(key) == 1 and t.arity > 1
         seen["g5"] += g5 not in (0, None, "precondition")
     assert min(seen.values()) >= 20, seen
