@@ -446,8 +446,6 @@ def _add_table_options(parser) -> None:
                         metavar="SPEC", help="constraint such as 'spkey(A,B)'; repeatable")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="search/enumeration budget, 0 or more")
-    parser.add_argument("--oracle", action="store_true",
-                        help="cross-check small instances against the brute-force oracle")
     parser.add_argument("--json", metavar="PATH", help="write the JSON report here")
 
 
@@ -467,7 +465,7 @@ def _cmd_table(args, measures) -> int:
     options = RunOptions(
         measures=measures,
         budget=args.budget,
-        verify_with_oracle=args.oracle or args.verb == "verify",
+        verify_with_oracle=args.verb == "verify",
     )
     report = run(table, constraints, options)
     _summarize(report, sys.stdout)

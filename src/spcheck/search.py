@@ -1,6 +1,6 @@
 """Budgeted backtracking shared by the spFD, spMVD and spCJ engines, the
-removal deepening behind their g3, and the addition search behind the
-spFD and spMVD g5.
+removal deepening behind their g3, and the addition loop behind the spFD
+g5 and the key g5 on an all-NULL key column.
 
 Every engine assigns each row one completion of some columns and keeps
 its own state for the rows assigned so far. The kernel here walks the
@@ -172,25 +172,24 @@ def smallest_removal(table: IncompleteTable, floor: int, run: Callable,
     raise AssertionError("unreachable: removing every row satisfies the constraint")
 
 
-def smallest_addition(table: IncompleteTable, bound: int,
-                      candidates: Callable[[int], Iterable[Sequence[Row]]],
+def smallest_addition(table: IncompleteTable, added: Sequence[Row],
                       check: Callable[[IncompleteTable], ConstraintVerdict],
                       verdict: ConstraintVerdict) -> MeasureResult:
-    """g5 as the fewest added rows that make ``check`` hold.
+    """g5 as the fewest of the ``added`` rows, taken in order, that make
+    ``check`` hold.
 
-    k = 0 is ``verdict``, the table's own check. For k = 1, ..., ``bound``
-    it tries each addition set of k rows that ``candidates(k)`` yields, in
-    turn; the first that passes is the measure, and its witness world
-    marks the added rows' origin None. With none up to ``bound``, undefined.
+    k = 0 is ``verdict``, the table's own check. For k = 1, ...,
+    ``len(added)`` it tries the first k rows; the first that pass are the
+    measure, and its witness world marks the added rows' origin None.
+    With none, undefined.
     """
     n = measure_denominator(table, "g5")
     if verdict.holds:
         return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
-    for k in range(1, bound + 1):
-        for added in candidates(k):
-            verdict = check(table.with_rows_added(added))
-            if verdict.holds:
-                origin = tuple(range(n)) + (None,) * k
-                return MeasureResult("g5", k, n, added_rows=tuple(added),
-                                     witness=SpWorld(verdict.witness.rows, origin))
+    for k in range(1, len(added) + 1):
+        verdict = check(table.with_rows_added(added[:k]))
+        if verdict.holds:
+            return MeasureResult("g5", k, n, added_rows=tuple(added[:k]),
+                                 witness=SpWorld(verdict.witness.rows,
+                                                 tuple(range(n)) + (None,) * k))
     return MeasureResult("g5", None, n)

@@ -218,10 +218,7 @@ def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     nontotal = sum(1 for r in removed_rows if not is_total(r, x))
     total_classes = {projection(r, x) for r in removed_rows if is_total(r, x)}
     bound = nontotal + len(total_classes)
-    tokens = fresh_values(table, max(bound, 1))
-    return smallest_addition(
-        table, bound,
-        lambda k: [[tuple(tokens[j] if a in x else None for a in range(table.arity))
-                    for j in range(k)]],
-        lambda extended: check_spfd(extended, x, y, budget), verdict,
-    )
+    added = [tuple(token if a in x else None for a in range(table.arity))
+             for token in fresh_values(table, bound)]
+    return smallest_addition(table, added, lambda extended: check_spfd(extended, x, y, budget),
+                             verdict)

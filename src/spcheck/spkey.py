@@ -208,8 +208,7 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet,
         # An all-NULL key column loses its reserved symbol to the first
         # fresh value, and with it every edge of the graph: no round can
         # start from the previous one.
-        return smallest_addition(table, bound, lambda k: [added[:k]],
-                                 lambda extended: check_spkey(extended, key),
+        return smallest_addition(table, added, lambda extended: check_spkey(extended, key),
                                  check_spkey(table, key, analysis=a))
     return _warm_rounds(a, added)
 

@@ -7,11 +7,13 @@ the degenerate case with a single class, evaluated on the two given
 attribute sets. Both reuse one backtracking cross-coverage search in
 which rows that are entirely NULL on the relevant columns never branch:
 they are counted and spent on missing combinations at the end. The
-spMVD search over left-side completions counts the rows NULL on every
-column in the same way: each class takes the fewest of them with which
-it crosses, so the all-NULL rows that g5 adds do not multiply the
-search. Both g3 measures deepen over the removal count on these same
-searches, as spFD's does; every g3 and g5 starts from the check's verdict.
+spMVD walk over left-side completions counts the rows NULL on every
+column in the same way, and keeps the least number of them that its
+classes need: the check, each g3 level and each g5 step are that one
+walk, g5 on the table plus j rows fresh on the left side for each j
+below its best. Both g3 measures deepen over the removal count on the
+checks' searches, as spFD's does; every g3 and g5 starts from the
+check's verdict.
 
 Unlike the classical complete-table case, a satisfied dependency here
 does NOT license a lossless decomposition of the incomplete table into
@@ -29,7 +31,7 @@ from itertools import product
 from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from .errors import DEFAULT_BUDGET
 from .matching import hopcroft_karp
-from .search import Budget, backtrack, row_order, smallest_addition, smallest_removal
+from .search import Budget, backtrack, row_order, smallest_removal
 from .table import (
     AttributeSet,
     IncompleteTable,
@@ -196,19 +198,25 @@ class _CrossSearch:
 
 
 def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
-    """The search behind the spMVD check and g3, over left-side
+    """The search behind the spMVD check, g3 and g5, over left-side
     completions: the rows imputed one value form a class, and every class
     must cross its right side with the rest of the schema.
 
     Rows NULL on every column are counted, not branched, and never
     removed: one such row can join any class and fill one missing
-    combination there, or repeat any kept row. A path holds when the
-    classes' fewest spare rows (each found by deepening ``spare`` on the
-    class's cross search) add up to at most the all-NULL rows. Returns
-    ``run(budget, max_removed, leaf)``, whose last two arguments are
-    those of ``backtrack``, and the world of the path it accepted."""
+    combination there, or repeat any kept row. A class's need is the
+    fewest of them with which it crosses (by deepening ``spare`` on its
+    cross search, cached); a path's need is the all-NULL rows its classes
+    need beyond the table's own.
+
+    Returns ``walk(budget, best, max_removed, leaf, floor)``; ``max_removed``
+    and ``leaf`` are those of ``backtrack``. It gives the least need below
+    ``best`` on an accepted path and the world of that path's kept rows
+    plus that many all-NULL rows, or None; it stops at the first path
+    that needs at most ``floor``."""
     sides = (rhs - lhs, table.all_positions() - lhs - rhs)
     x_cols = tuple(sorted(lhs))
+    positions = x_cols + tuple(sorted(sides[0] | sides[1]))
     blank = [i for i, row in enumerate(table.rows) if all(c is None for c in row)]
     branching = [i for i, row in enumerate(table.rows) if any(c is not None for c in row)]
     order, options, same_as_prev = row_order(table, branching, x_cols, range(table.arity))
@@ -226,7 +234,7 @@ def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
         if not classes[value]:
             del classes[value]
 
-    def need(members: list, most: int, budget: Budget) -> int | None:
+    def need(members: list, most: float, budget: Budget) -> int | None:
         """The fewest spare rows with which ``members`` cross, or None
         when that is above ``most``."""
         key = tuple(sorted(members))
@@ -239,25 +247,11 @@ def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
             needs[key] = (tried, found)
         return tried if found is not None and tried <= most else None
 
-    def run(budget: Budget, max_removed: int = 0, leaf=None) -> dict | None:
-        def crosses() -> bool:
-            unspent = len(blank)
-            for members in classes.values():
-                spent = need(members, unspent, budget)
-                if spent is None:
-                    return False
-                unspent -= spent
-            return True
-
-        return backtrack(order, options, same_as_prev, budget, join, leave,
-                         leaf=lambda removed: crosses() and (leaf is None or leaf(removed)),
-                         max_removed=max_removed)
-
-    def world() -> SpWorld:
-        """Each class's all-NULL rows take its missing combinations; the
-        rows left over repeat a kept row."""
+    def cells(extra: int) -> dict:
+        """Each class's all-NULL rows, ``extra`` added ones included, take
+        its missing combinations; the rows left over repeat a kept row."""
         cells: dict = {}
-        spare = iter(blank)
+        spare = iter(blank + list(range(table.row_count, table.row_count + extra)))
         for value, members in classes.items():
             completions, fills = needs[tuple(sorted(members))][1]
             for i in members:
@@ -267,10 +261,34 @@ def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
         repeat = next(iter(cells.values()), (None,) * table.arity)
         for i in spare:
             cells[i] = repeat
-        return complete_world(table, x_cols + tuple(sorted(sides[0] | sides[1])),
-                              cells.__getitem__)
+        return cells
 
-    return run, world
+    def walk(budget: Budget, best: float = 1, max_removed: int = 0, leaf=None,
+             floor: int = 0) -> tuple | None:
+        found = None
+
+        def accept(removed: list) -> bool:
+            nonlocal best, found
+            spent = 0
+            for members in classes.values():
+                got = need(members, len(blank) + best - 1 - spent, budget)
+                if got is None:
+                    return False
+                spent += got
+            if leaf is not None and not leaf(removed):
+                return False
+            best = max(spent - len(blank), 0)
+            found = cells(best)
+            return best <= floor
+
+        backtrack(order, options, same_as_prev, budget, join, leave, leaf=accept,
+                  max_removed=max_removed)
+        if found is None:
+            return None
+        extended = table.with_rows_added([(None,) * table.arity] * best) if best else table
+        return best, complete_world(extended, positions, found.__getitem__, sorted(found))
+
+    return walk
 
 
 def check_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
@@ -279,10 +297,8 @@ def check_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     multivalued dependency; the full schema matters, not just lhs + rhs.
     The search counts the rows NULL on every column instead of branching
     them (see ``_mvd_search``)."""
-    run, world = _mvd_search(table, lhs, rhs)
-    if run(Budget.of(budget)) is None:
-        return ConstraintVerdict(False)
-    return ConstraintVerdict(True, world())
+    found = _mvd_search(table, lhs, rhs)(Budget.of(budget))
+    return ConstraintVerdict(False) if found is None else ConstraintVerdict(True, found[1])
 
 
 def check_nmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> bool:
@@ -375,8 +391,8 @@ def g3_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     level removes rows in the check's search over left-side completions."""
     budget = Budget.of(budget)
     verdict = check_spmvd(table, lhs, rhs, budget) if verdict is None else verdict
-    run = _mvd_search(table, lhs, rhs)[0]
-    return smallest_removal(table, 0, lambda m, leaf: run(budget, m, leaf),
+    walk = _mvd_search(table, lhs, rhs)
+    return smallest_removal(table, 0, lambda m, leaf: walk(budget, 1, m, leaf),
                             lambda sub: check_spmvd(sub, lhs, rhs, budget), verdict)
 
 
@@ -392,46 +408,35 @@ def g3_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
                             lambda sub: check_spcj_general(sub, lhs, rhs, budget), verdict)
 
 
-def _mvd_fill_need(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> int:
-    """Additions that certainly repair the dependency: complete every row
-    minimally, then fill each class's missing cross combinations."""
-    rest = table.all_positions() - lhs - rhs
-    xs = tuple(sorted(lhs))
-    ys = tuple(sorted(rhs - lhs))
-    rs = tuple(sorted(rest))
-    groups: dict = defaultdict(set)
-    for r in complete_world(table).rows:
-        groups[tuple(r[a] for a in xs)].add(
-            (tuple(r[a] for a in ys), tuple(r[a] for a in rs))
-        )
-    need = 0
-    for pairs in groups.values():
-        yvals = {p[0] for p in pairs}
-        rvals = {p[1] for p in pairs}
-        need += len(yvals) * len(rvals) - len(pairs)
-    return need
-
-
 def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
              budget: int | Budget = DEFAULT_BUDGET,
              verdict: ConstraintVerdict | None = None) -> MeasureResult:
-    """Minimum additions over mixtures of all-NULL rows (combination
-    fillers) and fresh-left-side rows (class escapes)."""
+    """Minimum number of added rows, each all-NULL (a combination filler)
+    or fresh on the left side and NULL elsewhere (a class escape).
+
+    All-NULL rows change no active domain, so the fewest of them that
+    repair the table plus j fresh-left rows is the check's walk's least
+    need there. g5 is the least j plus that need, for j = 0, 1, ... below
+    the best so far; the failed check makes it at least 1, so the walk at
+    j = 0 stops at need 1. Enough all-NULL rows always repair the table.
+    """
     budget = Budget.of(budget)
+    n = measure_denominator(table, "g5")
     verdict = check_spmvd(table, lhs, rhs, budget) if verdict is None else verdict
-    bound = _mvd_fill_need(table, lhs, rhs)
-    arity = table.arity
-    tokens = fresh_values(table, max(bound, 1))
-
-    def mixtures(k: int):
-        """k - j all-NULL rows, then j rows fresh on the left side."""
-        for j in range(k + 1):
-            yield ([(None,) * arity] * (k - j)
-                   + [tuple(tokens[t] if a in lhs else None for a in range(arity))
-                      for t in range(j)])
-
-    return smallest_addition(table, bound, mixtures,
-                             lambda extended: check_spmvd(extended, lhs, rhs, budget), verdict)
+    if verdict.holds:
+        return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
+    j, need, world = 0, *_mvd_search(table, lhs, rhs)(budget, math.inf, floor=1)
+    fresh = [tuple(token if a in lhs else None for a in range(table.arity))
+             for token in fresh_values(table, need - 1)]
+    k = 1
+    while k < j + need:
+        found = _mvd_search(table.with_rows_added(fresh[:k]), lhs, rhs)(budget, j + need - k)
+        if found is not None:
+            j, (need, world) = k, found
+        k += 1
+    added = tuple(fresh[:j]) + ((None,) * table.arity,) * need
+    return MeasureResult("g5", j + need, n, added_rows=added,
+                         witness=SpWorld(world.rows, tuple(range(n)) + (None,) * (j + need)))
 
 
 def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,

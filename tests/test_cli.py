@@ -229,6 +229,15 @@ def test_cli_usage_error_exit_two(tmp_path):
                  "--constraint", "spkey(a)"]) == 2
 
 
+def test_oracle_comparison_is_verify_only(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text("a,b\n1,1\n", encoding="utf-8")
+    for verb in ("check", "measure"):
+        with pytest.raises(SystemExit) as exit_:
+            main([verb, "--table", str(path), "--constraint", "spkey(a)", "--oracle"])
+        assert exit_.value.code == 2
+
+
 def test_cli_budget_exit_three(tmp_path):
     path = tmp_path / "big.csv"
     rows = "\n".join(",".join("" for _ in range(4)) for _ in range(6))

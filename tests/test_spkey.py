@@ -277,7 +277,7 @@ def _cold_g5(t, key):
     table per round."""
     bound = g3_spkey(t, key).numerator
     tokens = fresh_values(t, bound)
-    return smallest_addition(t, bound, lambda k: [[(tokens[j],) * t.arity for j in range(k)]],
+    return smallest_addition(t, [(token,) * t.arity for token in tokens],
                              lambda extended: check_spkey(extended, key), check_spkey(t, key))
 
 

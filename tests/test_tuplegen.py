@@ -7,7 +7,7 @@ from spcheck.errors import BudgetExceededError
 from spcheck.oracle import holds_cj, holds_mvd, oracle_check
 from spcheck.constraints import SpCj, SpMvd
 from spcheck.generators import random_table
-from spcheck.table import project
+from spcheck.table import fresh_values, project
 from spcheck.tuplegen import (
     check_nmvd,
     check_spcj_general,
@@ -262,6 +262,47 @@ def test_g5_spmvd_counts_its_all_null_rows():
     res = g5_spmvd(t, X, Y, budget=20_000)
     assert res.fraction_str == "13/14"
     assert_addition_witness(t, res, lambda rows: holds_mvd(rows, X, Y, 3), X)
+
+
+def test_g5_spmvd_on_a_24_row_table_fits_a_small_budget():
+    # One walk per count of fresh-left rows, each keeping the least
+    # all-NULL need: one full check per mix of all-NULL and fresh-left
+    # rows spends 463,955 nodes on this table.
+    t = random_table(24, 3, 5, 0.2, seed=3)
+    res = g5_spmvd(t, X, Y, budget=150_000)
+    assert res.fraction_str == "19/24"
+    assert_addition_witness(t, res, lambda rows: holds_mvd(rows, X, Y, 3), fresh={0})
+
+
+def _ladder_g5(t, lhs, rhs):
+    """g5 by the mixture ladder: for k = 1, 2, ... and j = 0..k, the check
+    on the table plus k - j all-NULL rows and j rows fresh on the left
+    side. Enough all-NULL rows always repair the dependency."""
+    if check_spmvd(t, lhs, rhs).holds:
+        return 0
+    k = 0
+    while True:
+        k += 1
+        tokens = fresh_values(t, k)
+        for j in range(k + 1):
+            added = ([(None,) * t.arity] * (k - j)
+                     + [tuple(tokens[i] if a in lhs else None for a in range(t.arity))
+                        for i in range(j)])
+            if check_spmvd(t.with_rows_added(added), lhs, rhs).holds:
+                return k
+
+
+def test_g5_spmvd_matches_the_mixture_ladder():
+    # Above the oracle cross-check's six rows: 6-12 rows, 3-4 columns.
+    # Five of these 120 cases add a fresh-left row.
+    for seed in range(40):
+        rng = random.Random(seed)
+        t = random_table(rng.randint(6, 12), rng.randint(3, 4), 3, 0.15, seed)
+        for lhs, rhs in ((X, Y), (frozenset({1}), frozenset({2})),
+                         (frozenset({0, 1}), frozenset({2}))):
+            res = g5_spmvd(t, lhs, rhs)
+            assert res.numerator == _ladder_g5(t, lhs, rhs)
+            assert_addition_witness(t, res, lambda rows: holds_mvd(rows, lhs, rhs, t.arity), lhs)
 
 
 def test_spmvd_check_counts_all_null_rows():
