@@ -65,7 +65,7 @@ def load_csv(path, null_token: str = "", has_header: bool = True) -> IncompleteT
     """Read a rectangular CSV; cells equal to ``null_token`` become NULL,
     every other cell is taken verbatim (no trimming)."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             records = list(reader)
     except OSError as err:
@@ -502,44 +502,55 @@ def _parse_graph(spec: str, n: int):
     if spec:
         for part in spec.split(","):
             u, _, v = part.partition("-")
-            edges.append((int(u), int(v)))
+            try:
+                edges.append((int(u), int(v)))
+            except ValueError:
+                raise SpcheckError(f"--graph edge {part!r} is not u-v") from None
     return generators.graph(n, edges)
 
 
-def _cmd_generate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _construct(args) -> generators.GeneratedInstance:
     name = args.construction
     if name in ("prop3", "thm1", "thm3"):
         gen = {"prop3": generators.gen_prop3, "thm1": generators.gen_thm1,
                "thm3": generators.gen_thm3}[name]
-        instance = gen(args.p, args.q, args.c, verify=not args.no_verify)
-    elif name == "lemma-graph":
+        return gen(args.p, args.q, args.c, verify=not args.no_verify)
+    if name == "lemma-graph":
         table = generators.graph_to_weak_similarity_table(_parse_graph(args.graph, args.n))
-        instance = generators.GeneratedInstance(
+        return generators.GeneratedInstance(
             table, SpKey(frozenset(range(table.arity))), {},
             f"lemma-graph(n={args.n})")
-    elif name == "maxclique":
-        instance = generators.reduce_maxclique_to_spcj_g3(
+    if name == "maxclique":
+        return generators.reduce_maxclique_to_spcj_g3(
             _parse_graph(args.graph, args.n), args.k, verify=not args.no_verify)
-    elif name == "threecolor":
-        instance = generators.reduce_3color_to_spcj_g5(
+    if name == "threecolor":
+        return generators.reduce_3color_to_spcj_g5(
             _parse_graph(args.graph, args.n), verify=not args.no_verify)
-    elif name == "threedm":
+    if name == "threedm":
         triples = [tuple(t.split(":")) for t in args.triple or []]
-        instance = generators.reduce_3dm_to_spcj(
+        if any(len(t) != 3 for t in triples):
+            raise SpcheckError("--triple takes b:c:d")
+        return generators.reduce_3dm_to_spcj(
             args.b.split(",") if args.b else [],
             args.cset.split(",") if args.cset else [],
             args.d.split(",") if args.d else [],
             triples, verify=not args.no_verify)
-    elif name == "random":
+    if name == "random":
         table = generators.random_table(args.rows, args.cols, args.domain,
                                         args.null_rate, args.seed)
-        instance = generators.GeneratedInstance(
+        return generators.GeneratedInstance(
             table, SpKey(frozenset(range(table.arity))), {},
             f"random(rows={args.rows}, cols={args.cols}, seed={args.seed})")
-    else:
-        raise SpcheckError(f"unknown construction {name!r}")
+    raise SpcheckError(f"unknown construction {name!r}")
+
+
+def _cmd_generate(args) -> int:
+    try:
+        instance = _construct(args)
+    except ValueError as err:  # a generator's own parameter check
+        raise SpcheckError(f"{args.construction}: {err}") from None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{args.prefix}.csv"
     manifest_path = out / f"{args.prefix}.manifest.json"
     write_csv(instance.table, csv_path)

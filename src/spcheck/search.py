@@ -1,6 +1,5 @@
-"""Budgeted backtracking shared by the spFD, spMVD and spCJ engines, the
-removal deepening behind their g3, and the addition loop behind the spFD
-g5 and the key g5 on an all-NULL key column.
+"""Budgeted backtracking shared by the spFD, spMVD and spCJ engines, and
+the removal deepening behind their g3.
 
 Every engine assigns each row one completion of some columns and keeps
 its own state for the rows assigned so far. The kernel here walks the
@@ -16,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from .errors import BudgetExceededError
-from .table import IncompleteTable, Row, SpWorld, iter_extensions, row_key
+from .table import IncompleteTable, SpWorld, iter_extensions, row_key
 
 _REMOVED = -1
 
@@ -170,26 +169,3 @@ def smallest_removal(table: IncompleteTable, floor: int, run: Callable,
             return MeasureResult("g3", len(removed), n, removed_rows=removed,
                                  witness=SpWorld(world.rows, kept))
     raise AssertionError("unreachable: removing every row satisfies the constraint")
-
-
-def smallest_addition(table: IncompleteTable, added: Sequence[Row],
-                      check: Callable[[IncompleteTable], ConstraintVerdict],
-                      verdict: ConstraintVerdict) -> MeasureResult:
-    """g5 as the fewest of the ``added`` rows, taken in order, that make
-    ``check`` hold.
-
-    k = 0 is ``verdict``, the table's own check. For k = 1, ...,
-    ``len(added)`` it tries the first k rows; the first that pass are the
-    measure, and its witness world marks the added rows' origin None.
-    With none, undefined.
-    """
-    n = measure_denominator(table, "g5")
-    if verdict.holds:
-        return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
-    for k in range(1, len(added) + 1):
-        verdict = check(table.with_rows_added(added[:k]))
-        if verdict.holds:
-            return MeasureResult("g5", k, n, added_rows=tuple(added[:k]),
-                                 witness=SpWorld(verdict.witness.rows,
-                                                 tuple(range(n)) + (None,) * k))
-    return MeasureResult("g5", None, n)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from .errors import DEFAULT_BUDGET, PreconditionError
-from .search import Budget, backtrack, row_order, smallest_addition, smallest_removal
+from .search import Budget, backtrack, row_order, smallest_removal
 from .table import (
     AttributeSet,
     IncompleteTable,
     Row,
+    SpWorld,
     complete_world,
     fresh_values,
     is_total,
@@ -201,18 +202,21 @@ def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     NULL elsewhere: the fresh value gives crowded rows a class
     to escape to, and the free cells let the added row blend into any
     class it lands in. ``verdict``, the check on the table, answers
-    k = 0. The search range comes from ``g3``'s removal witness: one row
-    per removed non-total tuple plus one per distinct left-side value
-    among removed total tuples. Either is computed when not given.
+    k = 0, and k > 0 checks the table plus k such rows. The search range
+    comes from ``g3``'s removal witness: one row per removed non-total
+    tuple plus one per distinct left-side value among removed total
+    tuples. Either is computed when not given. Beyond it, g5 is undefined.
     """
     if not total_part_satisfies_fd(table, lhs, rhs):
         raise PreconditionError(
             "the left-side-total part violates the dependency; additions cannot repair it"
         )
-    measure_denominator(table, "g5")  # before g3's precondition
+    n = measure_denominator(table, "g5")  # before g3's precondition
     budget = Budget.of(budget)
     x, y = normalize_fd(lhs, rhs)
     verdict = check_spfd(table, x, y, budget) if verdict is None else verdict
+    if verdict.holds:
+        return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
     g3 = g3_spfd(table, x, y, budget, verdict) if g3 is None else g3
     removed_rows = [table.rows[i] for i in g3.removed_rows]
     nontotal = sum(1 for r in removed_rows if not is_total(r, x))
@@ -220,5 +224,9 @@ def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     bound = nontotal + len(total_classes)
     added = [tuple(token if a in x else None for a in range(table.arity))
              for token in fresh_values(table, bound)]
-    return smallest_addition(table, added, lambda extended: check_spfd(extended, x, y, budget),
-                             verdict)
+    for k in range(1, bound + 1):
+        verdict = check_spfd(table.with_rows_added(added[:k]), x, y, budget)
+        if verdict.holds:
+            return MeasureResult("g5", k, n, added_rows=tuple(added[:k]), witness=SpWorld(
+                verdict.witness.rows, tuple(range(n)) + (None,) * k))
+    return MeasureResult("g5", None, n)

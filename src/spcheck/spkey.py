@@ -27,7 +27,6 @@ from .matching import (
     rows_beyond_rivals,
     satisfied_row_count,
 )
-from .search import smallest_addition
 from .table import (
     AttributeSet,
     IncompleteTable,
@@ -203,19 +202,19 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet,
     bound = n - result.size
     tokens = fresh_values(table, bound)
     added = [(tokens[j],) * table.arity for j in range(bound)]
-    domains = table.active_domains()
-    if any(domains[c].degenerate for c in a.cols):
+    if any(table.active_domain(c).degenerate for c in a.cols):
         # An all-NULL key column loses its reserved symbol to the first
-        # fresh value, and with it every edge of the graph: no round can
-        # start from the previous one.
-        return smallest_addition(table, added, lambda extended: check_spkey(extended, key),
-                                 check_spkey(table, key, analysis=a))
+        # fresh value, and with it every edge of the graph: the rounds
+        # start from the table plus that row.
+        return _warm_rounds(KeyAnalysis(table.with_rows_added(added[:1]), key), added, start=1)
     return _warm_rounds(a, added)
 
 
-def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
-    """g5 rounds k = 1, 2, ... on one growing graph: round k adds the
-    k-th fresh row to the table.
+def _warm_rounds(a: KeyAnalysis, added: list, start: int = 0) -> MeasureResult:
+    """g5 rounds k = start, start + 1, ... on one growing graph: ``a``
+    analyses the table plus the first ``start`` fresh rows, round
+    ``start`` is its matching, and each later round k adds the k-th
+    fresh row.
 
     A fresh row is key-total, so it is settled like the others: it adds
     no left vertex, and its projection is left out of the other rows'
@@ -232,7 +231,7 @@ def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
     free extensions than non-total rivals.
     """
     table, graph, base = a.table, a.graph, a.matching
-    n = table.row_count
+    n = table.row_count - start  # the rows before any fresh row
     cols = a.cols
     values = column_values(table)
     rows_of = matching_order(graph)  # left vertex -> row index
@@ -251,27 +250,29 @@ def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
             match_r[rid] = pos
     fresh_ids: dict = {}  # extension using a fresh value -> right id
     setdefault = fresh_ids.setdefault
-    for k in range(1, len(added) + 1):
-        z = added[k - 1][0]
-        own = (z,) * len(cols)  # the fresh row's projection, settled
-        for c in cols:
-            values[c] += (z,)
-        still = []
-        for pos, nulls, old in growing:
-            new = extension_options(table.rows[rows_of[pos]], cols, values)
-            if prod(map(len, new)) >= n + k + 1:
-                adjacency[pos] = []
-                if match_l[pos] is not None:
-                    match_r[match_l[pos]] = None
-                    match_l[pos] = None
-                high.add(rows_of[pos])
-                continue
-            adjacency[pos].extend(setdefault(ext, n_base + len(fresh_ids))
-                                  for ext in _extensions_using(old, new, nulls, z) if ext != own)
-            still.append((pos, nulls, new))
-        growing = still
-        match_r.extend([None] * (n_base + len(fresh_ids) - len(match_r)))
-        size, match_l, match_r = hopcroft_karp(adjacency, len(match_r), match_l, match_r)
+    size = len(base.right_ids)
+    for k in range(start, len(added) + 1):
+        if k > start:
+            z = added[k - 1][0]
+            own = (z,) * len(cols)  # the fresh row's projection, settled
+            for c in cols:
+                values[c] += (z,)
+            still = []
+            for pos, nulls, old in growing:
+                new = extension_options(table.rows[rows_of[pos]], cols, values)
+                if prod(map(len, new)) >= n + k + 1:
+                    adjacency[pos] = []
+                    if match_l[pos] is not None:
+                        match_r[match_l[pos]] = None
+                        match_l[pos] = None
+                    high.add(rows_of[pos])
+                    continue
+                adjacency[pos].extend(setdefault(ext, n_base + len(fresh_ids)) for ext
+                                      in _extensions_using(old, new, nulls, z) if ext != own)
+                still.append((pos, nulls, new))
+            growing = still
+            match_r.extend([None] * (n_base + len(fresh_ids) - len(match_r)))
+            size, match_l, match_r = hopcroft_karp(adjacency, len(match_r), match_l, match_r)
         if size + len(high) < open_rows:
             continue
         fresh = list(fresh_ids)
@@ -280,7 +281,7 @@ def _warm_rounds(a: KeyAnalysis, added: list) -> MeasureResult:
         matching.update((n + j, (row[0],) * len(cols)) for j, row in enumerate(added[:k]))
         matching.update((rows_of[pos], ext_of(rid)) for pos, rid in enumerate(match_l)
                         if rid is not None)
-        extended = table.with_rows_added(added[:k])
+        extended = table.with_rows_added(added[start:k])
         match_high_degree(extended, a.key, high, matching)
         world = complete_world(extended, a.cols, matching.__getitem__)
         return MeasureResult("g5", k, n, added_rows=tuple(added[:k]),

@@ -6,14 +6,16 @@ is imputed a left-side value, each class independently needs its realized
 the degenerate case with a single class, evaluated on the two given
 attribute sets. Both reuse one backtracking cross-coverage search in
 which rows that are entirely NULL on the relevant columns never branch:
-they are counted and spent on missing combinations at the end. The
-spMVD walk over left-side completions counts the rows NULL on every
-column in the same way, and keeps the least number of them that its
-classes need: the check, each g3 level and each g5 step are that one
-walk, g5 on the table plus j rows fresh on the left side for each j
-below its best. Both g3 measures deepen over the removal count on the
-checks' searches, as spFD's does; every g3 and g5 starts from the
-check's verdict.
+they are counted and spent on missing combinations at the end, and
+the search keeps the least number of all-NULL rows a path needs beyond
+them: the spCJ check and its g3 levels need none, and the spCJ g5 is
+that least need. The spMVD walk over left-side completions counts the
+rows NULL on every column in the same way, and keeps the least number
+of them that its classes need: the check, each g3 level and each g5
+step are that one walk, g5 on the table plus j rows fresh on the left
+side for each j below its best. Both g3 measures deepen over the
+removal count on the checks' searches, as spFD's does; every g3 and g5
+starts from the check's verdict.
 
 Unlike the classical complete-table case, a satisfied dependency here
 does NOT license a lossless decomposition of the incomplete table into
@@ -64,13 +66,14 @@ def _missing_pairs(avals, bvals, pairs, shared: tuple) -> list | None:
 
 class _CrossSearch:
     """Can the ``members`` rows of ``table`` be completed so that every
-    realized A-projection meets every realized B-projection in some row?
+    realized A-projection meets every realized B-projection in some row,
+    and with how few added all-NULL rows?
 
     Completions draw from the active domains of the whole table. Rows
     NULL on all relevant columns are free: they are handled by counting,
     not branching, and never removed, since a free row can repeat any
-    kept row's combination. ``spare`` counts free rows beyond the
-    members, as the all-NULL rows that the spMVD search hands a class.
+    kept row's combination. A path's need is the number of its missing
+    combinations beyond the free rows: the all-NULL rows it must add.
     """
 
     def __init__(self, table: IncompleteTable, members, a_cols, b_cols):
@@ -112,28 +115,37 @@ class _CrossSearch:
                 self.closing[pos] = (a_vals - seen_a, b_vals - seen_b)
                 seen_a |= a_vals
                 seen_b |= b_vals
-        self.max_removed = 0
-        self.fillers = len(self.free)  # free rows plus the run's spare rows
         self.unforced = [0, 0]  # placed A- and B-values outside the forced ones
         self.pairs: dict = defaultdict(int)
         self.avals: dict = defaultdict(int)
         self.bvals: dict = defaultdict(int)
+        self.path: dict = {}  # index -> completion of each placed row
 
-    def run(self, budget: Budget, max_removed: int = 0, leaf=None,
-            spare: int = 0) -> tuple | None:
-        """On the first path that ``leaf`` accepts (see ``backtrack``),
-        index -> completion over the relevant columns of every kept row,
-        free rows included, and the completions that the ``spare`` rows
-        must take; or None."""
+    def least(self, budget: Budget, best: float = 1, max_removed: int = 0, leaf=None,
+              floor: int = 0) -> tuple | None:
+        """The least need below ``best`` on a path that ``leaf`` accepts
+        (``max_removed`` and ``leaf`` as in ``backtrack``), by branch and
+        bound: (need, index -> completion of every kept row, free rows
+        included, the added rows' completions), or None. Stops at the
+        first path that needs at most ``floor``."""
         self.max_removed = max_removed
-        self.fillers = len(self.free) + spare
-        assignment = backtrack(
-            self.order, self.options, self.same_as_prev, budget, self._push, self._pop,
-            prune=self._prune,
-            leaf=lambda removed: self._tail_feasible() and (leaf is None or leaf(removed)),
-            max_removed=max_removed,
-        )
-        return None if assignment is None else self._finish(assignment)
+        self.fillers = len(self.free) + best - 1  # the most missing combinations a path may leave
+        found = None
+
+        def accept(removed: list) -> bool:
+            nonlocal found
+            missing = _missing_pairs(self.avals, self.bvals, self.pairs, self.shared)
+            if missing is None or len(missing) > self.fillers or (
+                    leaf is not None and not leaf(removed)):
+                return False
+            need = max(len(missing) - len(self.free), 0)
+            found = (need, *self._fill(missing))
+            self.fillers = len(self.free) + need - 1
+            return need <= floor
+
+        backtrack(self.order, self.options, self.same_as_prev, budget, self._push, self._pop,
+                  prune=self._prune, leaf=accept, max_removed=max_removed)
+        return found
 
     def _push(self, idx: int, completion: tuple) -> tuple:
         a = tuple(completion[i] for i in self.a_pick)
@@ -143,11 +155,13 @@ class _CrossSearch:
         self.bvals[b] += 1
         self.unforced[0] += self.avals[a] == 1 and a not in self.forced_a
         self.unforced[1] += self.bvals[b] == 1 and b not in self.forced_b
-        return a, b
+        self.path[idx] = completion
+        return idx, a, b
 
     def _pop(self, token: tuple) -> None:
-        a, b = token
-        for counter, key in ((self.pairs, token), (self.avals, a), (self.bvals, b)):
+        idx, a, b = token
+        del self.path[idx]
+        for counter, key in ((self.pairs, (a, b)), (self.avals, a), (self.bvals, b)):
             counter[key] -= 1
             if not counter[key]:
                 del counter[key]
@@ -157,9 +171,8 @@ class _CrossSearch:
     def _prune(self, pos: int) -> bool:
         """Rows still to place can each realize at most one new
         combination, and each removal drops at most one forced value from
-        each side. Without free or spare rows, a placed value that no
-        later row can take must also meet every placed value of the other
-        side."""
+        each side. Without fillers, a placed value that no later row can
+        take must also meet every placed value of the other side."""
         lb_a = max(len(self.avals), len(self.forced_a) + self.unforced[0] - self.max_removed)
         lb_b = max(len(self.bvals), len(self.forced_b) + self.unforced[1] - self.max_removed)
         remaining = len(self.order) - pos + self.fillers
@@ -172,21 +185,18 @@ class _CrossSearch:
             or any(b in self.bvals and any((a, b) not in self.pairs for a in self.avals)
                    for b in closed[1]))
 
-    def _tail_feasible(self) -> bool:
-        missing = _missing_pairs(self.avals, self.bvals, self.pairs, self.shared)
-        return missing is not None and len(missing) <= self.fillers
-
-    def _finish(self, assignment: dict) -> tuple:
-        """Free rows take the missing combinations, then repeat a kept
+    def _fill(self, missing: list) -> tuple:
+        """Free rows take the ``missing`` combinations, then repeat a kept
         row's (or, with none kept, leave the completion to its default);
-        the spare rows take the combinations left over."""
+        the added rows take the combinations left over."""
         fills = []
-        for a, b in _missing_pairs(self.avals, self.bvals, self.pairs, self.shared):
+        for a, b in missing:
             # Every column is on the A side or the B side, or both.
             cells = [None] * len(self.cols)
             for i, v in zip(self.a_pick + self.b_pick, a + b):
                 cells[i] = v
             fills.append(tuple(cells))
+        assignment = dict(self.path)
         fallback = next(iter(assignment.values()), (None,) * len(self.cols))
         for pos, idx in enumerate(self.free):
             assignment[idx] = fills[pos] if pos < len(fills) else fallback
@@ -205,9 +215,9 @@ def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
     Rows NULL on every column are counted, not branched, and never
     removed: one such row can join any class and fill one missing
     combination there, or repeat any kept row. A class's need is the
-    fewest of them with which it crosses (by deepening ``spare`` on its
-    cross search, cached); a path's need is the all-NULL rows its classes
-    need beyond the table's own.
+    fewest of them with which it crosses (its cross search's least need,
+    cached with the bound it proved); a path's need is the all-NULL rows
+    its classes need beyond the table's own.
 
     Returns ``walk(budget, best, max_removed, leaf, floor)``; ``max_removed``
     and ``leaf`` are those of ``backtrack``. It gives the least need below
@@ -221,8 +231,8 @@ def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
     branching = [i for i, row in enumerate(table.rows) if any(c is not None for c in row)]
     order, options, same_as_prev = row_order(table, branching, x_cols, range(table.arity))
     classes: dict = defaultdict(list)
-    # sorted class members -> (spare rows tried, (completions, spare fills)
-    # at that count or None while it falls short)
+    # sorted class members -> (the need, or the most it was shown to
+    # exceed, and the cross search's (need, completions, fills) or None)
     needs: dict = {}
 
     def join(i: int, value: tuple) -> tuple:
@@ -235,15 +245,13 @@ def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
             del classes[value]
 
     def need(members: list, most: float, budget: Budget) -> int | None:
-        """The fewest spare rows with which ``members`` cross, or None
+        """The fewest all-NULL rows with which ``members`` cross, or None
         when that is above ``most``."""
         key = tuple(sorted(members))
         tried, found = needs.get(key, (-1, None))
         if found is None and tried < most:
-            search = _CrossSearch(table, key, *sides)
-            while found is None and tried < most:
-                tried += 1
-                found = search.run(budget, spare=tried)
+            found = _CrossSearch(table, key, *sides).least(budget, most + 1)
+            tried = most if found is None else found[0]
             needs[key] = (tried, found)
         return tried if found is not None and tried <= most else None
 
@@ -253,7 +261,7 @@ def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
         cells: dict = {}
         spare = iter(blank + list(range(table.row_count, table.row_count + extra)))
         for value, members in classes.items():
-            completions, fills = needs[tuple(sorted(members))][1]
+            _, completions, fills = needs[tuple(sorted(members))][1]
             for i in members:
                 cells[i] = value + completions[i]
             for fill in fills:
@@ -337,10 +345,10 @@ def check_spcj_general(table: IncompleteTable, lhs: AttributeSet, rhs: Attribute
     """Exact cross-join check: complete every tuple on lhs + rhs so that
     realized projections cross fully. Only those columns matter."""
     search = _CrossSearch(table, range(table.row_count), lhs, rhs)
-    found = search.run(Budget.of(budget))
+    found = search.least(Budget.of(budget))
     if found is None:
         return ConstraintVerdict(False)
-    return ConstraintVerdict(True, complete_world(table, search.cols, found[0].__getitem__))
+    return ConstraintVerdict(True, complete_world(table, search.cols, found[1].__getitem__))
 
 
 def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVerdict:
@@ -404,7 +412,7 @@ def g3_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     budget = Budget.of(budget)
     verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict
     search = _CrossSearch(table, range(table.row_count), lhs, rhs)
-    return smallest_removal(table, 0, lambda m, leaf: search.run(budget, m, leaf),
+    return smallest_removal(table, 0, lambda m, leaf: search.least(budget, 1, m, leaf),
                             lambda sub: check_spcj_general(sub, lhs, rhs, budget), verdict)
 
 
@@ -447,30 +455,22 @@ def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     required combination set.
 
     Added all-NULL rows change no active domain, so the check on the
-    table plus k of them is the check's own cross search with k spare
-    rows. One run with unlimited spare rows finds no path exactly when
+    table plus k of them is the check's own cross search allowed a need
+    of k, and g5 is that search's least need, found by branch and bound
+    from no bound (the failed check makes it at least 1). With no path,
     every completion's missing combinations contradict each other on a
-    shared column: g5 is then undefined. Otherwise its spare fills bound
-    g5, and the search deepens on ``spare`` from 1.
+    shared column, and g5 is undefined.
     """
     budget = Budget.of(budget)
     n = measure_denominator(table, "g5")
     verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict
     if verdict.holds:
         return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
-    # Its own search: a run that succeeds leaves the search at its path.
-    found = _CrossSearch(table, range(n), lhs, rhs).run(budget, spare=math.inf)
+    search = _CrossSearch(table, range(n), lhs, rhs)
+    found = search.least(budget, math.inf, floor=1)
     if found is None:
         return MeasureResult("g5", None, n)
-    # The check failed, so that bound is at least 1, and the prune is
-    # sound, so the run at the bound succeeds. A path found with k spare
-    # rows and not with k - 1 fills exactly k of them.
-    search = _CrossSearch(table, range(n), lhs, rhs)
-    for k in range(1, len(found[1]) + 1):
-        found = search.run(budget, spare=k)
-        if found is not None:
-            break
-    assignment, fills = found
+    k, assignment, fills = found
     added = ((None,) * table.arity,) * k
     assignment.update(zip(range(n, n + k), fills))
     world = complete_world(table.with_rows_added(added), search.cols, assignment.__getitem__)

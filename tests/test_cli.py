@@ -83,6 +83,16 @@ def test_load_csv_one_column_blank_line_is_null(tmp_path):
         load_csv(wide)
 
 
+def test_load_csv_ignores_a_byte_order_mark(tmp_path):
+    # Spreadsheet exports start UTF-8 files with a byte-order mark.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfA,B\n1,\n2,3\n")
+    t = load_csv(path)
+    assert t.schema.attributes == ("A", "B")
+    assert t.rows == (("1", None), ("2", "3"))
+    assert main(["check", "--table", str(path), "--constraint", "spkey(A)"]) == 0
+
+
 def test_load_csv_ragged_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n3\n", encoding="utf-8")
@@ -227,6 +237,23 @@ def test_cli_usage_error_exit_two(tmp_path):
     assert main(["check", "--table", str(path), "--constraint", "nope(a)"]) == 2
     assert main(["check", "--table", str(tmp_path / "missing.csv"),
                  "--constraint", "spkey(a)"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["thm1", "--p", "3", "--q", "2"],
+    ["maxclique", "--n", "3", "--k", "5"],
+    ["threecolor", "--n", "2", "--graph", "0-5"],
+    ["threecolor", "--n", "2", "--graph", "0-a"],
+    ["threecolor", "--n", "2", "--graph", "0-1,1"],
+    ["prop3", "--c", "0"],
+    ["threedm", "--b", "b1,b2", "--cset", "c1", "--d", "d1"],
+    ["threedm", "--b", "b1", "--cset", "c1", "--d", "d1", "--triple", "b1:c1"],
+])
+def test_cli_generate_rejects_invalid_parameters(tmp_path, capsys, args):
+    assert main(["generate", *args, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_oracle_comparison_is_verify_only(tmp_path):

@@ -185,7 +185,7 @@ def test_witnesses_replay(t):
                           st.sampled_from(["1", "2", None]), st.sampled_from(["1", "2", None])),
                 min_size=2, max_size=6),
        st.permutations(range(3)))
-# g5 is 1 here, while the first path found with unlimited spare rows fills 2.
+# g5 is 1 here, while the first path the least-need search finds needs 2.
 @example([(None, None, "1"), ("2", "1", "1"), ("2", "2", "2")], [1, 0, 2])
 @settings(max_examples=100, deadline=None)
 def test_g5_spcj_on_overlapping_sides_matches_oracle(rows, cols):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -231,7 +232,7 @@ def test_g3_spcj_is_bounded_by_its_budget():
 def test_g5_spcj_with_self_contradicting_missing_pairs_is_undefined_within_its_budget():
     # The sides share A2, and this total table's missing pairs, such as
     # ((1,1), (2,2)), disagree on it: no number of all-NULL rows repairs
-    # the cross join. One run with unlimited spare rows shows that.
+    # the cross join. The least-need search finds no path at all.
     t = table(["A1", "A2", "A3"], [(str(i), str(i), str(i)) for i in range(1, 8)])
     res = g5_spcj(t, frozenset({0, 1}), frozenset({1, 2}), budget=5_000)
     assert (res.numerator, res.denominator) == (None, 7)
@@ -241,7 +242,7 @@ def test_g5_spcj_with_self_contradicting_missing_pairs_is_undefined_within_its_b
 def test_g5_spcj_on_overlapping_sides_decides_undefined_within_its_budget(seed):
     # Every completion of these tables leaves some missing pair that
     # disagrees on the shared column A2. A bound taken from one completion
-    # cannot see that; the search with unlimited spare rows does.
+    # cannot see that; the least-need search, finding no path, does.
     t = random_table(8, 3, 3, 0.3, seed=seed)
     assert g5_spcj(t, frozenset({0, 1}), frozenset({1, 2}), budget=5_000).numerator is None
 
@@ -303,6 +304,41 @@ def test_g5_spmvd_matches_the_mixture_ladder():
             res = g5_spmvd(t, lhs, rhs)
             assert res.numerator == _ladder_g5(t, lhs, rhs)
             assert_addition_witness(t, res, lambda rows: holds_mvd(rows, lhs, rhs, t.arity), lhs)
+
+
+def _least_all_null_rows(t, lhs, rhs):
+    """The least k at which the cross join holds on the table plus k
+    all-NULL rows, for k up to the product of the two sides' domain
+    sizes, or None: a completion that any number of all-NULL rows
+    repairs misses at most that many combinations."""
+    domains = t.active_domains()
+    size = lambda side: prod(len(domains[a].sorted_values) for a in side)
+    for k in range(size(lhs) * size(rhs) + 1):
+        if check_spcj_general(t.with_rows_added([(None,) * t.arity] * k), lhs, rhs).holds:
+            return k
+    return None
+
+
+def test_g5_spcj_matches_the_least_all_null_rows():
+    # The sides A x C and A x B,C are disjoint; A,B x B,C share B, which
+    # is mostly 1, so that g5 is undefined exactly when B holds both 1
+    # and 2: every world realizes both, and no row can join them.
+    seen = {"0": 0, "1": 0, "2 or more": 0, "undefined": 0}
+    for seed in range(30):
+        rng = random.Random(seed)
+        cell = lambda: None if rng.random() < 0.15 else rng.choice("123")
+        shared = lambda: None if rng.random() < 0.15 else ("2" if rng.random() < 0.05 else "1")
+        t = table(["A", "B", "C"], [(cell(), shared(), cell()) for _ in range(rng.randint(6, 14))])
+        for lhs, rhs in ((X, frozenset({2})), (X, frozenset({1, 2})),
+                         (frozenset({0, 1}), frozenset({1, 2}))):
+            res = g5_spcj(t, lhs, rhs)
+            assert res.numerator == _least_all_null_rows(t, lhs, rhs), (seed, lhs, rhs)
+            if res.numerator is None:
+                seen["undefined"] += 1
+            else:
+                seen[str(res.numerator) if res.numerator < 2 else "2 or more"] += 1
+                assert_addition_witness(t, res, lambda rows: holds_cj(rows, lhs, rhs))
+    assert min(seen.values()) >= 8, seen
 
 
 def test_spmvd_check_counts_all_null_rows():
