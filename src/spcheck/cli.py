@@ -180,7 +180,7 @@ class _Engines(NamedTuple):
 
 
 def _check_spcj(table: IncompleteTable, c: SpCj, budget: int, _):
-    if c.singular:
+    if c.singular and c.lhs != c.rhs:
         return check_spcj_singular(table, min(c.lhs), min(c.rhs))
     return check_spcj_general(table, c.lhs, c.rhs, budget)
 

@@ -28,6 +28,8 @@ Graph = tuple
 
 
 def graph(n: int, edges) -> Graph:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     normalized = frozenset(
         (min(u, v), max(u, v)) for u, v in edges if u != v
     )
@@ -389,6 +391,11 @@ def random_table(rows: int, cols: int, domain_size: int, null_rate: float,
                  seed: int) -> IncompleteTable:
     """Uniform corruptor: plumbing for fuzzing and scaling runs, with no
     special structure."""
+    for name, value, least in (("rows", rows, 0), ("cols", cols, 1), ("domain_size", domain_size, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    if not 0 <= null_rate <= 1:
+        raise ValueError(f"need 0 <= null_rate <= 1, got {null_rate}")
     rng = random.Random(seed)
     data = []
     for _ in range(rows):

@@ -223,12 +223,6 @@ def holds_nmvd(rows: Sequence[Row], lhs, rhs, arity: int) -> bool:
     )
 
 
-def _find_violation(rows: Sequence[Row], c: Constraint, arity: int) -> tuple | None:
-    """Some pair of row indices witnessing why ``rows`` fails ``c``."""
-    kind = _kind(c)
-    return kind.violation(rows, *kind.parts(c, arity))
-
-
 # ---------------------------------------------------------------------------
 # Existential check over all worlds
 

@@ -176,10 +176,6 @@ def first_total_duplicate(table: IncompleteTable, key: AttributeSet) -> int | No
     return None
 
 
-def total_part_satisfies_key(table: IncompleteTable, key: AttributeSet) -> bool:
-    return first_total_duplicate(table, key) is None
-
-
 def g5_spkey(table: IncompleteTable, key: AttributeSet,
              analysis: KeyAnalysis | None = None) -> MeasureResult:
     """Minimum number of fresh-valued rows whose addition makes the key

@@ -4,7 +4,8 @@ A multivalued dependency decomposes per left-side class: once every tuple
 is imputed a left-side value, each class independently needs its realized
 (right, rest) projections to form a full cross product. Cross joins are
 the degenerate case with a single class, evaluated on the two given
-attribute sets. Both reuse one backtracking cross-coverage search in
+attribute sets once each column on both sides is fixed to one value.
+Both reuse one backtracking cross-coverage search on disjoint sides, in
 which rows that are entirely NULL on the relevant columns never branch:
 they are counted and spent on missing combinations at the end, and
 the search keeps the least number of all-NULL rows a path needs beyond
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from functools import cache, partial
 from itertools import product
 
 from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
@@ -45,19 +47,20 @@ from .table import (
 )
 
 
-def _missing_pairs(avals, bvals, pairs, shared: tuple) -> list | None:
-    """The (a, b) combinations of realized A- and B-projections that no
-    row realizes, in product order, or None when one of them can never
-    sit in a single row (a and b disagree on a ``shared`` column)."""
-    missing = []
-    for a, b in product(avals, bvals):
-        if (a, b) in pairs:
-            continue
-        for i, j in shared:
-            if a[i] != b[j]:
-                return None
-        missing.append((a, b))
-    return missing
+def _fix_shared(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+                value: tuple = ()) -> tuple:
+    """``spcj(lhs x rhs)`` with S = lhs ∩ rhs fixed to ``value``, one
+    active value per column of S (by default each one's least): the rows
+    with another value on S, and the cross search on lhs∖S x rhs∖S over
+    the rest. Every world keeps every active value, and a row joins the
+    sides' projections only where they agree on S, so where the cross
+    join holds S has one value per column and by default no row is out."""
+    shared = sorted(lhs & rhs)
+    value = value or tuple(table.active_domains()[c].sorted_values[0] for c in shared)
+    agrees = [all(row[c] in (None, v) for c, v in zip(shared, value)) for row in table.rows]
+    out = [i for i, agree in enumerate(agrees) if not agree]
+    kept = [i for i, agree in enumerate(agrees) if agree]
+    return out, _CrossSearch(table, kept, lhs - rhs, rhs - lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +70,7 @@ def _missing_pairs(avals, bvals, pairs, shared: tuple) -> list | None:
 class _CrossSearch:
     """Can the ``members`` rows of ``table`` be completed so that every
     realized A-projection meets every realized B-projection in some row,
-    and with how few added all-NULL rows?
+    and with how few added all-NULL rows? The sides A and B are disjoint.
 
     Completions draw from the active domains of the whole table. Rows
     NULL on all relevant columns are free: they are handled by counting,
@@ -82,9 +85,6 @@ class _CrossSearch:
         self.cols = tuple(sorted(set(self.a_cols) | set(self.b_cols)))
         self.a_pick = tuple(self.cols.index(a) for a in self.a_cols)
         self.b_pick = tuple(self.cols.index(b) for b in self.b_cols)
-        # (index in a_cols, index in b_cols) of each column on both sides
-        self.shared = tuple((self.a_cols.index(c), self.b_cols.index(c))
-                            for c in self.a_cols if c in self.b_cols)
         rows = table.rows
         self.free: list[int] = []
         branching = []
@@ -134,9 +134,9 @@ class _CrossSearch:
 
         def accept(removed: list) -> bool:
             nonlocal found
-            missing = _missing_pairs(self.avals, self.bvals, self.pairs, self.shared)
-            if missing is None or len(missing) > self.fillers or (
-                    leaf is not None and not leaf(removed)):
+            missing = [(a, b) for a, b in product(self.avals, self.bvals)
+                       if (a, b) not in self.pairs]
+            if len(missing) > self.fillers or (leaf is not None and not leaf(removed)):
                 return False
             need = max(len(missing) - len(self.free), 0)
             found = (need, *self._fill(missing))
@@ -191,7 +191,7 @@ class _CrossSearch:
         the added rows take the combinations left over."""
         fills = []
         for a, b in missing:
-            # Every column is on the A side or the B side, or both.
+            # Every column is on the A side or the B side.
             cells = [None] * len(self.cols)
             for i, v in zip(self.a_pick + self.b_pick, a + b):
                 cells[i] = v
@@ -344,16 +344,16 @@ def check_spcj_general(table: IncompleteTable, lhs: AttributeSet, rhs: Attribute
                        budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Exact cross-join check: complete every tuple on lhs + rhs so that
     realized projections cross fully. Only those columns matter."""
-    search = _CrossSearch(table, range(table.row_count), lhs, rhs)
-    found = search.least(Budget.of(budget))
+    out, search = _fix_shared(table, lhs, rhs)
+    found = None if out else search.least(Budget.of(budget))
     if found is None:
         return ConstraintVerdict(False)
     return ConstraintVerdict(True, complete_world(table, search.cols, found[1].__getitem__))
 
 
 def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVerdict:
-    """Polynomial single-attribute case: bipartite matching between
-    tuples and active-domain value pairs must cover every pair.
+    """Polynomial single-attribute case, a ≠ b: bipartite matching
+    between tuples and active-domain value pairs must cover every pair.
 
     Pair (va, vb) has the id of its place in the row-major product of
     the two sorted domains; a row's edges go to the pairs it can take,
@@ -369,12 +369,8 @@ def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVer
     adjacency = []
     for row in table.rows:
         a_ids = range(len(a_values)) if row[a] is None else (a_index[row[a]],)
-        if a == b:
-            edges = [k * width + k for k in a_ids]
-        else:
-            b_ids = range(width) if row[b] is None else (b_index[row[b]],)
-            edges = [ka * width + kb for ka in a_ids for kb in b_ids]
-        adjacency.append(edges)
+        b_ids = range(width) if row[b] is None else (b_index[row[b]],)
+        adjacency.append([ka * width + kb for ka in a_ids for kb in b_ids])
     size, match_l, _ = hopcroft_karp(adjacency, len(a_values) * width)
     if size < len(a_values) * width:
         return ConstraintVerdict(False)
@@ -408,12 +404,25 @@ def g3_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
             budget: int | Budget = DEFAULT_BUDGET,
             verdict: ConstraintVerdict | None = None) -> MeasureResult:
     """Minimum removal ratio by ``smallest_removal``'s deepening: each
-    level removes rows, free rows never, in the check's cross search."""
+    level tries each ``_fix_shared`` value, spending a node on each, and
+    removes the rest of the rows, free rows never, in its cross search."""
     budget = Budget.of(budget)
     verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict
-    search = _CrossSearch(table, range(table.row_count), lhs, rhs)
-    return smallest_removal(table, 0, lambda m, leaf: search.least(budget, 1, m, leaf),
-                            lambda sub: check_spcj_general(sub, lhs, rhs, budget), verdict)
+    domains = table.active_domains()
+    fixed = cache(partial(_fix_shared, table, lhs, rhs))  # built once per value
+
+    def run(m: int, leaf) -> tuple | None:
+        for value in product(*(domains[c].sorted_values for c in sorted(lhs & rhs))):
+            budget.tick()
+            out, search = fixed(value)
+            if len(out) <= m:
+                found = search.least(budget, 1, m - len(out), lambda removed: leaf(out + removed))
+                if found is not None:
+                    return found
+        return None
+
+    return smallest_removal(table, 0, run, lambda sub: check_spcj_general(sub, lhs, rhs, budget),
+                            verdict)
 
 
 def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
@@ -454,23 +463,22 @@ def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     exceed 1. Fresh values never help here: they strictly enlarge the
     required combination set.
 
-    Added all-NULL rows change no active domain, so the check on the
-    table plus k of them is the check's own cross search allowed a need
-    of k, and g5 is that search's least need, found by branch and bound
-    from no bound (the failed check makes it at least 1). With no path,
-    every completion's missing combinations contradict each other on a
-    shared column, and g5 is undefined.
+    Added all-NULL rows change no active domain. So g5 is undefined when
+    a column on both sides holds two values (``_fix_shared``), and
+    otherwise the check on the table plus k of them is the check's own
+    cross search allowed a need of k: g5 is that search's least need,
+    found by branch and bound from no bound (the failed check makes it at
+    least 1). Enough all-NULL rows always cross disjoint sides.
     """
     budget = Budget.of(budget)
     n = measure_denominator(table, "g5")
     verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict
     if verdict.holds:
         return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
-    search = _CrossSearch(table, range(n), lhs, rhs)
-    found = search.least(budget, math.inf, floor=1)
-    if found is None:
+    out, search = _fix_shared(table, lhs, rhs)
+    if out:
         return MeasureResult("g5", None, n)
-    k, assignment, fills = found
+    k, assignment, fills = search.least(budget, math.inf, floor=1)
     added = ((None,) * table.arity,) * k
     assignment.update(zip(range(n, n + k), fills))
     world = complete_world(table.with_rows_added(added), search.cols, assignment.__getitem__)

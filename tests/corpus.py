@@ -17,7 +17,7 @@ from spcheck.constraints import SpCj, SpFd, SpKey, SpMvd
 from spcheck.errors import BudgetExceededError, PreconditionError
 from spcheck.oracle import oracle_check, oracle_g3, oracle_g5, world_count
 from spcheck.spfd import check_spfd, g3_spfd, g5_spfd, total_part_satisfies_fd
-from spcheck.spkey import check_spkey, g3_spkey, g5_spkey, total_part_satisfies_key
+from spcheck.spkey import check_spkey, first_total_duplicate, g3_spkey, g5_spkey
 from spcheck.table import IncompleteTable
 from spcheck.tuplegen import (
     check_spcj_general,
@@ -145,7 +145,7 @@ def ordering_samples(table: IncompleteTable) -> list:
     out = []
     lhs, rhs = split_sides(table)
     key = table.all_positions()
-    if total_part_satisfies_key(table, key):
+    if first_total_duplicate(table, key) is None:
         g3 = g3_spkey(table, key)
         g5 = g5_spkey(table, key)
         if g5.numerator is not None:

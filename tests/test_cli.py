@@ -239,20 +239,28 @@ def test_cli_usage_error_exit_two(tmp_path):
                  "--constraint", "spkey(a)"]) == 2
 
 
-@pytest.mark.parametrize("args", [
-    ["thm1", "--p", "3", "--q", "2"],
-    ["maxclique", "--n", "3", "--k", "5"],
-    ["threecolor", "--n", "2", "--graph", "0-5"],
-    ["threecolor", "--n", "2", "--graph", "0-a"],
-    ["threecolor", "--n", "2", "--graph", "0-1,1"],
-    ["prop3", "--c", "0"],
-    ["threedm", "--b", "b1,b2", "--cset", "c1", "--d", "d1"],
-    ["threedm", "--b", "b1", "--cset", "c1", "--d", "d1", "--triple", "b1:c1"],
-])
-def test_cli_generate_rejects_invalid_parameters(tmp_path, capsys, args):
+@pytest.mark.parametrize("args, named", [pytest.param(*case, id=f"args{i}") for i, case in enumerate([
+    (["thm1", "--p", "3", "--q", "2"], "3/2"),
+    (["maxclique", "--n", "3", "--k", "5"], "1 <= k <= n"),
+    (["threecolor", "--n", "2", "--graph", "0-5"], "(0,5)"),
+    (["threecolor", "--n", "2", "--graph", "0-a"], "--graph"),
+    (["threecolor", "--n", "2", "--graph", "0-1,1"], "--graph"),
+    (["prop3", "--c", "0"], "c must"),
+    (["threedm", "--b", "b1,b2", "--cset", "c1", "--d", "d1"], "equal size"),
+    (["threedm", "--b", "b1", "--cset", "c1", "--d", "d1", "--triple", "b1:c1"], "--triple"),
+    (["random", "--rows", "-1"], "rows must be at least 0, got -1"),
+    (["random", "--null-rate", "2"], "0 <= null_rate <= 1, got 2.0"),
+    (["random", "--null-rate", "-0.5"], "0 <= null_rate <= 1, got -0.5"),
+    (["random", "--domain", "0"], "domain_size must be at least 1, got 0"),
+    (["random", "--cols", "0"], "cols must be at least 1, got 0"),
+    (["lemma-graph", "--n", "-1"], "n must be at least 1, got -1"),
+])])
+def test_cli_generate_rejects_invalid_parameters(tmp_path, capsys, args, named):
+    # Each ends in exit 2 with a message that names what is wrong.
     assert main(["generate", *args, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert named in err
     assert not (tmp_path / "out").exists()
 
 

@@ -7,7 +7,6 @@ from spcheck.constraints import Nmvd, SpCj, SpFd, SpKey, SpMvd
 from spcheck.errors import BudgetExceededError, PreconditionError
 from spcheck.oracle import (
     KINDS,
-    _find_violation,
     _iter_completions,
     _least,
     enumerate_spworlds,
@@ -21,7 +20,7 @@ from spcheck.oracle import (
     world_count,
 )
 from spcheck.spfd import check_spfd, g3_spfd, g5_spfd, total_part_satisfies_fd
-from spcheck.spkey import check_spkey, g3_spkey, g5_spkey, total_part_satisfies_key
+from spcheck.spkey import check_spkey, first_total_duplicate, g3_spkey, g5_spkey
 from spcheck.table import IncompleteTable, fresh_values
 from spcheck.tuplegen import (
     check_nmvd,
@@ -72,7 +71,7 @@ def test_engine_checks_match_oracle(t):
 @settings(max_examples=60, deadline=None)
 def test_g3_at_least_g5_for_keys_and_fds(t):
     key = t.all_positions()
-    if total_part_satisfies_key(t, key):
+    if first_total_duplicate(t, key) is None:
         g5 = g5_spkey(t, key)
         if g5.numerator is not None:
             assert g3_spkey(t, key).ratio >= g5.ratio
@@ -181,30 +180,54 @@ def test_witnesses_replay(t):
             assert_addition_witness(t, result, holds, fresh)
 
 
-@given(st.lists(st.tuples(st.sampled_from(["1", "1", "1", None, "2"]),
-                          st.sampled_from(["1", "2", None]), st.sampled_from(["1", "2", None])),
-                min_size=2, max_size=6),
-       st.permutations(range(3)))
+# Sides sharing one or two columns, one of them contained in the other in
+# the second, third and fifth; the columns are permuted when drawn.
+OVERLAPS = (({0, 1}, {1, 2}), ({0}, {0, 1}), ({0, 1}, {0, 1}), ({0, 1, 2}, {1, 2, 3}),
+            ({0, 1}, {0, 1, 3}))
+
+
+@st.composite
+def overlapping_cross_joins(draw):
+    """A 3- or 4-column table with two to six rows, and ``spcj`` sides
+    that share columns. A second value in a shared column is rare: with
+    one, most tables need repairs; with two, g5 is undefined."""
+    lhs, rhs = draw(st.sampled_from(OVERLAPS))
+    width = draw(st.integers(max(lhs | rhs | {2}) + 1, 4))
+    cols = draw(st.permutations(range(width)))
+    shared = st.sampled_from(["1"] * 6 + [None, None, "2"])
+    column = [shared if a in lhs & rhs else st.sampled_from(["1", "2", "3", None])
+              for a in range(width)]
+    rows = draw(st.lists(st.tuples(*column), min_size=2, max_size=6))
+    return ([tuple(r[cols.index(c)] for c in range(width)) for r in rows],
+            frozenset(cols[a] for a in lhs), frozenset(cols[a] for a in rhs))
+
+
+@given(overlapping_cross_joins())
 # g5 is 1 here, while the first path the least-need search finds needs 2.
-@example([(None, None, "1"), ("2", "1", "1"), ("2", "2", "2")], [1, 0, 2])
+@example(([(None, None, "1"), ("1", "2", "1"), ("2", "2", "2")],
+          frozenset({0, 1}), frozenset({1, 2})))
 @settings(max_examples=100, deadline=None)
-def test_g5_spcj_on_overlapping_sides_matches_oracle(rows, cols):
-    # The other properties cross disjoint sides. Here the sides share
-    # column cols[0], so a missing pair can contradict itself there, and
-    # each side has a column of its own, so all-NULL rows can still help.
-    # A second value in the shared column is rare: with one, most tables
-    # need additions; with two, most cannot be repaired.
-    t = IncompleteTable.build(["A0", "A1", "A2"],
-                              [tuple(r[cols.index(c)] for c in range(3)) for r in rows])
-    lhs, rhs = frozenset(cols[:2]), frozenset({cols[0], cols[2]})
+def test_g5_spcj_on_overlapping_sides_matches_oracle(case):
+    # The other properties cross disjoint sides. Here a column on both
+    # sides must end with one value, so the engines fix it and cross the
+    # rest, while the oracle, the independent reference, enumerates every
+    # world with all of the constraint's columns.
+    rows, lhs, rhs = case
+    t = IncompleteTable.build([f"A{a}" for a in range(len(rows[0]))], rows)
+    c, holds = SpCj(lhs, rhs), lambda rows: holds_cj(rows, lhs, rhs)
     try:
-        expected = oracle_g5(t, SpCj(lhs, rhs), budget=200_000)
+        expected = [oracle_check(t, c, 200_000).holds, oracle_g3(t, c, 200_000).numerator,
+                    oracle_g5(t, c, budget=200_000).numerator]
     except BudgetExceededError:
         return
-    result = g5_spcj(t, lhs, rhs)
-    assert result.numerator == expected.numerator
-    if result.numerator is not None:
-        assert_addition_witness(t, result, lambda rows: holds_cj(rows, lhs, rhs))
+    verdict = check_spcj_general(t, lhs, rhs)
+    g3, g5 = g3_spcj(t, lhs, rhs), g5_spcj(t, lhs, rhs)
+    assert [verdict.holds, g3.numerator, g5.numerator] == expected
+    if verdict.holds:
+        assert holds(verdict.witness.rows)
+    assert_removal_witness(t, g3, holds)
+    if g5.numerator is not None:
+        assert_addition_witness(t, g5, holds)
 
 
 @given(tables(min_cols=2))
@@ -222,7 +245,7 @@ def test_check_iff_zero_measures(t):
     key = t.all_positions()
     holds = check_spkey(t, key).holds
     assert (g3_spkey(t, key).numerator == 0) == holds
-    if total_part_satisfies_key(t, key):
+    if first_total_duplicate(t, key) is None:
         g5 = g5_spkey(t, key)
         if g5.numerator is not None:
             assert (g5.numerator == 0) == holds
@@ -254,7 +277,7 @@ def _reference_check(t, c, holds):
             first = w.rows
         if holds(w.rows):
             return True, w, None
-    return False, None, _find_violation(first, c, t.arity)
+    return False, None, KINDS[type(c)].violation(first, *KINDS[type(c)].parts(c, t.arity))
 
 
 def _g5_extension(t, nulls, fresh, cap=3_000):

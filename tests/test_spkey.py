@@ -14,10 +14,10 @@ from spcheck.oracle import holds_key
 from spcheck.spkey import (
     KeyAnalysis,
     check_spkey,
+    first_total_duplicate,
     g3_spkey,
     g4_spkey,
     g5_spkey,
-    total_part_satisfies_key,
 )
 from spcheck.table import extension_count, fresh_values, is_total, projection, weakly_similar
 
@@ -70,7 +70,7 @@ def test_violation_row_is_left_unmatched_by_a_maximum_matching():
             if verdict.holds:
                 continue
             (row,) = verdict.violation
-            if total_part_satisfies_key(t, key):
+            if first_total_duplicate(t, key) is None:
                 unmatched += 1
             else:
                 duplicates += 1
@@ -174,7 +174,7 @@ def test_g5_holds_is_zero(course_table):
 
 def test_g5_precondition_error():
     t = table(["A", "B"], [("1", "1"), ("1", "1")])
-    assert not total_part_satisfies_key(t, BOTH)
+    assert first_total_duplicate(t, BOTH) is not None
     with pytest.raises(PreconditionError):
         g5_spkey(t, BOTH)
 
@@ -191,7 +191,7 @@ def test_g3_geq_g5(table4, cars_table, teaching_table):
         (cars_table, BOTH),
         (teaching_table, BOTH),
     ):
-        if total_part_satisfies_key(t, key):
+        if first_total_duplicate(t, key) is None:
             assert g3_spkey(t, key).ratio >= g5_spkey(t, key).ratio
 
 
@@ -310,7 +310,7 @@ def test_warm_g5_equals_cold_on_random_tables():
     repaired = 0
     for t in _random_tables(400, seed=5):
         for key in (t.all_positions(), frozenset({0})):
-            if total_part_satisfies_key(t, key):
+            if first_total_duplicate(t, key) is None:
                 repaired += (_assert_warm_equals_cold(t, key) or 0) > 0
     assert repaired >= 50
 
@@ -400,7 +400,7 @@ def _reference_measures(t, key):
     parts = hall_components(build_extension_graph(t, key))
     assert parts.total_nu == nu
     g4 = (n - nu, n + parts.satisfied_tuple_count)
-    if not total_part_satisfies_key(t, key):
+    if first_total_duplicate(t, key) is not None:
         g5 = "precondition"
     else:
         tokens = fresh_values(t, n - nu)
@@ -455,7 +455,7 @@ def test_settled_engine_equals_the_full_graph():
             if is_total(t.rows[i], key):
                 assert any(is_total(t.rows[j], key) and projection(t.rows[j], cols)
                            == projection(t.rows[i], cols) for j in range(i))
-        seen["duplicate"] += not total_part_satisfies_key(t, key)
+        seen["duplicate"] += first_total_duplicate(t, key) is not None
         seen["blank column"] += any(t.active_domain(c).degenerate for c in key)
         counts = [extension_count(t, row, key) for row in t.rows]
         seen["at |T| + 1"] += n + 1 in counts

@@ -232,7 +232,7 @@ def test_g3_spcj_is_bounded_by_its_budget():
 def test_g5_spcj_with_self_contradicting_missing_pairs_is_undefined_within_its_budget():
     # The sides share A2, and this total table's missing pairs, such as
     # ((1,1), (2,2)), disagree on it: no number of all-NULL rows repairs
-    # the cross join. The least-need search finds no path at all.
+    # the cross join. A2 holds seven values, and that count decides it.
     t = table(["A1", "A2", "A3"], [(str(i), str(i), str(i)) for i in range(1, 8)])
     res = g5_spcj(t, frozenset({0, 1}), frozenset({1, 2}), budget=5_000)
     assert (res.numerator, res.denominator) == (None, 7)
@@ -240,11 +240,27 @@ def test_g5_spcj_with_self_contradicting_missing_pairs_is_undefined_within_its_b
 
 @pytest.mark.parametrize("seed", range(8))
 def test_g5_spcj_on_overlapping_sides_decides_undefined_within_its_budget(seed):
-    # Every completion of these tables leaves some missing pair that
-    # disagrees on the shared column A2. A bound taken from one completion
-    # cannot see that; the least-need search, finding no path, does.
+    # The shared column A2 holds two or three values in each of these
+    # tables, and every world keeps them all, so some A-projection never
+    # meets some B-projection, and added all-NULL rows bring no value.
     t = random_table(8, 3, 3, 0.3, seed=seed)
     assert g5_spcj(t, frozenset({0, 1}), frozenset({1, 2}), budget=5_000).numerator is None
+
+
+def test_spcj_on_overlapping_sides_is_settled_by_one_domain_count():
+    # Column B, on both sides, holds 1 and 2: the check fails and g5 is
+    # undefined without a search node, where a search over every
+    # completion spent 37,346 nodes. g3 removes the one row with B = 2.
+    N = None
+    t = table(["A", "B", "C"], [
+        ("2", "2", "2"), ("3", N, N), ("1", N, "3"), (N, N, "1"), ("2", N, N), ("1", "1", N),
+        ("3", N, "3"), (N, N, "3"), (N, N, "2"), ("2", "1", "1"), ("1", N, "2")])
+    lhs, rhs = frozenset({0, 1}), frozenset({1, 2})
+    assert not check_spcj_general(t, lhs, rhs, budget=0).holds
+    assert g5_spcj(t, lhs, rhs, budget=1).numerator is None
+    res = g3_spcj(t, lhs, rhs)
+    assert (res.numerator, res.removed_rows) == (1, (0,))
+    assert_removal_witness(t, res, lambda rows: holds_cj(rows, lhs, rhs))
 
 
 MVD10 = [
