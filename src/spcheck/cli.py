@@ -43,8 +43,7 @@ from .spkey import KeyAnalysis, check_spkey, g3_spkey, g4_spkey, g5_spkey
 from .table import SSYMB, IncompleteTable, Schema
 from .tuplegen import (
     check_nmvd,
-    check_spcj_general,
-    check_spcj_singular,
+    check_spcj,
     check_spmvd,
     g3_spcj,
     g3_spmvd,
@@ -179,12 +178,6 @@ class _Engines(NamedTuple):
     measures: dict | None
 
 
-def _check_spcj(table: IncompleteTable, c: SpCj, budget: int, _):
-    if c.singular and c.lhs != c.rhs:
-        return check_spcj_singular(table, min(c.lhs), min(c.rhs))
-    return check_spcj_general(table, c.lhs, c.rhs, budget)
-
-
 # The entries look the engine functions up when they are called, so a
 # wrapper set on an engine module's attribute after import sees the call.
 ENGINES = {
@@ -202,7 +195,7 @@ ENGINES = {
         "g3": lambda t, c, b, d: g3_spmvd(t, c.lhs, c.rhs, b, verdict=d["check"]),
         "g5": lambda t, c, b, d: g5_spmvd(t, c.lhs, c.rhs, b, verdict=d["check"]),
     }),
-    SpCj: _Engines(_check_spcj, {
+    SpCj: _Engines(lambda t, c, b, _: check_spcj(t, c.lhs, c.rhs, b), {
         "g3": lambda t, c, b, d: g3_spcj(t, c.lhs, c.rhs, b, verdict=d["check"]),
         "g5": lambda t, c, b, d: g5_spcj(t, c.lhs, c.rhs, b, verdict=d["check"]),
     }),

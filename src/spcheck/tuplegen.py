@@ -16,7 +16,9 @@ of them that its classes need: the check, each g3 level and each g5
 step are that one walk, g5 on the table plus j rows fresh on the left
 side for each j below its best. Both g3 measures deepen over the
 removal count on the checks' searches, as spFD's does; every g3 and g5
-starts from the check's verdict.
+starts from the check's verdict. On two distinct single columns a and
+b, the spCJ check and g5 skip the search and read the key {a, b}'s
+matching of rows to completions (``spkey.KeyAnalysis``) instead.
 
 Unlike the classical complete-table case, a satisfied dependency here
 does NOT license a lossless decomposition of the incomplete table into
@@ -29,13 +31,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from functools import cache, partial
+from functools import cache
 from itertools import product
 
 from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from .errors import DEFAULT_BUDGET
-from .matching import hopcroft_karp
 from .search import Budget, backtrack, row_order, smallest_removal
+from .spkey import KeyAnalysis
 from .table import (
     AttributeSet,
     IncompleteTable,
@@ -51,16 +53,16 @@ def _fix_shared(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
                 value: tuple = ()) -> tuple:
     """``spcj(lhs x rhs)`` with S = lhs ∩ rhs fixed to ``value``, one
     active value per column of S (by default each one's least): the rows
-    with another value on S, and the cross search on lhs∖S x rhs∖S over
-    the rest. Every world keeps every active value, and a row joins the
-    sides' projections only where they agree on S, so where the cross
+    with another value on S, and the rest, for the cross search on
+    lhs∖S x rhs∖S. Every world keeps every active value, and a row joins
+    the sides' projections only where they agree on S, so where the cross
     join holds S has one value per column and by default no row is out."""
     shared = sorted(lhs & rhs)
     value = value or tuple(table.active_domains()[c].sorted_values[0] for c in shared)
     agrees = [all(row[c] in (None, v) for c, v in zip(shared, value)) for row in table.rows]
     out = [i for i, agree in enumerate(agrees) if not agree]
     kept = [i for i, agree in enumerate(agrees) if agree]
-    return out, _CrossSearch(table, kept, lhs - rhs, rhs - lhs)
+    return out, kept
 
 
 # ---------------------------------------------------------------------------
@@ -340,48 +342,41 @@ def check_nmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> 
 # spCJ
 
 
+def check_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+               budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
+    """The spCJ check: two distinct single columns by the key matching
+    (``check_spcj_singular``), any other sides by ``check_spcj_general``."""
+    if len(lhs) == len(rhs) == 1 and lhs != rhs:
+        return check_spcj_singular(table, min(lhs), min(rhs))
+    return check_spcj_general(table, lhs, rhs, budget)
+
+
 def check_spcj_general(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
                        budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Exact cross-join check: complete every tuple on lhs + rhs so that
     realized projections cross fully. Only those columns matter."""
-    out, search = _fix_shared(table, lhs, rhs)
-    found = None if out else search.least(Budget.of(budget))
+    out, kept = _fix_shared(table, lhs, rhs)
+    if out:
+        return ConstraintVerdict(False)
+    search = _CrossSearch(table, kept, lhs - rhs, rhs - lhs)
+    found = search.least(Budget.of(budget))
     if found is None:
         return ConstraintVerdict(False)
     return ConstraintVerdict(True, complete_world(table, search.cols, found[1].__getitem__))
 
 
 def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVerdict:
-    """Polynomial single-attribute case, a ≠ b: bipartite matching
-    between tuples and active-domain value pairs must cover every pair.
-
-    Pair (va, vb) has the id of its place in the row-major product of
-    the two sorted domains; a row's edges go to the pairs it can take,
-    in id order: any value where its cell is NULL, else the cell's own.
-    """
+    """Polynomial single-attribute case, a ≠ b: the key {a, b}'s maximum
+    matching of rows to distinct completions (``KeyAnalysis.matching``)
+    must cover every pair of the two active domains. The rows it leaves
+    unmatched repeat a pair, so a repeated total pair is no violation."""
     if table.row_count == 0:
         return ConstraintVerdict(True, SpWorld((), ()))
-    domains = table.active_domains()
-    a_values, b_values = domains[a].sorted_values, domains[b].sorted_values
-    a_index = {v: k for k, v in enumerate(a_values)}
-    b_index = {v: k for k, v in enumerate(b_values)}
-    width = len(b_values)
-    adjacency = []
-    for row in table.rows:
-        a_ids = range(len(a_values)) if row[a] is None else (a_index[row[a]],)
-        b_ids = range(width) if row[b] is None else (b_index[row[b]],)
-        adjacency.append([ka * width + kb for ka in a_ids for kb in b_ids])
-    size, match_l, _ = hopcroft_karp(adjacency, len(a_values) * width)
-    if size < len(a_values) * width:
+    result = KeyAnalysis(table, frozenset((a, b))).matching
+    if result.size < math.prod(len(table.active_domains()[c].sorted_values) for c in (a, b)):
         return ConstraintVerdict(False)
-
-    def pair(i: int) -> tuple:
-        if match_l[i] is None:
-            return None, None
-        ka, kb = divmod(match_l[i], width)
-        return a_values[ka], b_values[kb]
-
-    return ConstraintVerdict(True, complete_world(table, (a, b), pair))
+    world = complete_world(table, sorted((a, b)), lambda i: result.matching.get(i, ()))
+    return ConstraintVerdict(True, world)
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +400,33 @@ def g3_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
             verdict: ConstraintVerdict | None = None) -> MeasureResult:
     """Minimum removal ratio by ``smallest_removal``'s deepening: each
     level tries each ``_fix_shared`` value, spending a node on each, and
-    removes the rest of the rows, free rows never, in its cross search."""
+    removes the rest of the rows, free rows never, in its cross search,
+    built when a level first affords the value's own removals. A kept
+    set that passes holds one value per column on both sides, so the
+    deepening starts at the fewest rows a value removes."""
     budget = Budget.of(budget)
-    verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict
+    verdict = check_spcj(table, lhs, rhs, budget) if verdict is None else verdict
     domains = table.active_domains()
-    fixed = cache(partial(_fix_shared, table, lhs, rhs))  # built once per value
+    values = product(*(domains[c].sorted_values for c in sorted(lhs & rhs)))
+    removals = {value: len(_fix_shared(table, lhs, rhs, value)[0]) for value in values}
+
+    @cache
+    def fixed(value: tuple) -> tuple:
+        out, kept = _fix_shared(table, lhs, rhs, value)
+        return out, _CrossSearch(table, kept, lhs - rhs, rhs - lhs)
 
     def run(m: int, leaf) -> tuple | None:
-        for value in product(*(domains[c].sorted_values for c in sorted(lhs & rhs))):
+        for value, count in removals.items():
             budget.tick()
-            out, search = fixed(value)
-            if len(out) <= m:
-                found = search.least(budget, 1, m - len(out), lambda removed: leaf(out + removed))
+            if count <= m:
+                out, search = fixed(value)
+                found = search.least(budget, 1, m - count, lambda removed: leaf(out + removed))
                 if found is not None:
                     return found
         return None
 
-    return smallest_removal(table, 0, run, lambda sub: check_spcj_general(sub, lhs, rhs, budget),
-                            verdict)
+    return smallest_removal(table, min(removals.values()), run,
+                            lambda sub: check_spcj(sub, lhs, rhs, budget), verdict)
 
 
 def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
@@ -463,24 +467,37 @@ def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     exceed 1. Fresh values never help here: they strictly enlarge the
     required combination set.
 
-    Added all-NULL rows change no active domain. So g5 is undefined when
-    a column on both sides holds two values (``_fix_shared``), and
-    otherwise the check on the table plus k of them is the check's own
-    cross search allowed a need of k: g5 is that search's least need,
-    found by branch and bound from no bound (the failed check makes it at
-    least 1). Enough all-NULL rows always cross disjoint sides.
+    Added all-NULL rows change no active domain, and each takes any
+    combination. So on two distinct single columns g5 is the pairs the
+    check's key matching leaves unmatched, read without a verdict. Else
+    g5 is undefined when a column on both sides holds two values
+    (``_fix_shared``), and otherwise the check on the table plus k of
+    them is the check's own cross search allowed a need of k: g5 is that
+    search's least need, found by branch and bound from no bound (the
+    failed check makes it at least 1). Enough all-NULL rows always cross
+    disjoint sides.
     """
     budget = Budget.of(budget)
     n = measure_denominator(table, "g5")
-    verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict
-    if verdict.holds:
-        return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
-    out, search = _fix_shared(table, lhs, rhs)
-    if out:
-        return MeasureResult("g5", None, n)
-    k, assignment, fills = search.least(budget, math.inf, floor=1)
+    if len(lhs) == len(rhs) == 1 and lhs != rhs:
+        cols, assignment = sorted(lhs | rhs), KeyAnalysis(table, lhs | rhs).matching.matching
+        used = set(assignment.values())
+        domains = table.active_domains()
+        fills = [p for p in product(*(domains[c].sorted_values for c in cols)) if p not in used]
+        k = len(fills)
+    else:
+        verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict
+        if verdict.holds:
+            return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
+        out, kept = _fix_shared(table, lhs, rhs)
+        if out:
+            return MeasureResult("g5", None, n)
+        search = _CrossSearch(table, kept, lhs - rhs, rhs - lhs)
+        k, assignment, fills = search.least(budget, math.inf, floor=1)
+        cols = search.cols
     added = ((None,) * table.arity,) * k
     assignment.update(zip(range(n, n + k), fills))
-    world = complete_world(table.with_rows_added(added), search.cols, assignment.__getitem__)
+    world = complete_world(table.with_rows_added(added) if k else table, cols,
+                           lambda i: assignment.get(i, ()))
     return MeasureResult("g5", k, n, added_rows=added,
                          witness=SpWorld(world.rows, tuple(range(n)) + (None,) * k))

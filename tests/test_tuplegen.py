@@ -9,6 +9,7 @@ from spcheck.oracle import holds_cj, holds_mvd, oracle_check
 from spcheck.constraints import SpCj, SpMvd
 from spcheck.generators import random_table
 from spcheck.table import fresh_values, project
+from spcheck import tuplegen
 from spcheck.tuplegen import (
     check_nmvd,
     check_spcj_general,
@@ -247,19 +248,46 @@ def test_g5_spcj_on_overlapping_sides_decides_undefined_within_its_budget(seed):
     assert g5_spcj(t, frozenset({0, 1}), frozenset({1, 2}), budget=5_000).numerator is None
 
 
+N = None
+B_HOLDS_1_AND_2 = [
+    ("2", "2", "2"), ("3", N, N), ("1", N, "3"), (N, N, "1"), ("2", N, N), ("1", "1", N),
+    ("3", N, "3"), (N, N, "3"), (N, N, "2"), ("2", "1", "1"), ("1", N, "2")]
+
+
 def test_spcj_on_overlapping_sides_is_settled_by_one_domain_count():
     # Column B, on both sides, holds 1 and 2: the check fails and g5 is
     # undefined without a search node, where a search over every
     # completion spent 37,346 nodes. g3 removes the one row with B = 2.
-    N = None
-    t = table(["A", "B", "C"], [
-        ("2", "2", "2"), ("3", N, N), ("1", N, "3"), (N, N, "1"), ("2", N, N), ("1", "1", N),
-        ("3", N, "3"), (N, N, "3"), (N, N, "2"), ("2", "1", "1"), ("1", N, "2")])
+    t = table(["A", "B", "C"], B_HOLDS_1_AND_2)
     lhs, rhs = frozenset({0, 1}), frozenset({1, 2})
     assert not check_spcj_general(t, lhs, rhs, budget=0).holds
     assert g5_spcj(t, lhs, rhs, budget=1).numerator is None
     res = g3_spcj(t, lhs, rhs)
     assert (res.numerator, res.removed_rows) == (1, (0,))
+    assert_removal_witness(t, res, lambda rows: holds_cj(rows, lhs, rhs))
+
+
+def test_spcj_on_overlapping_sides_builds_no_search_it_does_not_run(monkeypatch):
+    # B's two values settle the check and g5, so neither builds the
+    # cross search over the rows that agree with B's least value.
+    built = []
+    real = tuplegen._CrossSearch
+    monkeypatch.setattr(tuplegen, "_CrossSearch", lambda *args: built.append(args) or real(*args))
+    t = table(["A", "B", "C"], B_HOLDS_1_AND_2)
+    lhs, rhs = frozenset({0, 1}), frozenset({1, 2})
+    assert not check_spcj_general(t, lhs, rhs).holds
+    assert g5_spcj(t, lhs, rhs).numerator is None
+    assert built == []
+
+
+def test_g3_spcj_on_overlapping_sides_starts_at_the_fewest_rows_a_value_removes():
+    # Each of A2's eight values removes at least 348 of the 500 rows, so
+    # no deepening level below 348 can pass; starting there, the measure
+    # fits a budget that the levels from 1 up exhaust.
+    t = random_table(500, 3, 8, 0.2, seed=1)
+    lhs, rhs = frozenset({0, 1}), frozenset({1, 2})
+    res = g3_spcj(t, lhs, rhs, budget=1_000)
+    assert res.fraction_str == "348/500"
     assert_removal_witness(t, res, lambda rows: holds_cj(rows, lhs, rhs))
 
 
@@ -355,6 +383,17 @@ def test_g5_spcj_matches_the_least_all_null_rows():
                 seen[str(res.numerator) if res.numerator < 2 else "2 or more"] += 1
                 assert_addition_witness(t, res, lambda rows: holds_cj(rows, lhs, rhs))
     assert min(seen.values()) >= 8, seen
+
+
+def test_g5_spcj_on_single_columns_reads_the_key_matching():
+    # g5 is the pairs of A1's and A2's domains that a maximum matching of
+    # rows to pairs leaves unmatched, with no search: the least-need
+    # search spends 12,658 nodes on this table.
+    t = random_table(24, 2, 5, 0.3, seed=1784)
+    res = g5_spcj(t, X, Y, budget=1_000)
+    assert res.fraction_str == "3/24"
+    assert res.numerator == _least_all_null_rows(t, X, Y)
+    assert_addition_witness(t, res, lambda rows: holds_cj(rows, X, Y))
 
 
 def test_spmvd_check_counts_all_null_rows():
