@@ -28,7 +28,6 @@ from .errors import (
 from .oracle import enumerate_spworlds, oracle_check, oracle_g3, oracle_g5
 from .table import (
     SSYMB,
-    ActiveDomain,
     IncompleteTable,
     Schema,
     SpWorld,
@@ -39,7 +38,6 @@ from .table import (
 )
 
 __all__ = [
-    "ActiveDomain",
     "BudgetExceededError",
     "Constraint",
     "ConstraintParseError",

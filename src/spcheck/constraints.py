@@ -59,10 +59,6 @@ class SpCj(Constraint):
         if not self.lhs or not self.rhs:
             raise ValueError("spcj needs non-empty attribute sets on both sides")
 
-    @property
-    def singular(self) -> bool:
-        return len(self.lhs) == 1 and len(self.rhs) == 1
-
     def describe(self, schema: Schema) -> str:
         return (f"spcj({','.join(schema.names(self.lhs))} x "
                 f"{','.join(schema.names(self.rhs))})")

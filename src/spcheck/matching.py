@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 
-from .table import AttributeSet, IncompleteTable, column_values, extension_options, projector
+from .table import AttributeSet, IncompleteTable, extension_options, projector
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def build_extension_graph(table: IncompleteTable, key: AttributeSet, leave_out=(
             raise ValueError(f"settled row {i} has a NULL on the key")
         held.setdefault(p, i)
     skip = set(settled)
-    values = column_values(table)
+    values = table.active_domains()
     right_ids: dict = {}
     setdefault = right_ids.setdefault
     adjacency: dict = {}
@@ -120,11 +120,9 @@ def build_extension_graph(table: IncompleteTable, key: AttributeSet, leave_out=(
         options = extension_options(row, cols, values)
         if i in leave_out:
             high_degree[i] = prod(map(len, options))
-        elif held:
+        else:
             adjacency[i] = [setdefault(ext, len(right_ids))
                             for ext in product(*options) if ext not in held]
-        else:
-            adjacency[i] = [setdefault(ext, len(right_ids)) for ext in product(*options)]
     return ExtensionGraph(table, key, tuple(right_ids), adjacency, high_degree,
                           {i: p for p, i in held.items()})
 
@@ -146,7 +144,7 @@ def rows_beyond_rivals(table: IncompleteTable, key: AttributeSet) -> set:
     rows = table.rows
     n = len(rows)
     cols = sorted(key)
-    sizes = [len(v) for v in column_values(table)]
+    sizes = [len(v) for v in table.active_domains()]
     project = projector(cols)
     totals = []
     at: dict = {}  # mask -> indices of the rows NULL on just those key columns
@@ -299,7 +297,7 @@ def match_high_degree(table: IncompleteTable, key: AttributeSet, rows, matching:
     """
     used = set(matching.values())
     cols = sorted(key)
-    values = column_values(table)
+    values = table.active_domains()
     for i in sorted(rows):
         for ext in product(*extension_options(table.rows[i], cols, values)):
             if ext not in used:
@@ -352,8 +350,6 @@ def hall_components(graph: ExtensionGraph, result: MatchingResult | None = None)
     satisfied = []
     deficient = []
     for lefts, rights in groups.values():
-        if not lefts and not rights:
-            continue
         nu = sum(1 for i in lefts if i in result.matching)
         component = Component(tuple(sorted(lefts)), tuple(sorted(rights)), nu)
         (satisfied if component.satisfied else deficient).append(component)

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .constraints import (Constraint, ConstraintVerdict, MeasureResult, Nmvd, SpCj, SpFd,
                           SpKey, SpMvd, measure_denominator)
 from .errors import DEFAULT_BUDGET, BudgetExceededError, OracleGapError
-from .table import (IncompleteTable, Row, SpWorld, column_values, complete_world,
+from .table import (SSYMB, IncompleteTable, Row, SpWorld, complete_world,
                     extension_options, fresh_values, projector, strongly_similar)
 
 # Instance-size limits for the extended-pool g5 cross-check.
@@ -46,7 +46,7 @@ def world_count(table: IncompleteTable) -> int:
     for row in table.rows:
         for a, cell in enumerate(row):
             if cell is None:
-                count *= len(domains[a].sorted_values)
+                count *= len(domains[a])
     return count
 
 
@@ -77,7 +77,7 @@ def _iter_completions(table: IncompleteTable, budget: int, up_to_reordering: boo
         raise BudgetExceededError(
             f"{total} strongly possible worlds exceed the budget of {budget}"
         )
-    every, values = range(table.arity), column_values(table)
+    every, values = range(table.arity), table.active_domains()
     options = [tuple(product(*extension_options(row, every, values))) for row in table.rows]
     world = [opts[0] for opts in options]
     # The odometer turns only the rows with a choice; ``floor[p]`` is the
@@ -375,12 +375,11 @@ def _kind(c: Constraint) -> _Kind:
 def _cross_check_pool(table: IncompleteTable) -> list[Row]:
     """Exhaustive addition candidates: every tuple over the active domains
     extended by two fresh values per column, NULL included as a cell."""
-    domains = table.active_domains()
     extra = fresh_values(table, 2 * table.arity, stem="w")
     options = []
-    for a in range(table.arity):
-        base = [v for v in domains[a].sorted_values if not domains[a].degenerate]
-        options.append(tuple(base) + (extra[2 * a], extra[2 * a + 1], None))
+    for a, domain in enumerate(table.active_domains()):
+        base = () if domain == (SSYMB,) else domain
+        options.append(base + (extra[2 * a], extra[2 * a + 1], None))
     return [row for row in product(*options)]
 
 

@@ -79,7 +79,7 @@ class _FdSearch:
         cap = self.table.row_count + 1
         slots = 1
         for a in self.x_cols:
-            slots *= 1 if a == emptied else len(self.table.active_domains()[a].sorted_values)
+            slots *= 1 if a == emptied else len(self.table.active_domains()[a])
             if slots >= cap:
                 return cap
         return slots

@@ -30,8 +30,8 @@ from .matching import (
 from .table import (
     AttributeSet,
     IncompleteTable,
+    SSYMB,
     SpWorld,
-    column_values,
     complete_world,
     extension_options,
     fresh_values,
@@ -114,8 +114,6 @@ def check_spkey(table: IncompleteTable, key: AttributeSet,
     """
     a = _analysis(table, key, analysis)
     n = table.row_count
-    if n == 0:
-        return ConstraintVerdict(True, SpWorld((), ()))
     if a.duplicate is not None:
         return ConstraintVerdict(False, None, (a.duplicate,))
     result = a.matching
@@ -198,7 +196,7 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet,
     bound = n - result.size
     tokens = fresh_values(table, bound)
     added = [(tokens[j],) * table.arity for j in range(bound)]
-    if any(table.active_domain(c).degenerate for c in a.cols):
+    if any(table.active_domain(c) == (SSYMB,) for c in a.cols):
         # An all-NULL key column loses its reserved symbol to the first
         # fresh value, and with it every edge of the graph: the rounds
         # start from the table plus that row.
@@ -229,7 +227,7 @@ def _warm_rounds(a: KeyAnalysis, added: list, start: int = 0) -> MeasureResult:
     table, graph, base = a.table, a.graph, a.matching
     n = table.row_count - start  # the rows before any fresh row
     cols = a.cols
-    values = column_values(table)
+    values = list(table.active_domains())  # a copy: the rounds grow it, the table's stay
     rows_of = matching_order(graph)  # left vertex -> row index
     high = set(graph.high_degree_left)
     open_rows = len(rows_of) + len(high)  # the rows with a NULL on the key

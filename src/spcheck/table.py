@@ -5,16 +5,19 @@ are immutable after construction; every predicate here is pure, so
 concurrent readers need no locking. Duplicate rows are permitted and kept
 distinct by row index.
 
-The reserved symbol ``SSYMB`` stands in for the active domain of a column
-that contains only NULLs. It is a process-wide sentinel distinct from
-every ingested token and only ever appears in completed worlds, never in
-an :class:`IncompleteTable`.
+A column's active domain is one tuple of its distinct non-NULL values in
+:func:`cell_sort_key` order, computed once per table
+(:meth:`IncompleteTable.active_domains`); every NULL of a strongly
+possible world is filled from it. A column that contains only NULLs has
+the domain ``(SSYMB,)``: the reserved symbol is a process-wide sentinel
+distinct from every ingested token and only ever appears in completed
+worlds, never in an :class:`IncompleteTable`.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -76,23 +79,6 @@ class Schema:
 
 
 @dataclass(frozen=True)
-class ActiveDomain:
-    """Distinct non-NULL values of one column, never empty.
-
-    ``degenerate`` is set when the raw value set was empty and the
-    reserved symbol was injected instead.
-    """
-
-    attribute: int
-    values: frozenset
-    degenerate: bool
-    sorted_values: tuple = field(compare=False)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class IncompleteTable:
     """Bag of tuples over a named schema; cells are tokens or None."""
 
@@ -139,29 +125,23 @@ class IncompleteTable:
 
     # -- active domains ----------------------------------------------------
 
-    def active_domain(self, a: int) -> ActiveDomain:
-        """Distinct non-NULL values in column ``a``; the reserved symbol
-        when the column holds only NULLs."""
+    def active_domain(self, a: int) -> tuple:
+        """The distinct non-NULL values of column ``a`` in
+        :func:`cell_sort_key` order; ``(SSYMB,)`` when the column holds
+        only NULLs."""
         if not 0 <= a < self.arity:
             raise IndexError(f"attribute index {a} out of range for arity {self.arity}")
         return self.active_domains()[a]
 
-    def active_domains(self) -> tuple[ActiveDomain, ...]:
+    def active_domains(self) -> tuple[tuple, ...]:
+        """Every column's active domain (see :meth:`active_domain`), by
+        column position, computed once."""
         cached = self.__dict__.get("_domains")
         if cached is None:
-            domains = []
-            for a in range(self.arity):
-                values = {row[a] for row in self.rows if row[a] is not None}
-                if values:
-                    domains.append(
-                        ActiveDomain(a, frozenset(values), False,
-                                     tuple(sorted(values, key=cell_sort_key)))
-                    )
-                else:
-                    domains.append(
-                        ActiveDomain(a, frozenset([SSYMB]), True, (SSYMB,))
-                    )
-            cached = tuple(domains)
+            cached = tuple(
+                tuple(sorted({row[a] for row in self.rows} - {None}, key=cell_sort_key)) or (SSYMB,)
+                for a in range(self.arity)
+            )
             object.__setattr__(self, "_domains", cached)
         return cached
 
@@ -200,7 +180,7 @@ def complete_world(table: IncompleteTable, positions: Sequence[int] = (),
     and ``values`` is not called for it: a strongly possible world keeps
     every non-NULL cell, so its values could only restate them.
     """
-    fill = tuple(d.sorted_values[0] for d in table.active_domains())
+    fill = tuple(d[0] for d in table.active_domains())
     picked = range(table.row_count) if rows is None else rows
     completed = []
     for i in picked:
@@ -280,32 +260,17 @@ def row_key(row: Row, positions: Iterable[int]) -> tuple:
     return tuple((1, "") if row[a] is None else (0, row[a]) for a in positions)
 
 
-def column_values(table: IncompleteTable) -> list[tuple]:
-    """Each column's sorted active domain, by column position."""
-    return [d.sorted_values for d in table.active_domains()]
-
-
 def extension_options(row: Row, positions: Iterable[int], values: Sequence[tuple]) -> list[tuple]:
     """Per-position completion options for ``row`` on ``positions``, in
     the order given: the cell itself when non-NULL, else ``values[a]``
-    (a column's sorted active domain, see :func:`column_values`)."""
+    (a column's active domain, see :meth:`IncompleteTable.active_domains`)."""
     return [(row[a],) if row[a] is not None else values[a] for a in positions]
-
-
-def extension_count(table: IncompleteTable, row: Row, positions: Iterable[int]) -> int:
-    """Number of distinct completions of ``row`` on ``positions``."""
-    domains = table.active_domains()
-    count = 1
-    for a in positions:
-        if row[a] is None:
-            count *= len(domains[a].sorted_values)
-    return count
 
 
 def iter_extensions(table: IncompleteTable, row: Row, positions: Iterable[int]) -> Iterator[tuple]:
     """Distinct completions of ``row`` on sorted ``positions`` in
     lexicographic order of the per-column option lists."""
-    return product(*extension_options(row, sorted(positions), column_values(table)))
+    return product(*extension_options(row, sorted(positions), table.active_domains()))
 
 
 def fresh_values(table: IncompleteTable, k: int, stem: str = "z") -> list[str]:
@@ -314,9 +279,7 @@ def fresh_values(table: IncompleteTable, k: int, stem: str = "z") -> list[str]:
     Deterministic: a monotone counter under a stem that is escalated
     until no candidate collides with an ingested token.
     """
-    used = set()
-    for d in table.active_domains():
-        used |= d.values
+    used = set().union(*table.active_domains())
     prefix = stem
     while any(f"{prefix}{i}" in used for i in range(1, k + 1)):
         prefix = "z" + prefix

@@ -58,7 +58,7 @@ def _fix_shared(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     the sides' projections only where they agree on S, so where the cross
     join holds S has one value per column and by default no row is out."""
     shared = sorted(lhs & rhs)
-    value = value or tuple(table.active_domains()[c].sorted_values[0] for c in shared)
+    value = value or tuple(table.active_domains()[c][0] for c in shared)
     agrees = [all(row[c] in (None, v) for c, v in zip(shared, value)) for row in table.rows]
     out = [i for i, agree in enumerate(agrees) if not agree]
     kept = [i for i, agree in enumerate(agrees) if agree]
@@ -373,7 +373,7 @@ def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVer
     if table.row_count == 0:
         return ConstraintVerdict(True, SpWorld((), ()))
     result = KeyAnalysis(table, frozenset((a, b))).matching
-    if result.size < math.prod(len(table.active_domains()[c].sorted_values) for c in (a, b)):
+    if result.size < math.prod(len(table.active_domains()[c]) for c in (a, b)):
         return ConstraintVerdict(False)
     world = complete_world(table, sorted((a, b)), lambda i: result.matching.get(i, ()))
     return ConstraintVerdict(True, world)
@@ -407,7 +407,7 @@ def g3_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     budget = Budget.of(budget)
     verdict = check_spcj(table, lhs, rhs, budget) if verdict is None else verdict
     domains = table.active_domains()
-    values = product(*(domains[c].sorted_values for c in sorted(lhs & rhs)))
+    values = product(*(domains[c] for c in sorted(lhs & rhs)))
     removals = {value: len(_fix_shared(table, lhs, rhs, value)[0]) for value in values}
 
     @cache
@@ -483,7 +483,7 @@ def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
         cols, assignment = sorted(lhs | rhs), KeyAnalysis(table, lhs | rhs).matching.matching
         used = set(assignment.values())
         domains = table.active_domains()
-        fills = [p for p in product(*(domains[c].sorted_values for c in cols)) if p not in used]
+        fills = [p for p in product(*(domains[c] for c in cols)) if p not in used]
         k = len(fills)
     else:
         verdict = check_spcj_general(table, lhs, rhs, budget) if verdict is None else verdict

@@ -22,7 +22,7 @@ def assert_removal_witness(t, result, holds):
     domains = kept.active_domains()
     for row, done in zip(kept.rows, result.witness.rows):
         for a, (cell, value) in enumerate(zip(row, done)):
-            assert value == cell if cell is not None else value in domains[a].values
+            assert value == cell if cell is not None else value in domains[a]
     assert holds(result.witness.rows)
 
 
@@ -37,7 +37,7 @@ def assert_addition_witness(t, result, holds, fresh=frozenset()):
     domains = t.active_domains()
     for row in result.added_rows:
         if any(cell is not None for cell in row):
-            assert fresh and all((row[a] is not None and row[a] not in domains[a].values)
+            assert fresh and all((row[a] is not None and row[a] not in domains[a])
                                  == (a in fresh) for a in range(t.arity))
     extended = t.with_rows_added(result.added_rows)
     assert result.witness.origin == tuple(range(t.row_count)) + (None,) * result.numerator
@@ -45,7 +45,7 @@ def assert_addition_witness(t, result, holds, fresh=frozenset()):
     domains = extended.active_domains()
     for row, done in zip(extended.rows, result.witness.rows):
         for a, (cell, value) in enumerate(zip(row, done)):
-            assert value == cell if cell is not None else value in domains[a].values
+            assert value == cell if cell is not None else value in domains[a]
     assert holds(result.witness.rows)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -121,7 +122,7 @@ def test_parse_constraints():
     c = parse_constraint("spfd(X1,X2 -> Y)", SCHEMA)
     assert c == SpFd(frozenset({0, 1}), frozenset({2}))
     c = parse_constraint("spcj(TeacherID x CourseID)", SCHEMA)
-    assert c == SpCj(frozenset({3}), frozenset({4})) and c.singular
+    assert c == SpCj(frozenset({3}), frozenset({4}))
     c = parse_constraint("spkey( X1 , X2 )", SCHEMA)
     assert c == SpKey(frozenset({0, 1}))
     c = parse_constraint("spmvd(X1 ->> X2,Y)", SCHEMA)
@@ -584,6 +585,30 @@ def test_verify_names_each_unchecked_constraint_and_why(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "the oracle did not check spkey(a) (over the oracle's instance limits of 8 rows, "
         "4 columns and 1,000,000 worlds)\n")
+
+
+def test_verify_exits_1_on_an_oracle_disagreement(table4_csv, monkeypatch, capsys):
+    real = cli.g3_spkey
+
+    def off_by_one(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, numerator=result.numerator + 1)
+
+    monkeypatch.setattr(cli, "g3_spkey", off_by_one)
+    out = table4_csv.parent / "report.json"
+    assert main(["verify", "--table", str(table4_csv), "--constraint", "spkey(a,b)",
+                 "--json", str(out)]) == 1
+    assert "oracle disagreement detected" in capsys.readouterr().err
+    assert json.loads(out.read_text())["constraints"][0]["oracle"]["agree"] is False
+
+
+def test_verify_names_an_entry_stopped_by_the_budget(tmp_path, capsys):
+    path = tmp_path / "three.csv"
+    path.write_text("a,b\n1,2\n,3\n4,\n", encoding="utf-8")
+    assert main(["verify", "--table", str(path), "--budget", "0",
+                 "--constraint", "spfd(a -> b)"]) == 3
+    assert capsys.readouterr().err == (
+        "the oracle did not check spfd(a -> b) (the entry stopped with an error)\n")
 
 
 @st.composite
