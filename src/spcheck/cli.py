@@ -62,37 +62,50 @@ ORACLE_MAX_WORLDS = 1_000_000
 
 def load_csv(path, null_token: str = "", has_header: bool = True) -> IncompleteTable:
     """Read a rectangular CSV; cells equal to ``null_token`` become NULL,
-    every other cell is taken verbatim (no trimming)."""
+    every other cell is taken verbatim (no trimming) and interned.
+
+    One pass: each record's fields join one flat list as it is read, so
+    no record outlives its line, and the rows are cut from that list at
+    the end, each distinct cell text mapped once. A file that is not
+    UTF-8, that ``csv`` cannot parse, or whose first line has no fields
+    is a ``TableLoadError``."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            records = list(reader)
+            first = next(reader, None)
+            if first is None:
+                raise TableLoadError(f"{path}: empty file")
+            if not first:
+                raise TableLoadError(f"{path}: no columns (the first line is blank)")
+            if has_header:
+                header, cells = first, []
+                if len(set(header)) != len(header):
+                    raise TableLoadError(f"{path}: duplicate header names")
+                if not all(header):
+                    raise TableLoadError(f"{path}: empty header name")
+            else:
+                header, cells = [f"A{i + 1}" for i in range(len(first))], first
+            arity = len(header)
+            for lineno, record in enumerate(reader, start=2):
+                if len(record) != arity:
+                    if record or arity != 1:
+                        raise TableLoadError(
+                            f"{path}: row {lineno} has {len(record)} fields, expected {arity}")
+                    record = [""]  # a blank line is one empty field
+                cells += record
     except OSError as err:
         raise TableLoadError(f"cannot read {path}: {err}") from err
-    if not records:
-        raise TableLoadError(f"{path}: empty file")
-    if has_header:
-        header, data = records[0], records[1:]
-        if len(set(header)) != len(header):
-            raise TableLoadError(f"{path}: duplicate header names")
-        if any(not name for name in header):
-            raise TableLoadError(f"{path}: empty header name")
-    else:
-        width = len(records[0])
-        header = [f"A{i + 1}" for i in range(width)]
-        data = records
-    arity = len(header)
-    intern = sys.intern
-    rows = []
-    for lineno, record in enumerate(data, start=2 if has_header else 1):
-        if not record and arity == 1:  # a blank line is one empty field
-            record = [""]
-        if len(record) != arity:
-            raise TableLoadError(
-                f"{path}: row {lineno} has {len(record)} fields, expected {arity}"
-            )
-        rows.append(tuple([None if cell == null_token else intern(cell) for cell in record]))
-    return IncompleteTable(Schema(tuple(header)), tuple(rows), null_token)
+    except UnicodeDecodeError as err:
+        after = f" after line {reader.line_num}" if reader.line_num else ""
+        raise TableLoadError(f"{path}: not UTF-8 text{after} ({err.reason})") from None
+    except csv.Error as err:
+        raise TableLoadError(f"{path}: line {reader.line_num}: {err}") from None
+    memo = {text: sys.intern(text) for text in set(cells)}
+    memo[null_token] = None
+    # zip draws from one iterator arity times, so each row takes the
+    # next arity cells.
+    rows = tuple(zip(*[map(memo.__getitem__, cells)] * arity))
+    return IncompleteTable(Schema(tuple(header)), rows, null_token)
 
 
 def write_csv(table: IncompleteTable, path) -> None:
@@ -169,10 +182,11 @@ class _Engines(NamedTuple):
     ``f(table, constraint, budget, done)``. ``done`` holds what the
     constraint entry has computed so far, dropped with the entry: the
     check's verdict under "check", each measure's result under its name
-    and, for a key, the ``KeyAnalysis`` under "analysis". An engine
-    starts from that work instead of repeating it. ``measures`` is None
-    for a kind evaluated on the incomplete table itself: it has no
-    measures and no worlds for the oracle to enumerate."""
+    and, for a key or a cross join, the ``KeyAnalysis`` of its columns
+    under "analysis" (a cross join reads it on two single columns). An
+    engine starts from that work instead of repeating it. ``measures``
+    is None for a kind evaluated on the incomplete table itself: it has
+    no measures and no worlds for the oracle to enumerate."""
 
     check: Callable
     measures: dict | None
@@ -195,9 +209,11 @@ ENGINES = {
         "g3": lambda t, c, b, d: g3_spmvd(t, c.lhs, c.rhs, b, verdict=d["check"]),
         "g5": lambda t, c, b, d: g5_spmvd(t, c.lhs, c.rhs, b, verdict=d["check"]),
     }),
-    SpCj: _Engines(lambda t, c, b, _: check_spcj(t, c.lhs, c.rhs, b), {
+    SpCj: _Engines(lambda t, c, b, d: check_spcj(
+        t, c.lhs, c.rhs, b, analysis=d.setdefault("analysis", KeyAnalysis(t, c.lhs | c.rhs))), {
         "g3": lambda t, c, b, d: g3_spcj(t, c.lhs, c.rhs, b, verdict=d["check"]),
-        "g5": lambda t, c, b, d: g5_spcj(t, c.lhs, c.rhs, b, verdict=d["check"]),
+        "g5": lambda t, c, b, d: g5_spcj(t, c.lhs, c.rhs, b, verdict=d["check"],
+                                         analysis=d["analysis"]),
     }),
     Nmvd: _Engines(lambda t, c, b, _: ConstraintVerdict(check_nmvd(t, c.lhs, c.rhs)), None),
 }

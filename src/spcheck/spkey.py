@@ -92,7 +92,9 @@ class KeyAnalysis:
         return complete_world(self.table, self.cols, matching.__getitem__, rows)
 
 
-def _analysis(table: IncompleteTable, key: AttributeSet, analysis: KeyAnalysis | None) -> KeyAnalysis:
+def key_analysis(table: IncompleteTable, key: AttributeSet, analysis: KeyAnalysis | None) -> KeyAnalysis:
+    """``analysis`` when given, after checking that it is of ``table``
+    and ``key``; else a new analysis."""
     if analysis is None:
         return KeyAnalysis(table, key)
     if analysis.table is not table or analysis.key != key:
@@ -112,7 +114,7 @@ def check_spkey(table: IncompleteTable, key: AttributeSet,
     same single extension a matching covers at most one. Otherwise it is
     the first row the analysis's matching leaves unmatched.
     """
-    a = _analysis(table, key, analysis)
+    a = key_analysis(table, key, analysis)
     n = table.row_count
     if a.duplicate is not None:
         return ConstraintVerdict(False, None, (a.duplicate,))
@@ -128,7 +130,7 @@ def g3_spkey(table: IncompleteTable, key: AttributeSet,
     """(|T| - nu) / |T| with the unmatched rows as removal witness: rows
     with a NULL on the key, and the later key-total rows of a repeated
     projection."""
-    a = _analysis(table, key, analysis)
+    a = key_analysis(table, key, analysis)
     n = measure_denominator(table, "g3")
     result = a.matching
     if result.size == n:
@@ -152,7 +154,7 @@ def g4_spkey(table: IncompleteTable, key: AttributeSet,
     (:func:`~spcheck.matching.satisfied_row_count`), so g4 answers every
     table the check answers.
     """
-    a = _analysis(table, key, analysis)
+    a = key_analysis(table, key, analysis)
     n = measure_denominator(table, "g4")
     result = a.matching
     return MeasureResult("g4", n - result.size,
@@ -184,7 +186,7 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet,
     single-attribute key additions consume as many values as they donate;
     when the search is exhausted the measure is undefined.
     """
-    a = _analysis(table, key, analysis)
+    a = key_analysis(table, key, analysis)
     if a.duplicate is not None:
         raise PreconditionError(
             "the key-total part violates the key; additions cannot repair duplicate total rows"

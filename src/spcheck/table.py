@@ -88,11 +88,9 @@ class IncompleteTable:
 
     def __post_init__(self):
         arity = self.schema.arity
-        for i, row in enumerate(self.rows):
-            if len(row) != arity:
-                raise ValueError(
-                    f"row {i} has {len(row)} cells, schema arity is {arity}"
-                )
+        if not set(map(len, self.rows)) <= {arity}:
+            i, row = next((i, row) for i, row in enumerate(self.rows) if len(row) != arity)
+            raise ValueError(f"row {i} has {len(row)} cells, schema arity is {arity}")
 
     # -- construction helpers -------------------------------------------------
 
@@ -138,9 +136,10 @@ class IncompleteTable:
         column position, computed once."""
         cached = self.__dict__.get("_domains")
         if cached is None:
+            columns = zip(*self.rows) if self.rows else ((),) * self.arity
             cached = tuple(
-                tuple(sorted({row[a] for row in self.rows} - {None}, key=cell_sort_key)) or (SSYMB,)
-                for a in range(self.arity)
+                tuple(sorted(set(column) - {None}, key=cell_sort_key)) or (SSYMB,)
+                for column in columns
             )
             object.__setattr__(self, "_domains", cached)
         return cached

@@ -37,7 +37,7 @@ from itertools import product
 from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from .errors import DEFAULT_BUDGET
 from .search import Budget, backtrack, row_order, smallest_removal
-from .spkey import KeyAnalysis
+from .spkey import KeyAnalysis, key_analysis
 from .table import (
     AttributeSet,
     IncompleteTable,
@@ -343,11 +343,13 @@ def check_nmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> 
 
 
 def check_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-               budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
+               budget: int | Budget = DEFAULT_BUDGET,
+               analysis: KeyAnalysis | None = None) -> ConstraintVerdict:
     """The spCJ check: two distinct single columns by the key matching
-    (``check_spcj_singular``), any other sides by ``check_spcj_general``."""
+    (``check_spcj_singular``, which reads ``analysis`` when given), any
+    other sides by ``check_spcj_general``."""
     if len(lhs) == len(rhs) == 1 and lhs != rhs:
-        return check_spcj_singular(table, min(lhs), min(rhs))
+        return check_spcj_singular(table, min(lhs), min(rhs), analysis)
     return check_spcj_general(table, lhs, rhs, budget)
 
 
@@ -365,14 +367,16 @@ def check_spcj_general(table: IncompleteTable, lhs: AttributeSet, rhs: Attribute
     return ConstraintVerdict(True, complete_world(table, search.cols, found[1].__getitem__))
 
 
-def check_spcj_singular(table: IncompleteTable, a: int, b: int) -> ConstraintVerdict:
+def check_spcj_singular(table: IncompleteTable, a: int, b: int,
+                        analysis: KeyAnalysis | None = None) -> ConstraintVerdict:
     """Polynomial single-attribute case, a ≠ b: the key {a, b}'s maximum
-    matching of rows to distinct completions (``KeyAnalysis.matching``)
-    must cover every pair of the two active domains. The rows it leaves
-    unmatched repeat a pair, so a repeated total pair is no violation."""
+    matching of rows to distinct completions (``KeyAnalysis.matching``,
+    of ``analysis`` when given) must cover every pair of the two active
+    domains. The rows it leaves unmatched repeat a pair, so a repeated
+    total pair is no violation."""
     if table.row_count == 0:
         return ConstraintVerdict(True, SpWorld((), ()))
-    result = KeyAnalysis(table, frozenset((a, b))).matching
+    result = key_analysis(table, frozenset((a, b)), analysis).matching
     if result.size < math.prod(len(table.active_domains()[c]) for c in (a, b)):
         return ConstraintVerdict(False)
     world = complete_world(table, sorted((a, b)), lambda i: result.matching.get(i, ()))
@@ -462,25 +466,28 @@ def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
 
 def g5_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
             budget: int | Budget = DEFAULT_BUDGET,
-            verdict: ConstraintVerdict | None = None) -> MeasureResult:
+            verdict: ConstraintVerdict | None = None,
+            analysis: KeyAnalysis | None = None) -> MeasureResult:
     """Minimum number of all-NULL rows making the cross join hold; may
     exceed 1. Fresh values never help here: they strictly enlarge the
     required combination set.
 
     Added all-NULL rows change no active domain, and each takes any
     combination. So on two distinct single columns g5 is the pairs the
-    check's key matching leaves unmatched, read without a verdict. Else
-    g5 is undefined when a column on both sides holds two values
-    (``_fix_shared``), and otherwise the check on the table plus k of
-    them is the check's own cross search allowed a need of k: g5 is that
-    search's least need, found by branch and bound from no bound (the
-    failed check makes it at least 1). Enough all-NULL rows always cross
-    disjoint sides.
+    check's key matching (of ``analysis`` when given) leaves unmatched,
+    read without a verdict. Else g5 is undefined when a column on both
+    sides holds two values (``_fix_shared``), and otherwise the check on
+    the table plus k of them is the check's own cross search allowed a
+    need of k: g5 is that search's least need, found by branch and bound
+    from no bound (the failed check makes it at least 1). Enough
+    all-NULL rows always cross disjoint sides.
     """
     budget = Budget.of(budget)
     n = measure_denominator(table, "g5")
     if len(lhs) == len(rhs) == 1 and lhs != rhs:
-        cols, assignment = sorted(lhs | rhs), KeyAnalysis(table, lhs | rhs).matching.matching
+        cols = sorted(lhs | rhs)
+        # A copy: the fills below extend it, and the analysis may be shared.
+        assignment = dict(key_analysis(table, lhs | rhs, analysis).matching.matching)
         used = set(assignment.values())
         domains = table.active_domains()
         fills = [p for p in product(*(domains[c] for c in cols)) if p not in used]

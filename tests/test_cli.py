@@ -115,6 +115,87 @@ def test_load_csv_duplicate_header(tmp_path):
         load_csv(path)
 
 
+def _per_cell_load_csv(path, null_token="", has_header=True):
+    """The loader before the streaming pass: every record kept in a list,
+    then each cell mapped to NULL or interned one at a time."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        records = list(csv.reader(fh))
+    if not records:
+        raise TableLoadError(f"{path}: empty file")
+    if has_header:
+        header, data = records[0], records[1:]
+        if len(set(header)) != len(header):
+            raise TableLoadError(f"{path}: duplicate header names")
+        if any(not name for name in header):
+            raise TableLoadError(f"{path}: empty header name")
+    else:
+        header, data = [f"A{i + 1}" for i in range(len(records[0]))], records
+    arity = len(header)
+    rows = []
+    for lineno, record in enumerate(data, start=2 if has_header else 1):
+        if not record and arity == 1:
+            record = [""]
+        if len(record) != arity:
+            raise TableLoadError(
+                f"{path}: row {lineno} has {len(record)} fields, expected {arity}")
+        rows.append(tuple(None if cell == null_token else sys.intern(cell) for cell in record))
+    return IncompleteTable(Schema(tuple(header)), tuple(rows), null_token)
+
+
+def _random_csv_text(rng):
+    """CSV text of one to four columns with quoted commas, quotes and line
+    breaks, NULL tokens, blank lines, now and then a ragged row, a
+    duplicate or empty header name, and a byte-order mark."""
+    arity = rng.randint(1, 4)
+    header = [f"h{i}" for i in range(arity)]
+    if rng.random() < 0.1:
+        header[-1] = rng.choice(["", "h0"])
+    tokens = ["", "NA", "1", "2", "x, y", 'say "hi"', "two\nlines", " NA", "é", "a\r\nb"]
+    records = [header]
+    for _ in range(rng.randint(0, 8)):
+        width = arity if rng.random() < 0.9 else rng.randint(0, arity + 1)
+        records.append([rng.choice(tokens) for _ in range(width)])
+    text = io.StringIO()
+    csv.writer(text, lineterminator=rng.choice(["\n", "\r\n"])).writerows(records)
+    return ("\ufeff" if rng.random() < 0.2 else "") + text.getvalue()
+
+
+def test_load_csv_matches_the_per_cell_loader(tmp_path):
+    # The same rows, the same interned cell objects, or the same error.
+    rng = random.Random(30)
+    path = tmp_path / "t.csv"
+    for _ in range(400):
+        path.write_text(_random_csv_text(rng), encoding="utf-8")
+        options = {"null_token": rng.choice(["", "NA"]), "has_header": rng.random() < 0.7}
+        try:
+            expected = _per_cell_load_csv(path, **options)
+        except TableLoadError as err:
+            with pytest.raises(TableLoadError) as got:
+                load_csv(path, **options)
+            assert str(got.value) == str(err)
+            continue
+        table = load_csv(path, **options)
+        assert table == expected
+        cells = [cell for row in table.rows for cell in row if cell is not None]
+        assert all(cell is sys.intern(cell) for cell in cells)
+        assert all(new is old for new, old in zip(
+            cells, (cell for row in expected.rows for cell in row if cell is not None)))
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"a,b\n1,\xff\n", "not UTF-8 text (invalid start byte)"),
+    (b'a,b\n1,"' + b"x" * 140_000 + b'"\n', "line 2: field larger than field limit"),
+    (b"\n\n", "no columns"),
+], ids=["not-utf8", "oversized-field", "blank-first-line"])
+def test_a_malformed_csv_is_a_usage_error(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert main(["check", "--table", str(path), "--constraint", "spkey(A1)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert "Traceback" not in err
+
+
 SCHEMA = Schema(("X1", "X2", "Y", "TeacherID", "CourseID"))
 
 
@@ -521,6 +602,24 @@ def test_an_entry_checks_its_table_once(monkeypatch, attrs, rows, spec, g3, g5):
     assert len(whole) == 1 and whole[0] is t
     g3_calls = [s for name, s in calls if name == "g3_spfd"]
     assert len(g3_calls) == spec.startswith("spfd") and all(s is t for s in g3_calls)
+
+
+def test_a_singular_cross_join_entry_builds_its_key_matching_once(monkeypatch):
+    # The check's analysis of the two columns serves g5, which reads a
+    # copy of its matching and leaves the check's matching as it was.
+    t = IncompleteTable.build(["A", "B"], [("1", "1"), ("2", None), (None, "3")])
+    a, b = frozenset({0}), frozenset({1})
+    analysis = spkey.KeyAnalysis(t, a | b)
+    verdict = tuplegen.check_spcj(t, a, b, analysis=analysis)
+    before = dict(analysis.matching.matching)
+    shared = tuplegen.g5_spcj(t, a, b, verdict=verdict, analysis=analysis)
+    assert shared == tuplegen.g5_spcj(t, a, b) and shared.fraction_str == "1/3"
+    assert analysis.matching.matching == before
+    calls = []
+    _counting(calls, monkeypatch, spkey, "build_extension_graph")
+    report = run(t, [SpCj(a, b)], RunOptions(measures=("g5",)))
+    assert report["constraints"][0]["measures"]["g5"]["fraction"] == "1/3"
+    assert [s is t for _, s in calls] == [True]
 
 
 def test_verify_bounds_the_oracle_g5_by_its_g3(monkeypatch):
