@@ -95,9 +95,8 @@ def load_csv(path, null_token: str = "", has_header: bool = True) -> IncompleteT
                 cells += record
     except OSError as err:
         raise TableLoadError(f"cannot read {path}: {err}") from err
-    except UnicodeDecodeError as err:
-        after = f" after line {reader.line_num}" if reader.line_num else ""
-        raise TableLoadError(f"{path}: not UTF-8 text{after} ({err.reason})") from None
+    except UnicodeDecodeError:
+        raise TableLoadError(f"{path}: {_not_utf8(path)}") from None
     except csv.Error as err:
         raise TableLoadError(f"{path}: line {reader.line_num}: {err}") from None
     memo = {text: sys.intern(text) for text in set(cells)}
@@ -106,6 +105,21 @@ def load_csv(path, null_token: str = "", has_header: bool = True) -> IncompleteT
     # next arity cells.
     rows = tuple(zip(*[map(memo.__getitem__, cells)] * arity))
     return IncompleteTable(Schema(tuple(header)), rows, null_token)
+
+
+def _not_utf8(path) -> str:
+    """Where a file stops being UTF-8: the physical line, as ``csv``
+    counts them (each ended by ``\\n``, ``\\r\\n`` or ``\\r``), of the first
+    byte that does not decode. The text reader decodes a chunk ahead of
+    ``csv``, so the bytes are read again. A line break is ASCII and so
+    never inside a character."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = len((data[:err.start] + b".").splitlines())
+        return f"line {line}: not UTF-8 text ({err.reason})"
+    return "not UTF-8 text"  # changed on disk since it was read
 
 
 def write_csv(table: IncompleteTable, path) -> None:
@@ -133,6 +147,9 @@ def _attr_list(text: str, schema: Schema, spec: str) -> frozenset:
         raise ConstraintParseError(f"{spec!r}: {err.args[0]}") from None
 
 
+_KINDS = {cls.keyword: cls for cls in Constraint.__subclasses__()}
+
+
 def parse_constraint(spec: str, schema: Schema) -> Constraint:
     """Grammar: kind "(" attrs ( "->" | "->>" | "x" attrs )? ")".
 
@@ -143,27 +160,20 @@ def parse_constraint(spec: str, schema: Schema) -> Constraint:
     if not match:
         raise ConstraintParseError(f"{spec!r}: expected kind(...)")
     kind, body = match.group(1).lower(), match.group(2)
-    if kind == "spkey":
-        return SpKey(_attr_list(body, schema, spec))
-    if kind in ("spmvd", "nmvd"):
-        lhs, sep, rhs = body.partition("->>")
-        if not sep:
-            raise ConstraintParseError(f"{spec!r}: expected '->>'")
-        cls = SpMvd if kind == "spmvd" else Nmvd
-        return cls(_attr_list(lhs, schema, spec), _attr_list(rhs, schema, spec))
-    if kind == "spfd":
-        if "->>" in body:
-            raise ConstraintParseError(f"{spec!r}: use spmvd for '->>'")
-        lhs, sep, rhs = body.partition("->")
-        if not sep:
-            raise ConstraintParseError(f"{spec!r}: expected '->'")
-        return SpFd(_attr_list(lhs, schema, spec), _attr_list(rhs, schema, spec))
-    if kind == "spcj":
-        parts = re.split(r"\bx\b", body, maxsplit=1)
-        if len(parts) != 2:
-            raise ConstraintParseError(f"{spec!r}: expected the separator 'x'")
-        return SpCj(_attr_list(parts[0], schema, spec), _attr_list(parts[1], schema, spec))
-    raise ConstraintParseError(f"{spec!r}: unknown constraint kind {kind!r}")
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise ConstraintParseError(f"{spec!r}: unknown constraint kind {kind!r}")
+    sep = cls.separator
+    if not sep:
+        return cls(_attr_list(body, schema, spec))
+    if cls is SpFd and "->>" in body:
+        raise ConstraintParseError(f"{spec!r}: use spmvd for '->>'")
+    word = sep.isalpha()
+    sides = re.split(rf"\b{sep}\b" if word else re.escape(sep), body, maxsplit=1)
+    if len(sides) != 2:
+        raise ConstraintParseError(
+            f"{spec!r}: expected {'the separator ' if word else ''}'{sep}'")
+    return cls(*(_attr_list(side, schema, spec) for side in sides))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ and the verdicts and measures the engines report on them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import PreconditionError
 from .table import AttributeSet, IncompleteTable, Row, Schema, SpWorld
@@ -12,66 +13,63 @@ from .table import AttributeSet, IncompleteTable, Row, Schema, SpWorld
 
 @dataclass(frozen=True)
 class Constraint:
-    """Base class; concrete constraints carry attribute positions."""
+    """Base class; concrete constraints carry attribute positions, one
+    set per side. A kind's spec is its ``keyword`` and its sides, the
+    two sides split by its ``separator``: the one grammar that
+    :meth:`describe` writes and ``cli.parse_constraint`` reads."""
+
+    keyword: ClassVar[str]
+    separator: ClassVar[str] = ""
 
     def describe(self, schema: Schema) -> str:
-        raise NotImplementedError
+        sides = (",".join(schema.names(getattr(self, f.name))) for f in fields(self))
+        return f"{self.keyword}({f' {self.separator} '.join(sides)})"
 
 
 @dataclass(frozen=True)
 class SpKey(Constraint):
     key: AttributeSet
+    keyword: ClassVar[str] = "spkey"
 
     def __post_init__(self):
         if not self.key:
             raise ValueError("spkey needs a non-empty attribute set")
-
-    def describe(self, schema: Schema) -> str:
-        return f"spkey({','.join(schema.names(self.key))})"
 
 
 @dataclass(frozen=True)
 class SpFd(Constraint):
     lhs: AttributeSet
     rhs: AttributeSet
-
-    def describe(self, schema: Schema) -> str:
-        return (f"spfd({','.join(schema.names(self.lhs))} -> "
-                f"{','.join(schema.names(self.rhs))})")
+    keyword: ClassVar[str] = "spfd"
+    separator: ClassVar[str] = "->"
 
 
 @dataclass(frozen=True)
 class SpMvd(Constraint):
     lhs: AttributeSet
     rhs: AttributeSet
-
-    def describe(self, schema: Schema) -> str:
-        return (f"spmvd({','.join(schema.names(self.lhs))} ->> "
-                f"{','.join(schema.names(self.rhs))})")
+    keyword: ClassVar[str] = "spmvd"
+    separator: ClassVar[str] = "->>"
 
 
 @dataclass(frozen=True)
 class SpCj(Constraint):
     lhs: AttributeSet
     rhs: AttributeSet
+    keyword: ClassVar[str] = "spcj"
+    separator: ClassVar[str] = "x"  # a word: it stands alone between the sides
 
     def __post_init__(self):
         if not self.lhs or not self.rhs:
             raise ValueError("spcj needs non-empty attribute sets on both sides")
-
-    def describe(self, schema: Schema) -> str:
-        return (f"spcj({','.join(schema.names(self.lhs))} x "
-                f"{','.join(schema.names(self.rhs))})")
 
 
 @dataclass(frozen=True)
 class Nmvd(Constraint):
     lhs: AttributeSet
     rhs: AttributeSet
-
-    def describe(self, schema: Schema) -> str:
-        return (f"nmvd({','.join(schema.names(self.lhs))} ->> "
-                f"{','.join(schema.names(self.rhs))})")
+    keyword: ClassVar[str] = "nmvd"
+    separator: ClassVar[str] = "->>"
 
 
 @dataclass(frozen=True)

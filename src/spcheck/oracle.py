@@ -25,8 +25,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .constraints import (Constraint, ConstraintVerdict, MeasureResult, Nmvd, SpCj, SpFd,
                           SpKey, SpMvd, measure_denominator)
 from .errors import DEFAULT_BUDGET, BudgetExceededError, OracleGapError
-from .table import (SSYMB, IncompleteTable, Row, SpWorld, complete_world,
-                    extension_options, fresh_values, projector, strongly_similar)
+from .table import (SSYMB, IncompleteTable, Row, SpWorld, extension_options, fresh_rows,
+                    fresh_values, projector, strongly_similar)
 
 # Instance-size limits for the extended-pool g5 cross-check.
 CROSS_CHECK_MAX_ROWS = 6
@@ -144,7 +144,7 @@ def _fd_deficit(xp, yp) -> Callable[[Sequence[Row]], float]:
     return deficit
 
 
-def _cj_deficit(gp, xp, yp) -> Callable[[Sequence[Row]], int]:
+def _cj_deficit(xp, yp) -> Callable[[Sequence[Row]], int]:
     """|A|·|B| − |P| for the rows' A and B values and their (A, B) pairs."""
 
     def deficit(rows: Sequence[Row]) -> int:
@@ -170,46 +170,11 @@ def _mvd_deficit(xp, yp, rp) -> Callable[[Sequence[Row]], int]:
     return deficit
 
 
-def _first_clash(rows: Sequence[Row], xp, yp=None) -> tuple | None:
-    """The first rows (i, j) equal on ``xp`` and unequal on ``yp``, i the
-    first row of its ``xp`` value; without ``yp``, every two rows differ."""
-    seen: dict = {}
-    for j, r in enumerate(rows):
-        y = j if yp is None else yp(r)
-        i, first = seen.setdefault(xp(r), (j, y))
-        if first != y:
-            return (i, j)
-    return None
-
-
-def _cross_violation(rows: Sequence[Row], gp, lp, rp) -> tuple | None:
-    """The first rows (i, j) of a group whose (i's left, j's right) pair
-    no row of the group has."""
-    present = {(gp(t), lp(t), rp(t)) for t in rows}
-    return next(((i, j) for i, j in product(range(len(rows)), repeat=2)
-                 if gp(rows[i]) == gp(rows[j])
-                 and (gp(rows[i]), lp(rows[i]), rp(rows[j])) not in present), None)
-
-
-def _holds(rows: Sequence[Row], c: Constraint, arity: int = 0) -> bool:
+def holds(rows: Sequence[Row], c: Constraint, arity: int = 0) -> bool:
+    """Whether the complete ``rows`` satisfy the classical constraint
+    ``c``; an MVD needs the table's ``arity`` for its rest columns."""
     kind = _kind(c)
     return not kind.deficit(*kind.parts(c, arity))(rows)
-
-
-def holds_key(rows: Sequence[Row], key) -> bool:
-    return _holds(rows, SpKey(key))
-
-
-def holds_fd(rows: Sequence[Row], lhs, rhs) -> bool:
-    return _holds(rows, SpFd(lhs, rhs))
-
-
-def holds_mvd(rows: Sequence[Row], lhs, rhs, arity: int) -> bool:
-    return _holds(rows, SpMvd(lhs, rhs), arity)
-
-
-def holds_cj(rows: Sequence[Row], lhs, rhs) -> bool:
-    return _holds(rows, SpCj(lhs, rhs))
 
 
 def holds_nmvd(rows: Sequence[Row], lhs, rhs, arity: int) -> bool:
@@ -229,16 +194,15 @@ def holds_nmvd(rows: Sequence[Row], lhs, rhs, arity: int) -> bool:
 
 def oracle_check(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGET) -> ConstraintVerdict:
     """Holds iff some strongly possible world satisfies the classical
-    constraint; returns the certifying world or a violating index pair
-    in the lexicographically smallest world."""
+    constraint; returns the first such world as the witness."""
     kind = _kind(c)
     if kind.direct is not None:
         return ConstraintVerdict(kind.direct(table, c))
-    parts = kind.parts(c, table.arity)
-    rows = next(_iter_completions(table, budget, deficit=kind.deficit(*parts)), None)
-    if rows is not None:
-        return ConstraintVerdict(True, SpWorld(rows, tuple(range(table.row_count))))
-    return ConstraintVerdict(False, None, kind.violation(complete_world(table).rows, *parts))
+    deficit = kind.deficit(*kind.parts(c, table.arity))
+    rows = next(_iter_completions(table, budget, deficit=deficit), None)
+    if rows is None:
+        return ConstraintVerdict(False)
+    return ConstraintVerdict(True, SpWorld(rows, tuple(range(table.row_count))))
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +237,9 @@ def oracle_g3(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGE
 # cannot repair the table within the pool.
 
 
-def _fresh_rows(table: IncompleteTable, positions, k: int) -> tuple[Row, ...]:
-    """``k`` rows, each with its own fresh value on ``positions`` and NULL
-    elsewhere."""
-    return tuple(tuple(t if a in positions else None for a in range(table.arity))
-                 for t in fresh_values(table, k))
-
-
 def _mvd_pool(table: IncompleteTable, c: SpMvd, k: int) -> list[tuple[Row, ...]]:
     """All-NULL rows mixed with fresh-on-X rows."""
-    fresh = _fresh_rows(table, c.lhs, k)
+    fresh = fresh_rows(table, c.lhs, k)
     return [((None,) * table.arity,) * (k - j) + fresh[:j] for j in range(k + 1)]
 
 
@@ -323,7 +280,11 @@ def _cj_bound(table: IncompleteTable, c: SpCj, budget: int, g3) -> int | None:
             return len(missing)
         return None
 
-    return _least(table, budget, _cj_deficit(*KINDS[SpCj].parts(c, table.arity)), need)
+    return _least(table, budget, _cj_deficit(xp, yp), need)
+
+
+def _sides(c: SpFd | SpCj, arity: int) -> tuple:
+    return projector(c.lhs), projector(c.rhs)
 
 
 def _mvd_parts(c: SpMvd, arity: int) -> tuple:
@@ -333,15 +294,14 @@ def _mvd_parts(c: SpMvd, arity: int) -> tuple:
 
 class _Kind(NamedTuple):
     """A constraint kind's reference semantics. ``parts(c, arity)``
-    builds the projectors that ``deficit(*parts)`` and
-    ``violation(rows, *parts)`` compare rows by; ``pool(table, c, k)``
+    builds the projectors that ``deficit(*parts)`` compares rows by, 0
+    exactly on the rows that satisfy the kind; ``pool(table, c, k)``
     and ``bound(table, c, budget, g3)`` drive g5. A kind evaluated on the
     incomplete table itself has only ``direct(table, c)``: it has no
     worlds, and no measures here."""
 
     parts: Callable | None = None
     deficit: Callable | None = None
-    violation: Callable | None = None
     pool: Callable | None = None
     bound: Callable | None = None
     direct: Callable | None = None
@@ -350,17 +310,14 @@ class _Kind(NamedTuple):
 KINDS = {
     # A key's pool fills the whole row with one fresh value; an FD's fills
     # the left side and lets the row blend into whatever class it lands in.
-    SpKey: _Kind(lambda c, arity: (projector(c.key),), _key_deficit, _first_clash,
-                 lambda t, c, k: [_fresh_rows(t, t.all_positions(), k)], _g3_bound),
-    SpFd: _Kind(lambda c, arity: (projector(c.lhs), projector(c.rhs)), _fd_deficit, _first_clash,
-                lambda t, c, k: [_fresh_rows(t, c.lhs, k)], _g3_bound),
-    SpMvd: _Kind(_mvd_parts, _mvd_deficit, _cross_violation, _mvd_pool,
+    SpKey: _Kind(lambda c, arity: (projector(c.key),), _key_deficit,
+                 lambda t, c, k: [fresh_rows(t, t.all_positions(), k)], _g3_bound),
+    SpFd: _Kind(_sides, _fd_deficit, lambda t, c, k: [fresh_rows(t, c.lhs, k)], _g3_bound),
+    SpMvd: _Kind(_mvd_parts, _mvd_deficit, _mvd_pool,
                  lambda t, c, b, g3: _least(t, b, _mvd_deficit(*_mvd_parts(c, t.arity)))),
     # A cross join is an MVD with one group. Its pool is all-NULL rows
     # only, since a fresh value strictly enlarges the required pair set.
-    SpCj: _Kind(lambda c, arity: (projector(()), projector(c.lhs), projector(c.rhs)),
-                _cj_deficit, _cross_violation,
-                lambda t, c, k: [((None,) * t.arity,) * k], _cj_bound),
+    SpCj: _Kind(_sides, _cj_deficit, lambda t, c, k: [((None,) * t.arity,) * k], _cj_bound),
     Nmvd: _Kind(direct=lambda t, c: holds_nmvd(t.rows, c.lhs, c.rhs, t.arity)),
 }
 

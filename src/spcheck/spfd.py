@@ -19,7 +19,7 @@ from .table import (
     Row,
     SpWorld,
     complete_world,
-    fresh_values,
+    fresh_rows,
     is_total,
     projection,
 )
@@ -222,11 +222,10 @@ def g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     nontotal = sum(1 for r in removed_rows if not is_total(r, x))
     total_classes = {projection(r, x) for r in removed_rows if is_total(r, x)}
     bound = nontotal + len(total_classes)
-    added = [tuple(token if a in x else None for a in range(table.arity))
-             for token in fresh_values(table, bound)]
+    added = fresh_rows(table, x, bound)
     for k in range(1, bound + 1):
         verdict = check_spfd(table.with_rows_added(added[:k]), x, y, budget)
         if verdict.holds:
-            return MeasureResult("g5", k, n, added_rows=tuple(added[:k]), witness=SpWorld(
+            return MeasureResult("g5", k, n, added_rows=added[:k], witness=SpWorld(
                 verdict.witness.rows, tuple(range(n)) + (None,) * k))
     return MeasureResult("g5", None, n)

@@ -34,7 +34,7 @@ from .table import (
     SpWorld,
     complete_world,
     extension_options,
-    fresh_values,
+    fresh_rows,
     projector,
 )
 
@@ -196,8 +196,7 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet,
     if result.size == n:
         return MeasureResult("g5", 0, n, added_rows=(), witness=a.full_world)
     bound = n - result.size
-    tokens = fresh_values(table, bound)
-    added = [(tokens[j],) * table.arity for j in range(bound)]
+    added = fresh_rows(table, table.all_positions(), bound)
     if any(table.active_domain(c) == (SSYMB,) for c in a.cols):
         # An all-NULL key column loses its reserved symbol to the first
         # fresh value, and with it every edge of the graph: the rounds
@@ -206,7 +205,7 @@ def g5_spkey(table: IncompleteTable, key: AttributeSet,
     return _warm_rounds(a, added)
 
 
-def _warm_rounds(a: KeyAnalysis, added: list, start: int = 0) -> MeasureResult:
+def _warm_rounds(a: KeyAnalysis, added: tuple, start: int = 0) -> MeasureResult:
     """g5 rounds k = start, start + 1, ... on one growing graph: ``a``
     analyses the table plus the first ``start`` fresh rows, round
     ``start`` is its matching, and each later round k adds the k-th
@@ -280,7 +279,7 @@ def _warm_rounds(a: KeyAnalysis, added: list, start: int = 0) -> MeasureResult:
         extended = table.with_rows_added(added[start:k])
         match_high_degree(extended, a.key, high, matching)
         world = complete_world(extended, a.cols, matching.__getitem__)
-        return MeasureResult("g5", k, n, added_rows=tuple(added[:k]),
+        return MeasureResult("g5", k, n, added_rows=added[:k],
                              witness=SpWorld(world.rows, tuple(range(n)) + (None,) * k))
     return MeasureResult("g5", None, n)
 

@@ -283,3 +283,10 @@ def fresh_values(table: IncompleteTable, k: int, stem: str = "z") -> list[str]:
     while any(f"{prefix}{i}" in used for i in range(1, k + 1)):
         prefix = "z" + prefix
     return [sys.intern(f"{prefix}{i}") for i in range(1, k + 1)]
+
+
+def fresh_rows(table: IncompleteTable, positions: AttributeSet, k: int) -> tuple[Row, ...]:
+    """``k`` rows, each with its own fresh value (:func:`fresh_values`) on
+    ``positions`` and NULL elsewhere."""
+    return tuple(tuple(t if a in positions else None for a in range(table.arity))
+                 for t in fresh_values(table, k))

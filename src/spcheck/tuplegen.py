@@ -43,7 +43,7 @@ from .table import (
     IncompleteTable,
     SpWorld,
     complete_world,
-    fresh_values,
+    fresh_rows,
     is_total,
     projection,
 )
@@ -451,15 +451,14 @@ def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     if verdict.holds:
         return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
     j, need, world = 0, *_mvd_search(table, lhs, rhs)(budget, math.inf, floor=1)
-    fresh = [tuple(token if a in lhs else None for a in range(table.arity))
-             for token in fresh_values(table, need - 1)]
+    fresh = fresh_rows(table, lhs, need - 1)
     k = 1
     while k < j + need:
         found = _mvd_search(table.with_rows_added(fresh[:k]), lhs, rhs)(budget, j + need - k)
         if found is not None:
             j, (need, world) = k, found
         k += 1
-    added = tuple(fresh[:j]) + ((None,) * table.arity,) * need
+    added = fresh[:j] + ((None,) * table.arity,) * need
     return MeasureResult("g5", j + need, n, added_rows=added,
                          witness=SpWorld(world.rows, tuple(range(n)) + (None,) * (j + need)))
 

@@ -24,8 +24,8 @@ from spcheck.cli import (
     write_csv,
 )
 from spcheck.constraints import Nmvd, SpCj, SpFd, SpKey, SpMvd
-from spcheck.errors import ConstraintParseError, PreconditionError, TableLoadError
-from spcheck.oracle import holds_cj, holds_fd, holds_key, holds_mvd
+from spcheck.errors import ConstraintParseError, OracleGapError, PreconditionError, TableLoadError
+from spcheck.oracle import holds
 from spcheck.table import IncompleteTable, Schema
 
 TABLE4_CSV = "a,b\n,1\n2,\n2,\n2,2\n"
@@ -183,10 +183,14 @@ def test_load_csv_matches_the_per_cell_loader(tmp_path):
 
 
 @pytest.mark.parametrize("content, message", [
-    (b"a,b\n1,\xff\n", "not UTF-8 text (invalid start byte)"),
+    (b"a,b\n1,\xff\n", "line 2: not UTF-8 text (invalid start byte)"),
+    # Past the reader's first 8 KB chunk, lines ended three ways; the
+    # byte after \xe9 is no continuation byte.
+    (b"a,b\r\n" + b"1,1\n" * 1000 + b"2,2\r" * 1000 + b"3,3\r\n" * 1000 + b"4,\xe9\r\n5,5\n",
+     "line 3002: not UTF-8 text (invalid continuation byte)"),
     (b'a,b\n1,"' + b"x" * 140_000 + b'"\n', "line 2: field larger than field limit"),
     (b"\n\n", "no columns"),
-], ids=["not-utf8", "oversized-field", "blank-first-line"])
+], ids=["not-utf8", "not-utf8-past-the-first-chunk", "oversized-field", "blank-first-line"])
 def test_a_malformed_csv_is_a_usage_error(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"
     path.write_bytes(content)
@@ -220,6 +224,32 @@ def test_parse_constraints():
 def test_parse_errors(bad):
     with pytest.raises(ConstraintParseError):
         parse_constraint(bad, SCHEMA)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("spkey", "expected kind(...)"),
+    ("mystery(X1)", "unknown constraint kind 'mystery'"),
+    ("spkey()", "empty attribute list"),
+    ("spfd(X1 ->> X2)", "use spmvd for '->>'"),
+    ("spfd(X1)", "expected '->'"),
+    ("spmvd(X1 -> X2)", "expected '->>'"),
+    ("nmvd(X1)", "expected '->>'"),
+    ("spcj(X1)", "expected the separator 'x'"),
+])
+def test_parse_error_messages(bad, message):
+    with pytest.raises(ConstraintParseError) as err:
+        parse_constraint(bad, SCHEMA)
+    assert str(err.value) == f"{bad!r}: {message}"
+
+
+def test_describe_writes_what_parse_reads():
+    x, y = frozenset({0, 1}), frozenset({2})
+    cases = {"spkey(X1,X2)": SpKey(x), "spfd(X1,X2 -> Y)": SpFd(x, y),
+             "spmvd(X1,X2 ->> Y)": SpMvd(x, y), "spcj(X1,X2 x Y)": SpCj(x, y),
+             "nmvd(X1,X2 ->> Y)": Nmvd(x, y)}
+    for spec, c in cases.items():
+        assert c.describe(SCHEMA) == spec
+        assert parse_constraint(spec, SCHEMA) == c
 
 
 def test_run_report_table4(table4_csv):
@@ -257,7 +287,7 @@ def test_run_witness_replayable(table4_csv):
                  RunOptions(measures=("g5",)))
     g5 = report["constraints"][0]["measures"]["g5"]
     world = [tuple(row) for row in g5["witness_world"]]
-    assert holds_key(world, frozenset({0, 1}))
+    assert holds(world, SpKey(frozenset({0, 1})))
 
 
 @pytest.mark.parametrize("measure", ["g4", "g7"])
@@ -453,13 +483,9 @@ def _deep_csv(path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("spec, classical", [
-    ("spfd(X,Z -> W)", lambda rows, c: holds_fd(rows, c.lhs, c.rhs)),
-    ("spmvd(X ->> Y)", lambda rows, c: holds_mvd(rows, c.lhs, c.rhs, 4)),
-    ("spcj(Y x Z,W)", lambda rows, c: holds_cj(rows, c.lhs, c.rhs)),
-    ("spcj(X x Y)", lambda rows, c: holds_cj(rows, c.lhs, c.rhs)),
-], ids=["spfd", "spmvd", "spcj", "spcj-singular"])
-def test_cli_check_searches_deeper_than_the_recursion_limit(tmp_path, spec, classical):
+@pytest.mark.parametrize("spec", ["spfd(X,Z -> W)", "spmvd(X ->> Y)", "spcj(Y x Z,W)", "spcj(X x Y)"],
+                         ids=["spfd", "spmvd", "spcj", "spcj-singular"])
+def test_cli_check_searches_deeper_than_the_recursion_limit(tmp_path, spec):
     # Each search holds one level per branching row, 3,000 of them.
     path = tmp_path / "deep.csv"
     _deep_csv(path)
@@ -473,7 +499,7 @@ def test_cli_check_searches_deeper_than_the_recursion_limit(tmp_path, spec, clas
     assert len(world) == table.row_count
     assert all(c is None or c == w for row, done in zip(table.rows, world)
                for c, w in zip(row, done))
-    assert classical(world, parse_constraint(spec, table.schema))
+    assert holds(world, parse_constraint(spec, table.schema), table.arity)
 
 
 def test_cli_generate_roundtrip(tmp_path):
@@ -699,6 +725,33 @@ def test_verify_exits_1_on_an_oracle_disagreement(table4_csv, monkeypatch, capsy
                  "--json", str(out)]) == 1
     assert "oracle disagreement detected" in capsys.readouterr().err
     assert json.loads(out.read_text())["constraints"][0]["oracle"]["agree"] is False
+
+
+def test_a_measure_stopped_by_the_budget_after_the_check_keeps_the_verdict(tmp_path, capsys):
+    # Rows (1,1) and (1,2) settle the check with no search; g3 then
+    # exceeds the node budget of 0.
+    path = tmp_path / "fd.csv"
+    path.write_text("a,b\n1,1\n1,2\n2,1\n2,2\n,3\n", encoding="utf-8")
+    assert main(["measure", "--table", str(path), "--budget", "0",
+                 "--constraint", "spfd(a -> b)"]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  spfd(a -> b): violated [budget exceeded: search exceeded the node budget of 0]")
+
+
+def test_verify_reports_an_entry_stopped_by_an_oracle_gap(table4_csv, monkeypatch, capsys):
+    def gap(*args, **kwargs):
+        raise OracleGapError("the extended pool repairs it sooner")
+
+    monkeypatch.setattr(cli, "oracle_g5", gap)
+    out = table4_csv.parent / "report.json"
+    assert main(["verify", "--table", str(table4_csv), "--constraint", "spkey(a,b)",
+                 "--json", str(out)]) == 1  # violated; the error is no budget stop
+    entry = json.loads(out.read_text())["constraints"][0]
+    assert entry["error"] == "the extended pool repairs it sooner" and "oracle" not in entry
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].endswith(" [the extended pool repairs it sooner]")
+    assert captured.err == (
+        "the oracle did not check spkey(a,b) (the entry stopped with an error)\n")
 
 
 def test_verify_names_an_entry_stopped_by_the_budget(tmp_path, capsys):

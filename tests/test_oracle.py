@@ -2,14 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from spcheck.constraints import Nmvd, SpCj, SpFd, SpKey, SpMvd
+from spcheck.constraints import ConstraintVerdict, Nmvd, SpCj, SpFd, SpKey, SpMvd
 from spcheck.errors import BudgetExceededError
 from spcheck.oracle import (
     enumerate_spworlds,
-    holds_cj,
-    holds_fd,
-    holds_key,
-    holds_mvd,
+    holds,
     oracle_check,
     oracle_g3,
     oracle_g5,
@@ -66,15 +63,15 @@ def test_worlds_weakly_extend_origin(table4):
 
 def test_holds_units():
     key_rows = (("1", "1"), ("1", "2"))
-    assert holds_key(key_rows, frozenset({0, 1}))
-    assert not holds_key(key_rows, frozenset({0}))
-    assert holds_fd(key_rows, frozenset({1}), frozenset({0}))
-    assert not holds_fd(key_rows, frozenset({0}), frozenset({1}))
+    assert holds(key_rows, SpKey(frozenset({0, 1})))
+    assert not holds(key_rows, SpKey(frozenset({0})))
+    assert holds(key_rows, SpFd(frozenset({1}), frozenset({0})))
+    assert not holds(key_rows, SpFd(frozenset({0}), frozenset({1})))
     mvd_rows = (("1", "1", "1"), ("1", "1", "2"), ("1", "1", "1"))
-    assert holds_mvd(mvd_rows, frozenset({0}), frozenset({1}), 3)
+    assert holds(mvd_rows, SpMvd(frozenset({0}), frozenset({1})), 3)
     cj_rows = (("1", "1"), ("1", "2"), ("2", "1"), ("2", "2"))
-    assert holds_cj(cj_rows, frozenset({0}), frozenset({1}))
-    assert not holds_cj(cj_rows[:3], frozenset({0}), frozenset({1}))
+    assert holds(cj_rows, SpCj(frozenset({0}), frozenset({1})))
+    assert not holds(cj_rows[:3], SpCj(frozenset({0}), frozenset({1})))
 
 
 def test_single_row_table_satisfies_everything():
@@ -89,15 +86,13 @@ def test_single_row_table_satisfies_everything():
 
 
 def test_oracle_check_table4_key(table4):
-    verdict = oracle_check(table4, SpKey(frozenset({0, 1})))
-    assert not verdict.holds
-    assert verdict.violation is not None
+    assert oracle_check(table4, SpKey(frozenset({0, 1}))) == ConstraintVerdict(False)
 
 
 def test_oracle_check_course_key(course_table):
     verdict = oracle_check(course_table, SpKey(frozenset({0, 1})))
     assert verdict.holds
-    assert holds_key(verdict.witness.rows, frozenset({0, 1}))
+    assert holds(verdict.witness.rows, SpKey(frozenset({0, 1})))
 
 
 def test_oracle_check_dispatches_nmvd(fig1_tables):
@@ -184,6 +179,14 @@ def test_oracle_g5_cross_check_clean_on_examples(fd_six_rows, table4):
     assert res.numerator == 1
     res = oracle_g5(fd_six_rows, SpFd(frozenset({0, 1}), frozenset({2})))
     assert res.numerator == 1
+
+
+def test_oracle_g3_stops_at_the_world_budget():
+    # Removing rows never adds a world, so the search stops at once.
+    t = table(["A"], [(None,), ("1",), ("2",), ("3",), ("4",)])
+    with pytest.raises(BudgetExceededError, match="g3 search stopped at removal size 0") as err:
+        oracle_g3(t, SpKey(frozenset({0})), budget=3)
+    assert err.value.partial_bound == 0
 
 
 def test_oracle_g5_cross_join_stops_at_the_world_budget():

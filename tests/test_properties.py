@@ -10,10 +10,7 @@ from spcheck.oracle import (
     _iter_completions,
     _least,
     enumerate_spworlds,
-    holds_cj,
-    holds_fd,
-    holds_key,
-    holds_mvd,
+    holds,
     oracle_check,
     oracle_g3,
     oracle_g5,
@@ -148,36 +145,36 @@ def test_witnesses_replay(t):
     key = t.all_positions()
     kv = check_spkey(t, key)
     if kv.holds:
-        assert holds_key(kv.witness.rows, key)
+        assert holds(kv.witness.rows, SpKey(key))
     fv = check_spfd(t, lhs, rhs)
     if fv.holds:
-        assert holds_fd(fv.witness.rows, lhs, rhs)
+        assert holds(fv.witness.rows, SpFd(lhs, rhs))
     mv = check_spmvd(t, lhs, rhs)
     if mv.holds:
-        assert holds_mvd(mv.witness.rows, lhs, rhs, t.arity)
+        assert holds(mv.witness.rows, SpMvd(lhs, rhs), t.arity)
     cv = check_spcj_general(t, lhs, rhs)
     if cv.holds:
-        assert holds_cj(cv.witness.rows, lhs, rhs)
+        assert holds(cv.witness.rows, SpCj(lhs, rhs))
     # Key g3 witnesses stay out: they can fill a kept NULL with a value
     # only a removed row held (the strict xfail in test_spkey.py).
-    assert_removal_witness(t, g3_spfd(t, lhs, rhs), lambda rows: holds_fd(rows, lhs, rhs))
+    assert_removal_witness(t, g3_spfd(t, lhs, rhs), lambda rows: holds(rows, SpFd(lhs, rhs)))
     assert_removal_witness(t, g3_spmvd(t, lhs, rhs),
-                           lambda rows: holds_mvd(rows, lhs, rhs, t.arity))
-    assert_removal_witness(t, g3_spcj(t, lhs, rhs), lambda rows: holds_cj(rows, lhs, rhs))
+                           lambda rows: holds(rows, SpMvd(lhs, rhs), t.arity))
+    assert_removal_witness(t, g3_spcj(t, lhs, rhs), lambda rows: holds(rows, SpCj(lhs, rhs)))
     # g5 adds rows fresh on the left side for fd, all-NULL rows or rows
     # fresh on the left side for mvd, and all-NULL rows for cj.
     additions = [
-        (g5_spmvd(t, lhs, rhs), lambda rows: holds_mvd(rows, lhs, rhs, t.arity), lhs),
-        (g5_spcj(t, lhs, rhs), lambda rows: holds_cj(rows, lhs, rhs), frozenset()),
+        (g5_spmvd(t, lhs, rhs), lambda rows: holds(rows, SpMvd(lhs, rhs), t.arity), lhs),
+        (g5_spcj(t, lhs, rhs), lambda rows: holds(rows, SpCj(lhs, rhs)), frozenset()),
     ]
     try:
-        additions.append((g5_spfd(t, lhs, rhs), lambda rows: holds_fd(rows, lhs, rhs),
+        additions.append((g5_spfd(t, lhs, rhs), lambda rows: holds(rows, SpFd(lhs, rhs)),
                           lhs - rhs))
     except PreconditionError:
         pass
-    for result, holds, fresh in additions:
+    for result, satisfied, fresh in additions:
         if result.numerator is not None:
-            assert_addition_witness(t, result, holds, fresh)
+            assert_addition_witness(t, result, satisfied, fresh)
 
 
 # Sides sharing one or two columns, one of them contained in the other in
@@ -214,7 +211,7 @@ def test_g5_spcj_on_overlapping_sides_matches_oracle(case):
     # world with all of the constraint's columns.
     rows, lhs, rhs = case
     t = IncompleteTable.build([f"A{a}" for a in range(len(rows[0]))], rows)
-    c, holds = SpCj(lhs, rhs), lambda rows: holds_cj(rows, lhs, rhs)
+    c, satisfied = SpCj(lhs, rhs), lambda rows: holds(rows, SpCj(lhs, rhs))
     try:
         expected = [oracle_check(t, c, 200_000).holds, oracle_g3(t, c, 200_000).numerator,
                     oracle_g5(t, c, budget=200_000).numerator]
@@ -224,10 +221,10 @@ def test_g5_spcj_on_overlapping_sides_matches_oracle(case):
     g3, g5 = g3_spcj(t, lhs, rhs), g5_spcj(t, lhs, rhs)
     assert [verdict.holds, g3.numerator, g5.numerator] == expected
     if verdict.holds:
-        assert holds(verdict.witness.rows)
-    assert_removal_witness(t, g3, holds)
+        assert satisfied(verdict.witness.rows)
+    assert_removal_witness(t, g3, satisfied)
     if g5.numerator is not None:
-        assert_addition_witness(t, g5, holds)
+        assert_addition_witness(t, g5, satisfied)
 
 
 @given(tables(min_cols=2))
@@ -236,7 +233,7 @@ def test_nmvd_equals_classical_mvd_on_total_tables(t):
     if any(cell is None for row in t.rows for cell in row):
         return
     lhs, rhs = sides(t)
-    assert check_nmvd(t, lhs, rhs) == holds_mvd(t.rows, lhs, rhs, t.arity)
+    assert check_nmvd(t, lhs, rhs) == holds(t.rows, SpMvd(lhs, rhs), t.arity)
 
 
 @given(tables())
@@ -268,16 +265,13 @@ def test_row_order_is_irrelevant(t, rng):
     )
 
 
-def _reference_check(t, c, holds):
+def _reference_check(t, satisfied):
     """The first satisfying world over every world, identical rows'
-    reorderings included, or a violation in the very first world."""
-    first = None
+    reorderings included, or none."""
     for w in enumerate_spworlds(t):
-        if first is None:
-            first = w.rows
-        if holds(w.rows):
-            return True, w, None
-    return False, None, KINDS[type(c)].violation(first, *KINDS[type(c)].parts(c, t.arity))
+        if satisfied(w.rows):
+            return True, w
+    return False, None
 
 
 def _g5_extension(t, nulls, fresh, cap=3_000):
@@ -311,18 +305,18 @@ def test_oracle_check_matches_the_first_world_of_the_full_enumeration(t, nulls, 
     t = _g5_extension(t, nulls, fresh)
     lhs, rhs = sides(t)
     key = t.all_positions()
-    for c, holds in (
-        (SpKey(key), lambda rows: holds_key(rows, key)),
-        (SpFd(lhs, rhs), lambda rows: holds_fd(rows, lhs, rhs)),
-        (SpMvd(lhs, rhs), lambda rows: holds_mvd(rows, lhs, rhs, t.arity)),
-        (SpCj(lhs, rhs), lambda rows: holds_cj(rows, lhs, rhs)),
+    for c, satisfied in (
+        (SpKey(key), lambda rows: holds(rows, SpKey(key))),
+        (SpFd(lhs, rhs), lambda rows: holds(rows, SpFd(lhs, rhs))),
+        (SpMvd(lhs, rhs), lambda rows: holds(rows, SpMvd(lhs, rhs), t.arity)),
+        (SpCj(lhs, rhs), lambda rows: holds(rows, SpCj(lhs, rhs))),
     ):
         verdict = oracle_check(t, c)
-        assert (verdict.holds, verdict.witness, verdict.violation) == _reference_check(t, c, holds)
+        assert (verdict.holds, verdict.witness) == _reference_check(t, satisfied)
         # The cut drops no satisfying world, not only none before the first.
         budget, kind = world_count(t), KINDS[type(c)]
         cut = _iter_completions(t, budget, deficit=kind.deficit(*kind.parts(c, t.arity)))
-        assert list(cut) == [rows for rows in _iter_completions(t, budget) if holds(rows)]
+        assert list(cut) == [rows for rows in _iter_completions(t, budget) if satisfied(rows)]
 
 
 @given(tables(max_rows=5), st.integers(0, 3), st.integers(0, 2))

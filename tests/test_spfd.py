@@ -5,7 +5,7 @@ import pytest
 
 from spcheck.errors import BudgetExceededError, PreconditionError
 from spcheck.generators import gen_thm3
-from spcheck.oracle import holds_fd, oracle_g3
+from spcheck.oracle import holds, oracle_g3
 from spcheck.constraints import SpFd
 from spcheck.spfd import (
     check_spfd,
@@ -46,13 +46,13 @@ def test_check_witness_replays(fd_six_rows, teaching_table):
     for t in (teaching_table,):
         verdict = check_spfd(t.with_rows_removed({1, 3, 5}), X, Y)
         assert verdict.holds
-        assert holds_fd(verdict.witness.rows, X, Y)
+        assert holds(verdict.witness.rows, SpFd(X, Y))
 
 
 def test_g3_six_rows(fd_six_rows):
     res = g3_spfd(fd_six_rows, X, Y)
     assert res.numerator == 2 and res.denominator == 6
-    assert holds_fd(res.witness.rows, X, Y)
+    assert holds(res.witness.rows, SpFd(X, Y))
 
 
 def test_g3_total_removal_targets_total_row(fd_total_removal):
@@ -73,7 +73,7 @@ def test_g3_matches_oracle_even_without_precondition():
 def test_g5_six_rows(fd_six_rows):
     res = g5_spfd(fd_six_rows, X, Y)
     assert res.numerator == 1 and res.denominator == 6
-    assert holds_fd(res.witness.rows, X, Y)
+    assert holds(res.witness.rows, SpFd(X, Y))
 
 
 def test_g5_total_removal(fd_total_removal):
@@ -159,7 +159,7 @@ def test_g3_searches_deeper_than_the_recursion_limit():
     res = g3_spfd(table(["X1", "X2", "Y"], [tuple(r) for r in rows]), X, Y)
     assert res.fraction_str == "2/500"
     assert list(res.removed_rows) == corrupted
-    assert holds_fd(res.witness.rows, X, Y)
+    assert holds(res.witness.rows, SpFd(X, Y))
 
 
 def test_report(fd_six_rows):

@@ -10,7 +10,7 @@ from spcheck.constraints import SpKey
 from spcheck.errors import PreconditionError
 from spcheck.matching import build_extension_graph, hall_components, hopcroft_karp
 from spcheck.generators import gen_prop3, gen_thm1
-from spcheck.oracle import holds_key
+from spcheck.oracle import holds
 from spcheck.spkey import (
     KeyAnalysis,
     check_spkey,
@@ -29,7 +29,7 @@ BOTH = frozenset({0, 1})
 def test_check_course_key(course_table):
     verdict = check_spkey(course_table, frozenset({0, 1}))
     assert verdict.holds
-    assert holds_key(verdict.witness.rows, frozenset({0, 1}))
+    assert holds(verdict.witness.rows, SpKey(frozenset({0, 1})))
     # witness rows stay weakly similar to their sources
     from spcheck.table import weakly_similar
 
@@ -90,7 +90,7 @@ def test_g3_table4(table4):
     assert res.numerator == 2 and res.denominator == 4
     assert res.ratio == Fraction(1, 2)
     assert len(res.removed_rows) == 2
-    assert holds_key(res.witness.rows, BOTH)
+    assert holds(res.witness.rows, SpKey(BOTH))
 
 
 def test_g3_holds_is_zero(course_table):
@@ -164,7 +164,7 @@ def test_g5_table4(table4):
     assert res.numerator == 1 and res.denominator == 4
     added = res.added_rows[0]
     assert added[0] == added[1]
-    assert holds_key(res.witness.rows, BOTH)
+    assert holds(res.witness.rows, SpKey(BOTH))
     assert res.witness.origin == (0, 1, 2, 3, None)
 
 
@@ -228,7 +228,7 @@ def test_holding_key_builds_one_world():
     assert g5.witness is check.witness
     assert g3.witness == check.witness
     assert check.witness.rows[2] is t.rows[2]  # a NULL-free row is kept as it is
-    assert holds_key(check.witness.rows, BOTH)
+    assert holds(check.witness.rows, SpKey(BOTH))
 
 
 def test_one_graph_build_per_key(monkeypatch, table4, cars_table):
@@ -288,7 +288,7 @@ def _assert_warm_equals_cold(t, key):
     assert (warm.numerator, warm.added_rows) == _cold_g5(t, key)
     if warm.numerator is not None:
         extended = t.with_rows_added(warm.added_rows)
-        assert holds_key(warm.witness.rows, key)
+        assert holds(warm.witness.rows, SpKey(key))
         assert warm.witness.origin == tuple(range(t.row_count)) + (None,) * warm.numerator
         domains = extended.active_domains()
         for world_row, row in zip(warm.witness.rows, extended.rows, strict=True):

@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from spcheck.errors import BudgetExceededError
-from spcheck.oracle import holds_cj, holds_mvd, oracle_check
+from spcheck.oracle import holds, oracle_check
 from spcheck.constraints import SpCj, SpMvd
 from spcheck.generators import random_table
 from spcheck.table import fresh_values, project
@@ -43,7 +43,7 @@ def test_fig1_nmvd_verdicts(fig1_tables):
 
 def test_nmvd_total_table_with_classical_mvd():
     t = table(["X", "Y", "Z"], [("1", "1", "1"), ("1", "2", "1")])
-    assert holds_mvd(t.rows, X, Y, 3)
+    assert holds(t.rows, SpMvd(X, Y), 3)
     assert check_nmvd(t, X, Y)
 
 
@@ -51,7 +51,7 @@ def test_mvd_witness_replays(fig1_tables):
     a, b, _ = fig1_tables
     for t in (a, b):
         verdict = check_spmvd(t, X, Y)
-        assert holds_mvd(verdict.witness.rows, X, Y, t.arity)
+        assert holds(verdict.witness.rows, SpMvd(X, Y), t.arity)
 
 
 def test_mvd_equivalent_to_rhs_minus_lhs(fig1_tables, mvd_trio):
@@ -117,7 +117,7 @@ def test_cj_witness_replays(cj_five):
     sub = cj_five.with_rows_removed({0})
     verdict = check_spcj_general(sub, X, Y)
     assert verdict.holds
-    assert holds_cj(verdict.witness.rows, X, Y)
+    assert holds(verdict.witness.rows, SpCj(X, Y))
 
 
 def test_cj_five_measures(cj_five):
@@ -127,7 +127,7 @@ def test_cj_five_measures(cj_five):
     res3 = g3_spcj(cj_five, X, Y)
     assert res3.fraction_str == "1/5"
     assert len(res3.removed_rows) == 1 and res3.removed_rows[0] in (0, 1, 2)
-    assert_removal_witness(cj_five, res3, lambda rows: holds_cj(rows, X, Y))
+    assert_removal_witness(cj_five, res3, lambda rows: holds(rows, SpCj(X, Y)))
     assert g5_spcj(cj_five, X, Y).fraction_str == "1/5"
 
 
@@ -227,7 +227,7 @@ def test_g3_spcj_is_bounded_by_its_budget():
     assert err.value.spent > err.value.budget == 1_000
     res = g3_spcj(t, X, Y)
     assert res.fraction_str == "8/20"
-    assert_removal_witness(t, res, lambda rows: holds_cj(rows, X, Y))
+    assert_removal_witness(t, res, lambda rows: holds(rows, SpCj(X, Y)))
 
 
 def test_g5_spcj_with_self_contradicting_missing_pairs_is_undefined_within_its_budget():
@@ -264,7 +264,7 @@ def test_spcj_on_overlapping_sides_is_settled_by_one_domain_count():
     assert g5_spcj(t, lhs, rhs, budget=1).numerator is None
     res = g3_spcj(t, lhs, rhs)
     assert (res.numerator, res.removed_rows) == (1, (0,))
-    assert_removal_witness(t, res, lambda rows: holds_cj(rows, lhs, rhs))
+    assert_removal_witness(t, res, lambda rows: holds(rows, SpCj(lhs, rhs)))
 
 
 def test_spcj_on_overlapping_sides_builds_no_search_it_does_not_run(monkeypatch):
@@ -288,7 +288,7 @@ def test_g3_spcj_on_overlapping_sides_starts_at_the_fewest_rows_a_value_removes(
     lhs, rhs = frozenset({0, 1}), frozenset({1, 2})
     res = g3_spcj(t, lhs, rhs, budget=1_000)
     assert res.fraction_str == "348/500"
-    assert_removal_witness(t, res, lambda rows: holds_cj(rows, lhs, rhs))
+    assert_removal_witness(t, res, lambda rows: holds(rows, SpCj(lhs, rhs)))
 
 
 MVD10 = [
@@ -306,7 +306,7 @@ def test_g5_spmvd_counts_its_all_null_rows():
     t = table(["A1", "A2", "A3"], MVD10)
     res = g5_spmvd(t, X, Y, budget=20_000)
     assert res.fraction_str == "13/14"
-    assert_addition_witness(t, res, lambda rows: holds_mvd(rows, X, Y, 3), X)
+    assert_addition_witness(t, res, lambda rows: holds(rows, SpMvd(X, Y), 3), X)
 
 
 def test_g5_spmvd_on_a_24_row_table_fits_a_small_budget():
@@ -316,7 +316,7 @@ def test_g5_spmvd_on_a_24_row_table_fits_a_small_budget():
     t = random_table(24, 3, 5, 0.2, seed=3)
     res = g5_spmvd(t, X, Y, budget=150_000)
     assert res.fraction_str == "19/24"
-    assert_addition_witness(t, res, lambda rows: holds_mvd(rows, X, Y, 3), fresh={0})
+    assert_addition_witness(t, res, lambda rows: holds(rows, SpMvd(X, Y), 3), fresh={0})
 
 
 def _ladder_g5(t, lhs, rhs):
@@ -347,7 +347,7 @@ def test_g5_spmvd_matches_the_mixture_ladder():
                          (frozenset({0, 1}), frozenset({2}))):
             res = g5_spmvd(t, lhs, rhs)
             assert res.numerator == _ladder_g5(t, lhs, rhs)
-            assert_addition_witness(t, res, lambda rows: holds_mvd(rows, lhs, rhs, t.arity), lhs)
+            assert_addition_witness(t, res, lambda rows: holds(rows, SpMvd(lhs, rhs), t.arity), lhs)
 
 
 def _least_all_null_rows(t, lhs, rhs):
@@ -381,7 +381,7 @@ def test_g5_spcj_matches_the_least_all_null_rows():
                 seen["undefined"] += 1
             else:
                 seen[str(res.numerator) if res.numerator < 2 else "2 or more"] += 1
-                assert_addition_witness(t, res, lambda rows: holds_cj(rows, lhs, rhs))
+                assert_addition_witness(t, res, lambda rows: holds(rows, SpCj(lhs, rhs)))
     assert min(seen.values()) >= 8, seen
 
 
@@ -393,7 +393,7 @@ def test_g5_spcj_on_single_columns_reads_the_key_matching():
     res = g5_spcj(t, X, Y, budget=1_000)
     assert res.fraction_str == "3/24"
     assert res.numerator == _least_all_null_rows(t, X, Y)
-    assert_addition_witness(t, res, lambda rows: holds_cj(rows, X, Y))
+    assert_addition_witness(t, res, lambda rows: holds(rows, SpCj(X, Y)))
 
 
 def test_spmvd_check_counts_all_null_rows():
@@ -405,7 +405,7 @@ def test_spmvd_check_counts_all_null_rows():
     t = table(["X", "Y", "Z"], rows + [(None, None, None)] * 40)
     verdict = check_spmvd(t, X, Y, budget=200)
     assert verdict.holds
-    assert holds_mvd(verdict.witness.rows, X, Y, 3)
+    assert holds(verdict.witness.rows, SpMvd(X, Y), 3)
     assert verdict.witness.origin == tuple(range(49))
     domains = t.active_domains()
     for row, done in zip(t.rows, verdict.witness.rows):
