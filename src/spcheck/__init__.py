@@ -32,9 +32,7 @@ from .table import (
     Schema,
     SpWorld,
     is_total,
-    project,
     strongly_similar,
-    weakly_similar,
 )
 
 __all__ = [
@@ -62,9 +60,7 @@ __all__ = [
     "oracle_check",
     "oracle_g3",
     "oracle_g5",
-    "project",
     "strongly_similar",
-    "weakly_similar",
 ]
 
 __version__ = "0.1.0"

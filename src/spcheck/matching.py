@@ -1,42 +1,51 @@
-"""Bipartite extension graph, maximum matching, and Hall-condition
-component classification.
+"""Key partition, bipartite extension graph, maximum matching, and
+Hall-condition component classification.
 
-The left class holds tuple indices, the right class the distinct complete
-key projections over the active domains. A caller can settle the
-key-total tuples first: each has one extension, its own projection, so
-the first tuple of each distinct projection is matched to it, the later
-ones stay unmatched, and the graph holds only the tuples with a NULL on
-the key, without the settled projections. Any maximum matching can be
-exchanged into one that covers one tuple of each total projection, so
-the settled tuples plus a maximum matching of this reduced graph are a
-maximum matching of the full one.
+Two rows with the same projection on the key, NULLs included, have the
+same extensions, so the analysis of a key reads one partition of the
+rows (:class:`KeyPartition`): the key-total rows by projection, and the
+rows with a NULL on the key by projection and, through it, by the key
+columns they are NULL on (their mask), found in one pass
+(:func:`partition_of`).
+
+The graph's left class holds one vertex per distinct projection with a
+NULL, whose capacity is its row count; the right class holds the
+distinct complete key projections over the active domains. The
+key-total rows are settled first: each has one extension, its own
+projection, so the first row of each distinct total projection is
+matched to it, the later ones stay unmatched, and the settled
+projections are left out of every vertex's edges. Any maximum matching
+can be exchanged into one that covers one row of each total projection,
+so the settled rows plus a maximum matching of this graph are a maximum
+matching of the full graph with one vertex per row. A vertex's matched
+extensions are dealt to its rows in index order (:func:`deal`).
 
 The full right class is usually exponential, so construction has one
-rule for leaving a tuple out: it must have more extensions than
-*rivals*, the other tuples weakly similar to it on the key
-(:func:`rows_beyond_rivals` finds them all). Only a rival can hold one
-of its extensions, so once everyone else is matched one is still free,
-which keeps the matching maximum. With every such tuple left out, as
-the key analysis does, a tuple kept has at most as many extensions as
-rivals, fewer than ``|T|``, so the check is polynomial.
-In the reduced graph the test reads the same: a tuple's total rivals
-are the key-total tuples whose projections are among its extensions,
-at least one per settled projection there, so more extensions than
-rivals means more free extensions than non-total rivals. Such tuples
-are recorded in ``high_degree_left`` and matched greedily from a lazy
-enumeration.
+rule for leaving a row out: it must have more extensions than *rivals*,
+the other rows weakly similar to it on the key (:func:`rows_beyond_rivals`
+finds them all; the rows of one projection have the same counts, so
+they leave together). Only a rival can hold one of its extensions, so
+once everyone else is matched one is still free, which keeps the
+matching maximum. With every such row left out, as the key analysis
+does, a row kept has at most as many extensions as rivals, fewer than
+``|T|``, so the check is polynomial. In the settled graph the test reads
+the same: a row's total rivals are the key-total rows whose projections
+are among its extensions, at least one per settled projection there, so
+more extensions than rivals means more free extensions than non-total
+rivals. Such rows are recorded in ``high_degree_left`` and matched
+greedily from a lazy enumeration.
 
-Components of the full graph group the tuples by the transitive closure
-of weak similarity on the key, since two tuples share an extension
+Components of the full graph group the rows by the transitive closure
+of weak similarity on the key, since two rows share an extension
 exactly when they are weakly similar: :func:`satisfied_row_count` counts
-them without the graph, and :func:`hall_components` classifies them on
-a full graph built with nothing settled or left out.
+them from the partition without the graph, and :func:`hall_components`
+classifies them on a graph whose vertices hold every row.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import prod
 
@@ -44,13 +53,43 @@ from .table import AttributeSet, IncompleteTable, extension_options, projector
 
 
 @dataclass(frozen=True)
+class KeyPartition:
+    """The rows of ``table`` by their projection on the sorted key
+    columns ``cols``. ``totals`` and ``nulls`` map each key-total
+    projection and each projection with a NULL to its first row, both in
+    the order of their first rows; ``repeats`` maps each projection that
+    more than one row has to its later rows, in index order; ``masks``
+    maps each mask (the positions in ``cols`` that a projection is NULL
+    on) to its projections in ``nulls``."""
+
+    table: IncompleteTable
+    key: AttributeSet
+    cols: tuple[int, ...]
+    totals: dict
+    nulls: dict
+    repeats: dict
+    masks: dict
+
+    def rows(self, p: tuple) -> list[int]:
+        """The rows with ``p``, a projection with a NULL, in index order."""
+        return [self.nulls[p], *self.repeats.get(p, ())]
+
+    def options(self, p: tuple) -> list[tuple]:
+        """The per-position completion options of projection ``p``: its
+        value, or the column's active domain at a NULL."""
+        values = self.table.active_domains()
+        return [values[c] if v is None else (v,) for c, v in zip(self.cols, p)]
+
+
+@dataclass(frozen=True)
 class ExtensionGraph:
     table: IncompleteTable
     key: AttributeSet
     right_tuples: tuple[tuple, ...]
-    adjacency: dict  # low-degree row index -> list of right ids, lex order
+    adjacency: dict  # left vertex (its first row) -> list of right ids, lex order
+    members: dict  # left vertex -> its rows in index order, as many as it may take
     high_degree_left: dict  # row index left out -> exact extension count
-    settled: dict = field(default_factory=dict)  # settled row -> its projection
+    settled: dict  # settled row -> its projection
 
 
 @dataclass(frozen=True)
@@ -85,127 +124,157 @@ class ComponentPartition:
         return sum(c.nu for c in self.satisfied + self.deficient)
 
 
-def build_extension_graph(table: IncompleteTable, key: AttributeSet, leave_out=(),
-                          settled=()) -> ExtensionGraph:
-    """Materialize each tuple's distinct key extensions.
+def partition_of(table: IncompleteTable, key: AttributeSet) -> KeyPartition:
+    """The rows of ``table`` by their projection on ``key``, in one pass."""
+    totals: dict = {}
+    nulls: dict = {}
+    repeats: dict = {}
+    for i, p in enumerate(map(projector(key), table.rows)):
+        if (nulls if None in p else totals).setdefault(p, i) != i:
+            repeats.setdefault(p, []).append(i)
+    masks: dict = {}
+    for p in nulls:
+        masks.setdefault(tuple(k for k, v in enumerate(p) if v is None), []).append(p)
+    return KeyPartition(table, key, tuple(sorted(key)), totals, nulls, repeats, masks)
 
-    A tuple's extensions are taken in lexicographic order of its
-    per-position options on the sorted key, and each new extension gets
-    the next right id. The rows in ``leave_out`` are left out; each must
-    have more extensions than rivals (see :func:`rows_beyond_rivals`).
-    The rows in ``settled`` must be key-total: the first of them with
-    each projection is matched to it (``ExtensionGraph.settled``), the
-    later ones stay unmatched, and none of them is a left vertex; their
-    projections are left out of every other row's edges. With nothing
-    settled or left out the graph is the full one.
+
+def build_extension_graph(partition: KeyPartition, leave_out=()) -> ExtensionGraph:
+    """One left vertex per projection with a NULL, its rows as members
+    and its distinct key extensions as edges.
+
+    A vertex's extensions are taken in lexicographic order of its
+    per-position options, and each new extension gets the next right id.
+    The key-total rows are settled: the first row of each total
+    projection is matched to it (``ExtensionGraph.settled``), the later
+    ones stay unmatched, and no total projection is an edge. The rows in
+    ``leave_out`` are left out, each with every row of its projection;
+    each must have more extensions than rivals (see
+    :func:`rows_beyond_rivals`).
     """
-    cols = sorted(key)
-    rows = table.rows
-    project = projector(cols)
-    held: dict = {}  # settled projection -> its first settled row
-    for i in sorted(settled):
-        p = project(rows[i])
-        if None in p:
-            raise ValueError(f"settled row {i} has a NULL on the key")
-        held.setdefault(p, i)
-    skip = set(settled)
-    values = table.active_domains()
+    held = partition.totals
     right_ids: dict = {}
     setdefault = right_ids.setdefault
     adjacency: dict = {}
+    members: dict = {}
     high_degree: dict = {}
-    for i, row in enumerate(rows):
-        if i in skip:
-            continue
-        options = extension_options(row, cols, values)
-        if i in leave_out:
-            high_degree[i] = prod(map(len, options))
+    for p, first in partition.nulls.items():
+        options = partition.options(p)
+        if first in leave_out:
+            high_degree.update(dict.fromkeys(partition.rows(p), prod(map(len, options))))
         else:
-            adjacency[i] = [setdefault(ext, len(right_ids))
-                            for ext in product(*options) if ext not in held]
-    return ExtensionGraph(table, key, tuple(right_ids), adjacency, high_degree,
-                          {i: p for p, i in held.items()})
+            adjacency[first] = [setdefault(ext, len(right_ids))
+                                for ext in product(*options) if ext not in held]
+            members[first] = partition.rows(p)
+    return ExtensionGraph(partition.table, partition.key, tuple(right_ids), adjacency, members,
+                          high_degree, {i: p for p, i in held.items()})
 
 
-def rows_beyond_rivals(table: IncompleteTable, key: AttributeSet) -> set:
-    """The rows with a NULL on ``key`` and more extensions than rivals:
-    the other rows weakly similar to them on ``key``.
+def rows_beyond_rivals(partition: KeyPartition) -> set:
+    """The rows with a NULL on the key and more extensions than rivals:
+    the other rows weakly similar to them on the key.
 
-    Rows are grouped by the key columns they are NULL on (their mask).
-    Two rows are weakly similar when they agree on the key columns
-    neither mask covers, so a row's rivals in one group are counted by
-    one tally of that group's projections on those columns, kept for
-    every row that needs the same (group, columns) pair. The key-total
-    rows are counted first, then the groups by mask size, and a row's
-    count stops once it reaches the row's extension count or the rows
-    still uncounted cannot take it there. A row with more than
-    ``|T| - 1`` extensions is returned uncounted.
+    The rows of one projection have the same extensions and the same
+    rivals, so each projection is counted once. Two rows are weakly
+    similar when they agree on the key columns neither mask covers, so a
+    projection's rivals in one mask are read from one tally of that
+    mask's rows by their projection on those columns, kept for every
+    projection that needs the same (mask, columns) pair. The key-total
+    rows are counted first (where a mask's projections have fewer
+    extensions in all than there are total rows, by looking each
+    extension up instead), then the masks by size, and a count stops
+    once it reaches the extension count or the masks still uncounted
+    cannot take it there, each bounded by its tally's largest entry. A
+    projection with more than ``|T| - 1`` extensions is returned
+    uncounted.
     """
-    rows = table.rows
-    n = len(rows)
-    cols = sorted(key)
-    sizes = [len(v) for v in table.active_domains()]
-    project = projector(cols)
-    totals = []
-    at: dict = {}  # mask -> indices of the rows NULL on just those key columns
-    for i, row in enumerate(rows):
-        if None in project(row):
-            at.setdefault(tuple(c for c in cols if row[c] is None), []).append(i)
-        else:
-            totals.append(row)
-    groups = {(): totals, **{mask: [rows[i] for i in idx] for mask, idx in at.items()}}
+    n = partition.table.row_count
+    sizes = [len(partition.table.active_domains()[c]) for c in partition.cols]
+    width = len(sizes)
+    totals, repeats = partition.totals, partition.repeats
+    groups = {(): list(totals), **partition.masks}
+    extra: dict = {mask: [] for mask in groups}  # mask -> (projection, later row count)
+    for q, later in repeats.items():
+        extra[tuple(k for k, v in enumerate(q) if v is None)].append((q, len(later)))
+    weights = {mask: len(group) + sum(c for _, c in extra[mask]) for mask, group in groups.items()}
     masks = sorted(groups, key=lambda mask: (len(mask), mask))
-    tallies: dict = {}  # (mask, shared columns) -> (projector, tally lookup)
+
+    def total_rivals(options: list, _) -> int:
+        hits = totals.keys() & product(*options)
+        return len(hits) + sum(len(repeats[t]) for t in hits & repeats.keys())
+
+    tallies: dict = {}  # (mask, shared positions) -> (projector, tally lookup, largest entry)
     out = set()
     for mask in masks[1:]:
-        count = prod(sizes[c] for c in mask)
+        count = prod(sizes[k] for k in mask)
         if count > n - 1:
-            out.update(at[mask])
+            for p in groups[mask]:
+                out.update(partition.rows(p))
             continue
-        counters = []
-        rest = n
-        for other in masks:
-            shared = tuple(c for c in cols if c not in mask and c not in other)
+        # The key-total rows come first, so their bound is never read.
+        steps = []
+        if count * len(groups[mask]) < weights[()]:
+            steps.append((partition.options, total_rivals, 0))
+        for other in masks[len(steps):]:
+            shared = tuple(k for k in range(width) if k not in mask and k not in other)
             tally = tallies.get((other, shared))
             if tally is None:
                 get = projector(shared)
-                tally = tallies[other, shared] = (get, Counter(map(get, groups[other])).get)
-            rest -= len(groups[other])
-            counters.append((*tally, rest))
-        for i, row in zip(at[mask], groups[mask]):
+                group = groups[other]
+                if not shared:
+                    counts = Counter({(): weights[other]})
+                else:
+                    counts = Counter(map(get, group))
+                    for q, later in extra[other]:
+                        counts[get(q)] += later
+                tally = tallies[other, shared] = (get, counts.get, max(counts.values(), default=0))
+            steps.append(tally)
+        rest = sum(bound for *_, bound in steps)
+        counters = []
+        for get, lookup, bound in steps:
+            rest -= bound
+            counters.append((get, lookup, rest))
+        for p in groups[mask]:
             rivals = -1  # the row itself
             for get, lookup, uncounted in counters:
-                rivals += lookup(get(row), 0)
+                rivals += lookup(get(p), 0)
                 if rivals >= count:
                     break
                 if rivals + uncounted < count:
-                    out.add(i)
+                    out.update(partition.rows(p))
                     break
     return out
 
 
-def hopcroft_karp(adjacency: list, n_right: int, match_l: list | None = None,
-                  match_r: list | None = None) -> tuple[int, list, list]:
-    """Layered (shortest-augmenting-path batch) maximum matching.
+def hopcroft_karp(adjacency: list, slots: list, match_r: list) -> int:
+    """Layered (shortest-augmenting-path batch) maximum matching in which
+    a left vertex takes as many right vertices as it has ``slots`` and a
+    right vertex at most one left vertex; returns the matching's size.
 
-    ``adjacency[u]`` lists the right neighbours of left vertex ``u``;
-    vertex order is the caller's, making results reproducible. Iterative
+    ``adjacency[u]`` lists the right neighbours of left vertex ``u``.
+    ``slots`` names a left vertex once per right vertex it may take, in
+    the order each phase tries them: a phase tries one augmenting path
+    per slot whose vertex still has room, so results are reproducible.
+    With one slot per vertex this is the classical algorithm. Iterative
     DFS, so deep alternating paths cannot hit the recursion limit.
-
-    ``match_l`` and ``match_r`` (left vertex -> right id and back, None
-    when free) warm-start the search from a valid matching of this
-    graph; they are augmented in place and returned.
+    ``match_r`` (right id -> left vertex, None when free) is a valid
+    matching of this graph to start from, all None for a cold start; it
+    is augmented in place.
     """
     n_left = len(adjacency)
-    if match_l is None:
-        match_l, match_r = [None] * n_left, [None] * n_right
+    capacity = [0] * n_left
+    for u in slots:
+        capacity[u] += 1
+    load = [0] * n_left
+    for u in match_r:
+        if u is not None:
+            load[u] += 1
+    size = sum(load)
     inf = float("inf")
     dist = [inf] * n_left
-    size = sum(1 for v in match_l if v is not None)
     while True:
         queue: deque = deque()
         for u in range(n_left):
-            if match_l[u] is None:
+            if load[u] < capacity[u]:
                 dist[u] = 0
                 queue.append(u)
             else:
@@ -225,11 +294,17 @@ def hopcroft_karp(adjacency: list, n_right: int, match_l: list | None = None,
                     queue.append(w)
         if found is inf:
             break
-        for u0 in range(n_left):
-            if match_l[u0] is not None:
+        # A vertex keeps its edge iterator across its slots in a phase:
+        # an edge it has passed is matched to it or leads to a dead end.
+        walks: dict = {}
+        for u0 in slots:
+            if load[u0] >= capacity[u0] or dist[u0] is inf:
                 continue
+            walk = walks.get(u0)
+            if walk is None:
+                walk = walks[u0] = iter(adjacency[u0])
             # Iterative alternating DFS; frames are [vertex, iterator, edge].
-            stack = [[u0, iter(adjacency[u0]), None]]
+            stack = [[u0, walk, None]]
             augmented = False
             while stack:
                 frame = stack[-1]
@@ -241,7 +316,6 @@ def hopcroft_karp(adjacency: list, n_right: int, match_l: list | None = None,
                         if dist[u] + 1 == found:
                             frame[2] = v
                             for fu, _, fv in stack:
-                                match_l[fu] = fv
                                 match_r[fv] = fu
                             augmented = True
                             stack.clear()
@@ -256,32 +330,51 @@ def hopcroft_karp(adjacency: list, n_right: int, match_l: list | None = None,
                     dist[u] = inf
                     stack.pop()
             if augmented:
+                load[u0] += 1
                 size += 1
-    return size, match_l, match_r
+    return size
 
 
-def matching_order(graph: ExtensionGraph) -> list[int]:
-    """The materialized rows in the order the matching takes them: fewest
-    NULLs on the key first, then by row index, so that the rows it leaves
-    unmatched carry the fewest values."""
-    cols = sorted(graph.key)
+def deal(members: list, match_r: list) -> dict:
+    """Row -> right id: the right ids matched to left vertex ``u`` (see
+    :func:`hopcroft_karp`), in id order, dealt to its rows ``members[u]``
+    in index order; the rows past its matched count stay unmatched."""
+    taken: list = [[] for _ in members]
+    for rid, u in enumerate(match_r):
+        if u is not None:
+            taken[u].append(rid)
+    return {i: rid for rows, rids in zip(members, taken) for i, rid in zip(rows, rids)}
+
+
+def matching_order(graph: ExtensionGraph) -> tuple[list[int], list[int]]:
+    """The left vertices in the order the matching takes them, fewest
+    NULLs on the key first, then by first row, and their slots (see
+    :func:`hopcroft_karp`): each row's vertex position, with the rows in
+    the same order, fewest NULLs first, then by index. The rows the
+    matching leaves unmatched carry the fewest values, and the rows of
+    one vertex take their turns among the others' as rows of their own
+    would."""
+    project = projector(graph.key)
     rows = graph.table.rows
-    return sorted(graph.adjacency, key=lambda i: (sum(rows[i][c] is None for c in cols), i))
+    nulls = {v: project(rows[v]).count(None) for v in graph.adjacency}
+    order = sorted(graph.adjacency, key=lambda v: (nulls[v], v))
+    turns = sorted((nulls[v], i, pos) for pos, v in enumerate(order) for i in graph.members[v])
+    return order, [pos for *_, pos in turns]
 
 
 def max_matching(graph: ExtensionGraph) -> MatchingResult:
     """The settled rows on their projections, a maximum matching over
-    the materialized vertices in :func:`matching_order`, then every
-    high-degree tuple greedily completed with an unused extension.
+    the left vertices in :func:`matching_order` dealt to their rows, then
+    every high-degree row greedily completed with an unused extension.
 
-    The greedy phase always succeeds: a tuple left out of the graph has
+    The greedy phase always succeeds: a row left out of the graph has
     more extensions than rivals, and only a rival can hold one of them,
     so the overall size equals the maximum matching of the full graph.
     """
-    low_rows = matching_order(graph)
-    adjacency = [graph.adjacency[i] for i in low_rows]
-    _, match_l, _ = hopcroft_karp(adjacency, len(graph.right_tuples))
-    right_ids = {i: rid for i, rid in zip(low_rows, match_l) if rid is not None}
+    order, slots = matching_order(graph)
+    match_r = [None] * len(graph.right_tuples)
+    hopcroft_karp([graph.adjacency[v] for v in order], slots, match_r)
+    right_ids = deal([graph.members[v] for v in order], match_r)
     matching = dict(graph.settled)
     matching.update((i, graph.right_tuples[rid]) for i, rid in right_ids.items())
     match_high_degree(graph.table, graph.key, graph.high_degree_left, matching)
@@ -298,33 +391,48 @@ def match_high_degree(table: IncompleteTable, key: AttributeSet, rows, matching:
     used = set(matching.values())
     cols = sorted(key)
     values = table.active_domains()
-    for i in sorted(rows):
-        for ext in product(*extension_options(table.rows[i], cols, values)):
+    project = projector(cols)
+    rows = sorted(rows)
+    last = {project(table.rows[i]): i for i in rows}
+    # The rows of one projection share one walk over its extensions,
+    # dropped after its last row: every extension a walk has passed is
+    # used.
+    walks: dict = {}
+    for i in rows:
+        row = table.rows[i]
+        p = project(row)
+        walk = walks.get(p)
+        if walk is None:
+            walk = walks[p] = product(*extension_options(row, cols, values))
+        for ext in walk:
             if ext not in used:
                 matching[i] = ext
                 used.add(ext)
                 break
         else:
             raise AssertionError("pigeonhole violated: no free extension for high-degree tuple")
+        if last[p] == i:
+            del walks[p]
 
 
 def hall_components(graph: ExtensionGraph, result: MatchingResult | None = None) -> ComponentPartition:
     """Classify connected components by whether a local matching covers
-    all their tuple vertices.
+    all their rows.
 
     A maximum matching decomposes over components, so the global matching
-    restricted to a component is locally maximum. ``graph`` must hold
-    every row, so nothing settled or left out. ``result`` is a
-    maximum matching of the table's full extension graph, computed here
-    when not given; any such matching counts the same rows per component.
+    restricted to a component is locally maximum. The vertices of
+    ``graph`` must hold every row, so nothing settled or left out.
+    ``result`` is a maximum matching of the table's full extension graph,
+    computed here when not given; any such matching counts the same rows
+    per component.
     """
-    if len(graph.adjacency) < graph.table.row_count:
+    if sum(map(len, graph.members.values())) < graph.table.row_count:
         raise ValueError("the component partition needs the full extension graph, "
                          "with no row settled or left out")
     if result is None:
         result = max_matching(graph)
     n_right = len(graph.right_tuples)
-    # Union-find over left rows (as-is) and right ids (offset by row count).
+    # Union-find over left vertices (as-is) and right ids (offset by row count).
     parent = list(range(graph.table.row_count + n_right))
 
     def find(x: int) -> int:
@@ -339,12 +447,12 @@ def hall_components(graph: ExtensionGraph, result: MatchingResult | None = None)
             parent[rb] = ra
 
     offset = graph.table.row_count
-    for i, edges in graph.adjacency.items():
+    for v, edges in graph.adjacency.items():
         for rid in edges:
-            union(i, offset + rid)
+            union(v, offset + rid)
     groups: dict = {}
-    for i in graph.adjacency:
-        groups.setdefault(find(i), [[], []])[0].append(i)
+    for v, rows in graph.members.items():
+        groups.setdefault(find(v), [[], []])[0].extend(rows)
     for rid in range(n_right):
         groups.setdefault(find(offset + rid), [[], []])[1].append(rid)
     satisfied = []
@@ -359,35 +467,30 @@ def hall_components(graph: ExtensionGraph, result: MatchingResult | None = None)
     )
 
 
-def satisfied_row_count(table: IncompleteTable, key: AttributeSet, matched) -> int:
-    """The rows of the components of the full extension graph of
-    ``table`` on ``key`` whose every row is in ``matched``, a maximum
-    matching's rows.
+def satisfied_row_count(partition: KeyPartition, matched) -> int:
+    """The rows of the components of the full extension graph of the
+    partition's table and key whose every row is in ``matched``, a
+    maximum matching's rows.
 
     Two rows share an extension exactly when they are weakly similar on
     the key, so a component's rows are a class of the transitive closure
-    of weak similarity, and no graph is needed. The rows with a NULL on
-    the key are grouped by the key columns they are NULL on (their
-    mask); for each pair of masks, the rows of both that agree on the
-    columns neither mask covers are joined. Two rows weakly similar to
-    one key-total row are weakly similar to each other, so a key-total
-    row joins the class of any row with a NULL it agrees with, or else
-    only the other key-total rows with its projection.
+    of weak similarity, and no graph is needed. The rows of one
+    projection are weakly similar, so union-find runs over the distinct
+    projections with a NULL: for each pair of masks, the projections of
+    both that agree on the positions neither mask covers are joined. Two
+    rows weakly similar to one key-total row are weakly similar to each
+    other, so each total projection adds its rows, by count, to the
+    class of any projection with a NULL that it agrees with, or else its
+    rows are a class of their own.
     """
-    rows = table.rows
-    n = len(rows)
-    if all(i in matched for i in range(n)):
+    n = partition.table.row_count
+    covered = matched.__contains__
+    if all(map(covered, range(n))):
         return n
-    cols = sorted(key)
-    projections = list(map(projector(cols), rows))
-    totals = []
-    at: dict = {}  # mask -> indices of the rows NULL on just those key columns
-    for i, p in enumerate(projections):
-        if None in p:
-            at.setdefault(tuple(c for c, v in zip(cols, p) if v is None), []).append(i)
-        else:
-            totals.append(i)
-    parent = list(range(n))
+    width = len(partition.cols)
+    nulls = partition.nulls
+    index = {p: j for j, p in enumerate(nulls)}
+    parent = list(range(len(index)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -400,43 +503,60 @@ def satisfied_row_count(table: IncompleteTable, key: AttributeSet, matched) -> i
         if ra != rb:
             parent[rb] = ra
 
-    masks = list(at)
-    for pos, mask in enumerate(masks):
-        for other in masks[pos:]:
-            get = projector([c for c in cols if c not in mask and c not in other])
-            firsts: dict = {}  # shared projection -> first row of ``mask`` with it
-            for i in at[mask]:
-                j = firsts.setdefault(get(rows[i]), i)
-                if other is mask:
-                    union(i, j)
-            if other is mask:
-                continue
-            # Rows of the two masks with the same projection are joined
-            # through the first row of each side that has it.
+    masks = list(partition.masks.items())
+    for pos, (mask, ps) in enumerate(masks):
+        for other, qs in masks[pos + 1:]:
+            get = projector([k for k in range(width) if k not in mask and k not in other])
+            firsts: dict = {}  # shared projection -> first projection of ``mask`` with it
+            for p in ps:
+                firsts.setdefault(get(p), p)
+            # Projections of the two masks with the same shared projection
+            # are joined through the first of each side that has it.
             seconds: dict = {}
-            for i in at[other]:
-                p = get(rows[i])
-                j = firsts.get(p)
-                if j is not None:
-                    union(i, j)
-                    seconds.setdefault(p, i)
-            for i in at[mask]:
-                j = seconds.get(get(rows[i]))
-                if j is not None:
-                    union(i, j)
-    loose = totals  # the key-total rows not yet joined to a row with a NULL
-    for mask in masks:
-        get = projector([c for c in cols if c not in mask])
-        firsts = {get(rows[i]): i for i in at[mask]}
-        still = []
-        for i, j in zip(loose, map(firsts.get, map(get, [rows[i] for i in loose]))):
-            if j is None:
-                still.append(i)
-            else:
-                union(i, j)
-        loose = still
-    firsts = {}
-    for i in loose:
-        union(i, firsts.setdefault(projections[i], i))
-    deficient = {find(i) for i in range(n) if i not in matched}
-    return sum(1 for i in range(n) if find(i) not in deficient)
+            for q in qs:
+                s = get(q)
+                p = firsts.get(s)
+                if p is not None:
+                    union(index[q], index[p])
+                    seconds.setdefault(s, q)
+            for p in ps:
+                q = seconds.get(get(p))
+                if q is not None:
+                    union(index[p], index[q])
+    repeats = partition.repeats
+    rows_in = []  # by projection, then by class
+    short = []  # a row not in ``matched``, likewise
+    for p, first in nulls.items():
+        later = repeats.get(p, ())
+        rows_in.append(1 + len(later))
+        short.append(not covered(first) or not all(map(covered, later)))
+    totals = partition.totals
+    joined: dict = {}  # total projection -> the index of a projection in its class
+    for mask, ps in masks:
+        # Two projections with a total extension in common are in one
+        # class, so the later mask's index will do.
+        get = projector([k for k in range(width) if k not in mask])
+        at = {get(p): index[p] for p in ps}
+        joined.update((t, j) for t, j in zip(totals, map(at.get, map(get, totals)))
+                      if j is not None)
+    # The total projections with a row not in ``matched``.
+    project = projector(partition.cols)
+    rows = partition.table.rows
+    bad = {project(rows[i]) for i in set(totals.values()).difference(matched)}
+    bad.update(t for t, later in repeats.items()
+               if None not in t and not all(map(covered, later)))
+    for j, count in Counter(joined.values()).items():
+        rows_in[j] += count
+    for t in joined.keys() & repeats.keys():
+        rows_in[joined[t]] += len(repeats[t])
+    for t in joined.keys() & bad:
+        short[joined[t]] = True
+    for j in range(len(parent)):
+        r = find(j)
+        if r != j:
+            rows_in[r] += rows_in[j]
+            short[r] = short[r] or short[j]
+    satisfied = sum(rows_in[j] for j in range(len(parent)) if parent[j] == j and not short[j])
+    # A total projection joined to no class is a class of its own rows.
+    lone = totals.keys() - joined.keys() - bad
+    return satisfied + len(lone) + sum(len(repeats[t]) for t in lone & repeats.keys())

@@ -213,16 +213,19 @@ def oracle_g3(table: IncompleteTable, c: Constraint, budget: int = DEFAULT_BUDGE
     """Minimum removal ratio, found by subset enumeration ordered by size;
     ties broken by the lexicographically smallest row-index set."""
     n = measure_denominator(table, "g3")
+    # Removing rows never adds a world: a sub-table has fewer NULLs and
+    # each of its active domains is within the table's, or (ssymb,). So
+    # only the table itself can exceed the budget.
+    total = world_count(table)
+    if _kind(c).direct is None and total > budget:
+        raise BudgetExceededError(
+            f"g3 search stopped at removal size 0: {total} strongly possible worlds "
+            f"exceed the budget of {budget}",
+            partial_bound=0,
+        )
     for m in range(n + 1):
         for subset in combinations(range(n), m):
-            sub = table.with_rows_removed(subset)
-            try:
-                verdict = oracle_check(sub, c, budget)
-            except BudgetExceededError as err:
-                raise BudgetExceededError(
-                    f"g3 search stopped at removal size {m}: {err}",
-                    partial_bound=m,
-                ) from err
+            verdict = oracle_check(table.with_rows_removed(subset), c, budget)
             if verdict.holds:
                 return MeasureResult(
                     "g3", m, n, removed_rows=subset, witness=verdict.witness

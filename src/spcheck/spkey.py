@@ -1,10 +1,10 @@
 """Polynomial spKey satisfaction check and the g3, g4, g5 key measures.
 
 All four derive from one :class:`KeyAnalysis` of a (table, key) pair:
-its first duplicated key-total row, its extension graph over the rows
-with a NULL on the key and that graph's maximum matching, each found
-once on first use. Pass the same analysis to each call to share that
-work; no call changes it.
+its first duplicated key-total row, its partition of the rows by key
+projection, its extension graph over the projections with a NULL and
+that graph's maximum matching, each found once on first use. Pass the
+same analysis to each call to share that work; no call changes it.
 """
 
 from __future__ import annotations
@@ -18,12 +18,15 @@ from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from .errors import PreconditionError
 from .matching import (
     ExtensionGraph,
+    KeyPartition,
     MatchingResult,
     build_extension_graph,
+    deal,
     hopcroft_karp,
     match_high_degree,
     matching_order,
     max_matching,
+    partition_of,
     rows_beyond_rivals,
     satisfied_row_count,
 )
@@ -40,19 +43,23 @@ from .table import (
 
 
 class KeyAnalysis:
-    """The first key-total duplicate of ``table`` on ``key``, its
-    extension graph, that graph's maximum matching and, on a holding key,
-    that matching's world, each computed on first use and kept for the
-    life of the analysis.
+    """The first key-total duplicate of ``table`` on ``key``, the
+    partition of its rows by projection on the key, the extension graph,
+    that graph's maximum matching and, on a holding key, that matching's
+    world, each computed on first use and kept for the life of the
+    analysis.
 
-    The key-total rows are settled before the graph: the first row of
-    each total projection is matched to it and the later ones stay
-    unmatched, so the graph holds only the rows with a NULL on the key,
-    without the settled projections, and the matching is the settled
-    rows plus a maximum matching of that graph (an exchange argument
-    makes it maximum for the full graph). The graph leaves out a row by
-    one rule: it has more extensions than rivals (the other rows weakly
-    similar to it on the key, see
+    The partition is one pass over the rows (see
+    :func:`~spcheck.matching.partition_of`); the leave-out rule, the
+    graph and g4 read it. The key-total rows are settled before the
+    graph: the first row of each total projection is matched to it and
+    the later ones stay unmatched, so the graph has one vertex per
+    projection with a NULL, its row count as capacity, without the
+    settled projections, and the matching is the settled rows plus a
+    maximum matching of that graph dealt to the rows (an exchange
+    argument makes it maximum for the full graph). The graph leaves out
+    a row by one rule: it has more extensions than rivals (the other
+    rows weakly similar to it on the key, see
     :func:`~spcheck.matching.rows_beyond_rivals`). Such a row has more
     free extensions than non-total rivals, so the matching gives it one
     greedily after the rest and is still maximum.
@@ -70,11 +77,12 @@ class KeyAnalysis:
         return first_total_duplicate(self.table, self.key)
 
     @cached_property
+    def partition(self) -> KeyPartition:
+        return partition_of(self.table, self.key)
+
+    @cached_property
     def graph(self) -> ExtensionGraph:
-        project = projector(self.cols)
-        totals = [i for i, row in enumerate(self.table.rows) if None not in project(row)]
-        return build_extension_graph(self.table, self.key, settled=totals,
-                                     leave_out=rows_beyond_rivals(self.table, self.key))
+        return build_extension_graph(self.partition, rows_beyond_rivals(self.partition))
 
     @cached_property
     def matching(self) -> MatchingResult:
@@ -150,15 +158,15 @@ def g4_spkey(table: IncompleteTable, key: AttributeSet,
 
     A settled row shares its projection's component, and a repeated
     total projection leaves its component deficient. The components come
-    from weak similarity on the key, not from the full graph
-    (:func:`~spcheck.matching.satisfied_row_count`), so g4 answers every
-    table the check answers.
+    from weak similarity on the key over the analysis's partition, not
+    from the full graph (:func:`~spcheck.matching.satisfied_row_count`),
+    so g4 answers every table the check answers.
     """
     a = key_analysis(table, key, analysis)
     n = measure_denominator(table, "g4")
     result = a.matching
     return MeasureResult("g4", n - result.size,
-                         n + satisfied_row_count(table, key, result.matching))
+                         n + satisfied_row_count(a.partition, result.matching))
 
 
 def first_total_duplicate(table: IncompleteTable, key: AttributeSet) -> int | None:
@@ -212,37 +220,39 @@ def _warm_rounds(a: KeyAnalysis, added: tuple, start: int = 0) -> MeasureResult:
     fresh row.
 
     A fresh row is key-total, so it is settled like the others: it adds
-    no left vertex, and its projection is left out of the other rows'
-    new edges. The fresh value only enlarges the key columns' domains,
-    so every edge of round k - 1 stays and its matching stays valid;
-    round k adds the edges that use the new value and augments that
-    matching, and succeeds when it and the left-out rows cover every row
-    with a NULL on the key. A row with ``|T| + k + 1`` or more extensions
-    in round k is left to the greedy pigeonhole step. Its count grows by
-    at least one a round, so it stays there. A row the base graph left
-    out starts there and stays too: a fresh row is weakly similar only to
-    the rows NULL on the whole key, and those gain at least k extensions
-    by round k, as many as the fresh rows settle, so each still has more
-    free extensions than non-total rivals.
+    no left vertex, and its projection is left out of the vertices' new
+    edges. The fresh value only enlarges the key columns' domains, so
+    every edge of round k - 1 stays and its matching stays valid; round
+    k adds the edges that use the new value and augments that matching,
+    and succeeds when it and the left-out rows cover every row with a
+    NULL on the key. A vertex whose rows have ``|T| + k + 1`` or more
+    extensions in round k leaves its rows to the greedy pigeonhole step.
+    Their count grows by at least one a round, so they stay there. A row
+    the base graph left out starts there and stays too: a fresh row is
+    weakly similar only to the rows NULL on the whole key, and those gain
+    at least k extensions by round k, as many as the fresh rows settle,
+    so each still has more free extensions than non-total rivals.
     """
     table, graph, base = a.table, a.graph, a.matching
     n = table.row_count - start  # the rows before any fresh row
     cols = a.cols
     values = list(table.active_domains())  # a copy: the rounds grow it, the table's stay
-    rows_of = matching_order(graph)  # left vertex -> row index
+    order, slots = matching_order(graph)  # left vertex -> its first row
+    members = [graph.members[v] for v in order]
     high = set(graph.high_degree_left)
-    open_rows = len(rows_of) + len(high)  # the rows with a NULL on the key
+    open_rows = len(slots) + len(high)  # the rows with a NULL on the key
     # The base lists are shared with the analysis: copy them, they grow.
-    adjacency = [list(graph.adjacency[i]) for i in rows_of]
-    growing = [(pos, [p for p, c in enumerate(cols) if table.rows[i][c] is None],
-                extension_options(table.rows[i], cols, values))
-               for pos, i in enumerate(rows_of)]
+    adjacency = [list(graph.adjacency[v]) for v in order]
+    growing = [(pos, [p for p, c in enumerate(cols) if table.rows[v][c] is None],
+                extension_options(table.rows[v], cols, values))
+               for pos, v in enumerate(order)]
     n_base = len(graph.right_tuples)
-    match_l = [base.right_ids.get(i) for i in rows_of]
     match_r = [None] * n_base
-    for pos, rid in enumerate(match_l):
-        if rid is not None:
-            match_r[rid] = pos
+    for pos, rows in enumerate(members):
+        for i in rows:
+            rid = base.right_ids.get(i)
+            if rid is not None:
+                match_r[rid] = pos
     fresh_ids: dict = {}  # extension using a fresh value -> right id
     setdefault = fresh_ids.setdefault
     size = len(base.right_ids)
@@ -253,29 +263,32 @@ def _warm_rounds(a: KeyAnalysis, added: tuple, start: int = 0) -> MeasureResult:
             for c in cols:
                 values[c] += (z,)
             still = []
+            gone = set()
             for pos, nulls, old in growing:
-                new = extension_options(table.rows[rows_of[pos]], cols, values)
+                new = extension_options(table.rows[order[pos]], cols, values)
                 if prod(map(len, new)) >= n + k + 1:
+                    for rid in adjacency[pos]:
+                        if match_r[rid] == pos:
+                            match_r[rid] = None
                     adjacency[pos] = []
-                    if match_l[pos] is not None:
-                        match_r[match_l[pos]] = None
-                        match_l[pos] = None
-                    high.add(rows_of[pos])
+                    gone.add(pos)
+                    high.update(members[pos])
                     continue
                 adjacency[pos].extend(setdefault(ext, n_base + len(fresh_ids)) for ext
                                       in _extensions_using(old, new, nulls, z) if ext != own)
                 still.append((pos, nulls, new))
             growing = still
+            if gone:
+                slots = [pos for pos in slots if pos not in gone]
             match_r.extend([None] * (n_base + len(fresh_ids) - len(match_r)))
-            size, match_l, match_r = hopcroft_karp(adjacency, len(match_r), match_l, match_r)
+            size = hopcroft_karp(adjacency, slots, match_r)
         if size + len(high) < open_rows:
             continue
         fresh = list(fresh_ids)
         ext_of = lambda rid: graph.right_tuples[rid] if rid < n_base else fresh[rid - n_base]
         matching = dict(graph.settled)
         matching.update((n + j, (row[0],) * len(cols)) for j, row in enumerate(added[:k]))
-        matching.update((rows_of[pos], ext_of(rid)) for pos, rid in enumerate(match_l)
-                        if rid is not None)
+        matching.update((i, ext_of(rid)) for i, rid in deal(members, match_r).items())
         extended = table.with_rows_added(added[start:k])
         match_high_degree(extended, a.key, high, matching)
         world = complete_world(extended, a.cols, matching.__getitem__)

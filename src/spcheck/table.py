@@ -199,18 +199,6 @@ def complete_world(table: IncompleteTable, positions: Sequence[int] = (),
     return SpWorld(tuple(completed), tuple(picked))
 
 
-def weakly_similar(t1: Row, t2: Row, x: AttributeSet) -> bool:
-    """True iff on every position in ``x`` the cells are equal or at least
-    one of them is NULL."""
-    for a in x:
-        v1, v2 = t1[a], t2[a]
-        if v1 is None or v2 is None:
-            continue
-        if v1 != v2:
-            return False
-    return True
-
-
 def strongly_similar(t1: Row, t2: Row, x: AttributeSet) -> bool:
     """True iff every position in ``x`` holds equal non-NULL values."""
     for a in x:
@@ -223,18 +211,6 @@ def strongly_similar(t1: Row, t2: Row, x: AttributeSet) -> bool:
 def is_total(t: Row, x: AttributeSet) -> bool:
     """True iff no cell of ``t`` in ``x`` is NULL."""
     return all(t[a] is not None for a in x)
-
-
-def project(table: IncompleteTable, x: AttributeSet) -> IncompleteTable:
-    """Restrict every tuple to the positions in ``x`` (kept in schema
-    order); duplicates preserved, row count unchanged."""
-    positions = sorted(x)
-    for a in positions:
-        if not 0 <= a < table.arity:
-            raise IndexError(f"attribute index {a} out of range")
-    names = tuple(table.schema.attributes[a] for a in positions)
-    rows = tuple(tuple(row[a] for a in positions) for row in table.rows)
-    return IncompleteTable(Schema(names), rows, table.null_token)
 
 
 def projection(row: Row, positions: Iterable[int]) -> tuple:

@@ -645,7 +645,7 @@ def test_a_singular_cross_join_entry_builds_its_key_matching_once(monkeypatch):
     _counting(calls, monkeypatch, spkey, "build_extension_graph")
     report = run(t, [SpCj(a, b)], RunOptions(measures=("g5",)))
     assert report["constraints"][0]["measures"]["g5"]["fraction"] == "1/3"
-    assert [s is t for _, s in calls] == [True]
+    assert [partition.table is t for _, partition in calls] == [True]
 
 
 def test_verify_bounds_the_oracle_g5_by_its_g3(monkeypatch):

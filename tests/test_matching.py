@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
+from spcheck.matching import build_extension_graph as grouped_graph
 from spcheck.matching import (
-    build_extension_graph,
     hall_components,
     hopcroft_karp,
     max_matching,
@@ -11,30 +11,10 @@ from spcheck.matching import (
     satisfied_row_count,
 )
 from spcheck.spkey import KeyAnalysis
-from spcheck.table import IncompleteTable, is_total, iter_extensions, weakly_similar
+from spcheck.table import IncompleteTable, is_total, iter_extensions, projection
 
 from conftest import table
-
-
-def kuhn_matching_size(adjacency, n_right):
-    """Independent reference matcher: plain augmenting-path search."""
-    match_r = [None] * n_right
-
-    def try_augment(u, visited):
-        for v in adjacency[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            if match_r[v] is None or try_augment(match_r[v], visited):
-                match_r[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in range(len(adjacency)):
-        if try_augment(u, set()):
-            size += 1
-    return size
+from reference import build_extension_graph, kuhn_matching_size, weakly_similar
 
 
 def test_table4_graph_shape(table4):
@@ -144,7 +124,8 @@ def _assert_left_out_equals_full(t, key=None):
     settled, and the shared graph of a key analysis both match as many
     rows as the full graph; returns the analysis."""
     key = t.all_positions() if key is None else key
-    left_out = max_matching(build_extension_graph(t, key, leave_out=rows_beyond_rivals(t, key)))
+    left_out = max_matching(build_extension_graph(
+        t, key, leave_out=rows_beyond_rivals(KeyAnalysis(t, key).partition)))
     full_graph = build_extension_graph(t, key)
     assert not full_graph.high_degree_left
     adjacency = [full_graph.adjacency[i] for i in range(t.row_count)]
@@ -219,15 +200,16 @@ def test_rows_beyond_rivals_matches_pairwise_count():
             if not is_total(row, key) and len(list(iter_extensions(t, row, key))) > sum(
                 1 for j, other in enumerate(t.rows) if j != i and weakly_similar(row, other, key))
         }
-        assert rows_beyond_rivals(t, key) == expected
+        assert rows_beyond_rivals(KeyAnalysis(t, key).partition) == expected
 
 
 def test_hopcroft_karp_deterministic():
     adjacency = [[0, 1], [0], [1, 2]]
-    size1, ml1, _ = hopcroft_karp(adjacency, 3)
-    size2, ml2, _ = hopcroft_karp(adjacency, 3)
+    mr1, mr2 = [None] * 3, [None] * 3
+    size1 = hopcroft_karp(adjacency, [0, 1, 2], mr1)
+    size2 = hopcroft_karp(adjacency, [0, 1, 2], mr2)
     assert size1 == size2 == 3
-    assert ml1 == ml2
+    assert mr1 == mr2
 
 
 def test_wide_key_construction_matching_size():
@@ -256,6 +238,14 @@ def _reference_graph(t, key, leave_out):
     return tuple(right_ids), adjacency, high
 
 
+def _per_row(graph):
+    """A graph's edges and left-out rows row by row: each member of a
+    vertex with the vertex's extensions."""
+    edges = {i: [graph.right_tuples[r] for r in graph.adjacency[v]]
+             for v, rows in graph.members.items() for i in rows}
+    return dict(sorted(edges.items())), graph.high_degree_left
+
+
 def test_graph_build_matches_per_row_reference():
     import random
 
@@ -266,10 +256,22 @@ def test_graph_build_matches_per_row_reference():
                       for _ in range(width)) for _ in range(rng.randint(1, 7))]
         t = IncompleteTable.build([f"A{i}" for i in range(width)], rows)
         key = frozenset(rng.sample(range(width), rng.randint(1, width)))
-        for leave_out in (rows_beyond_rivals(t, key), set()):
+        partition = KeyAnalysis(t, key).partition
+        totals = [i for i, row in enumerate(t.rows) if is_total(row, key)]
+        for leave_out in (rows_beyond_rivals(partition), set()):
             g = build_extension_graph(t, key, leave_out)
             assert (g.right_tuples, g.adjacency,
                     g.high_degree_left) == _reference_graph(t, key, leave_out)
+            # The grouped graph is the settled per-row graph with one
+            # vertex per projection: the same right ids, and each row
+            # with its vertex's edges.
+            grouped = grouped_graph(partition, leave_out)
+            per_row = build_extension_graph(t, key, leave_out, settled=totals)
+            assert grouped.right_tuples == per_row.right_tuples
+            assert grouped.settled == per_row.settled
+            assert _per_row(grouped) == _per_row(per_row)
+            assert len(grouped.adjacency) == len({projection(t.rows[i], key)
+                                                  for i in per_row.adjacency})
 
 
 def test_settled_graph_is_the_full_graph_without_the_total_rows():
@@ -294,8 +296,11 @@ def test_settled_graph_is_the_full_graph_without_the_total_rows():
         for i in settled.adjacency:
             assert extensions(settled, i) == [e for e in extensions(full, i) if e not in held]
         assert settled.high_degree_left == full.high_degree_left
+        grouped = grouped_graph(KeyAnalysis(t, key).partition)
+        assert grouped.settled == settled.settled
         if len(held) < len(totals):
             assert max_matching(settled).size < t.row_count
+            assert max_matching(grouped).size < t.row_count
 
 
 def test_satisfied_row_count_matches_hall_components():
@@ -312,7 +317,8 @@ def test_satisfied_row_count_matches_hall_components():
         full = build_extension_graph(t, key)
         result = max_matching(full)
         parts = hall_components(full, result)
-        assert satisfied_row_count(t, key, result.matching) == parts.satisfied_tuple_count
+        assert satisfied_row_count(KeyAnalysis(t, key).partition,
+                                   result.matching) == parts.satisfied_tuple_count
         deficient += bool(parts.deficient)
     assert deficient >= 100
 
@@ -320,11 +326,11 @@ def test_satisfied_row_count_matches_hall_components():
 def test_hopcroft_karp_warm_start():
     # Start from a valid non-maximum matching; it must be augmented in place.
     adjacency = [[0, 1], [0], [1, 2], [2]]
-    match_l, match_r = [0, None, 2, None], [0, None, 2]
-    size, ml, mr = hopcroft_karp(adjacency, 3, match_l, match_r)
+    match_r = [0, None, 2]
+    size = hopcroft_karp(adjacency, [0, 1, 2, 3], match_r)
     assert size == 3 == kuhn_matching_size(adjacency, 3)
-    assert ml is match_l and mr is match_r
-    assert all(mr[v] == u for u, v in enumerate(ml) if v is not None)
+    assert None not in match_r and len(set(match_r)) == 3
+    assert all(v in adjacency[u] for v, u in enumerate(match_r))
 
 
 def test_hall_components_accepts_a_matching(table4):

@@ -50,7 +50,7 @@ def test_enumeration_budget_is_hard():
 
 
 def test_worlds_weakly_extend_origin(table4):
-    from spcheck.table import weakly_similar
+    from reference import weakly_similar
 
     full = table4.all_positions()
     domains = table4.active_domains()

@@ -6,9 +6,9 @@ import pytest
 
 from spcheck import spkey
 from spcheck.cli import RunOptions, run
-from spcheck.constraints import SpKey
+from spcheck.constraints import MeasureResult, SpKey
 from spcheck.errors import PreconditionError
-from spcheck.matching import build_extension_graph, hall_components, hopcroft_karp
+from spcheck.matching import hall_components
 from spcheck.generators import gen_prop3, gen_thm1
 from spcheck.oracle import holds
 from spcheck.spkey import (
@@ -19,9 +19,11 @@ from spcheck.spkey import (
     g4_spkey,
     g5_spkey,
 )
-from spcheck.table import SSYMB, fresh_values, is_total, iter_extensions, projection, weakly_similar
+from spcheck.table import SSYMB, fresh_values, is_total, iter_extensions, projection
 
-from conftest import table
+import reference
+from conftest import assert_addition_witness, assert_removal_witness, table
+from reference import build_extension_graph, kuhn_matching_size, reference_measures, weakly_similar
 
 BOTH = frozenset({0, 1})
 
@@ -31,8 +33,6 @@ def test_check_course_key(course_table):
     assert verdict.holds
     assert holds(verdict.witness.rows, SpKey(frozenset({0, 1})))
     # witness rows stay weakly similar to their sources
-    from spcheck.table import weakly_similar
-
     for i, row in enumerate(verdict.witness.rows):
         assert weakly_similar(row, course_table.rows[i], course_table.all_positions())
 
@@ -75,7 +75,8 @@ def test_violation_row_is_left_unmatched_by_a_maximum_matching():
             else:
                 duplicates += 1
             g = build_extension_graph(t, key)
-            size = lambda rows: hopcroft_karp([g.adjacency[i] for i in rows], len(g.right_tuples))[0]
+            size = lambda rows: kuhn_matching_size([g.adjacency[i] for i in rows],
+                                                   len(g.right_tuples))
             assert size([i for i in range(t.row_count) if i != row]) == size(range(t.row_count))
     assert duplicates >= 200 and unmatched >= 100
 
@@ -235,9 +236,9 @@ def test_one_graph_build_per_key(monkeypatch, table4, cars_table):
     builds = []
     real = spkey.build_extension_graph
 
-    def counting(table, key, leave_out=(), settled=()):
-        builds.append(table)
-        return real(table, key, leave_out, settled)
+    def counting(partition, leave_out):
+        builds.append(partition.table)
+        return real(partition, leave_out)
 
     monkeypatch.setattr(spkey, "build_extension_graph", counting)
     for t in (table4, cars_table):
@@ -259,9 +260,9 @@ def test_g4_counts_the_full_graph_with_one_build(monkeypatch):
     builds = []
     real = spkey.build_extension_graph
 
-    def counting(table, key, leave_out=(), settled=()):
-        builds.append(table)
-        return real(table, key, leave_out, settled)
+    def counting(partition, leave_out):
+        builds.append(partition.table)
+        return real(partition, leave_out)
 
     monkeypatch.setattr(spkey, "build_extension_graph", counting)
     report = run(t, [SpKey(BOTH)], RunOptions(measures=("g3", "g4")))
@@ -360,23 +361,24 @@ def test_warm_g5_rows_leave_the_graph_at_the_cap(monkeypatch):
     # 80 in round 2, against caps of 46, 47 and 48: from round 2 on the
     # pigeonhole step covers it, and in no round does an edge list reach
     # that round's cap of |T| + k + 1. The graph holds the 41 rows with a
-    # NULL, the all-NULL row last, and no fresh row; the all-NULL row's
-    # list in round 1 leaves out the four total projections and the
-    # fresh row's own.
+    # NULL as two vertices, the 40 equal rows first and the all-NULL row
+    # last, and no fresh row; the all-NULL row's list in round 1 leaves
+    # out the four total projections and the fresh row's own.
     t = table(["A", "B", "C"], [("1", None, "1")] * 40 + [("2", b, "1") for b in "123"]
               + [("2", "1", "2"), (None, None, None)])
     n = t.row_count
     lengths = []
     real = spkey.hopcroft_karp
 
-    def recording(adjacency, n_right, *matching):
+    def recording(adjacency, slots, match_r):
         lengths.append([len(edges) for edges in adjacency])
-        return real(adjacency, n_right, *matching)
+        assert slots.count(0) == 40
+        return real(adjacency, slots, match_r)
 
     monkeypatch.setattr(spkey, "hopcroft_karp", recording)
     assert _assert_warm_equals_cold(t, t.all_positions()) == 37 == len(lengths)
-    assert all(len(round_lengths) == 41 for round_lengths in lengths)
-    assert [round_lengths[40] for round_lengths in lengths[:3]] == [36 - 4 - 1, 0, 0]
+    assert all(len(round_lengths) == 2 for round_lengths in lengths)
+    assert [round_lengths[1] for round_lengths in lengths[:3]] == [36 - 4 - 1, 0, 0]
     assert all(max(round_lengths) <= n + k for k, round_lengths in enumerate(lengths, 1))
 
 
@@ -384,29 +386,6 @@ def test_warm_g5_all_null_key_column():
     # The reserved symbol of column A gives way to the fresh values.
     t = table(["A", "B"], [(None, "1"), (None, None), (None, "1")])
     assert _assert_warm_equals_cold(t, BOTH) == 2
-
-
-def _full_graph_nu(t, key):
-    g = build_extension_graph(t, key)
-    return hopcroft_karp([g.adjacency[i] for i in range(t.row_count)], len(g.right_tuples))[0]
-
-
-def _reference_measures(t, key):
-    """check, g3, g4 and g5 from the full extension graph with nothing
-    settled: Hopcroft-Karp over every row, the Hall components, and g5
-    by a fresh full graph per added row."""
-    n = t.row_count
-    nu = _full_graph_nu(t, key)
-    parts = hall_components(build_extension_graph(t, key))
-    assert parts.total_nu == nu
-    g4 = (n - nu, n + parts.satisfied_tuple_count)
-    if first_total_duplicate(t, key) is not None:
-        g5 = "precondition"
-    else:
-        tokens = fresh_values(t, n - nu)
-        g5 = next((k for k in range(n - nu + 1) if _full_graph_nu(
-            t.with_rows_added([(z,) * t.arity for z in tokens[:k]]), key) == n + k), None)
-    return nu == n, n - nu, g4, g5
 
 
 def _exactness_tables(count, seed):
@@ -437,7 +416,7 @@ def test_settled_engine_equals_the_full_graph():
                           "g5"], 0)
     for t, key in _exactness_tables(800, seed=23):
         n = t.row_count
-        holds, g3, g4, g5 = _reference_measures(t, key)
+        holds, g3, g4, g5 = reference_measures(t, key)
         analysis = KeyAnalysis(t, key)
         assert check_spkey(t, key, analysis=analysis).holds == holds
         removal = g3_spkey(t, key, analysis=analysis)
@@ -463,6 +442,82 @@ def test_settled_engine_equals_the_full_graph():
         seen["one column"] += len(key) == 1 and t.arity > 1
         seen["g5"] += g5 not in (0, None, "precondition")
     assert min(seen.values()) >= 20, seen
+
+
+def _grouped_tables(count, seed):
+    """Random tables whose rows with a NULL often repeat, with, at times,
+    an all-NULL column and all-NULL rows, next to a key: the whole row or
+    a random set of columns."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        cols, domain = rng.randint(1, 3), rng.randint(1, 4)
+        rows = [[None if rng.random() < 0.4 else str(rng.randint(1, domain))
+                 for _ in range(cols)] for _ in range(rng.randint(1, 7))]
+        for r in [r for r in rows if None in r]:
+            rows += [list(r) for _ in range(rng.choice([0, 0, 1, 2, 3]))]
+        if rng.random() < 0.2:
+            blank = rng.randrange(cols)
+            for r in rows:
+                r[blank] = None
+        if rng.random() < 0.2:
+            rows += [[None] * cols] * rng.randint(1, 3)
+        rng.shuffle(rows)
+        t = table([f"A{i + 1}" for i in range(cols)], [tuple(r) for r in rows])
+        yield t, t.all_positions()
+        yield t, frozenset(rng.sample(range(cols), rng.randint(1, cols)))
+
+
+def _replays(check, *args):
+    try:
+        check(*args)
+    except AssertionError:
+        return False
+    return True
+
+
+def test_grouped_analysis_matches_the_per_row_reference():
+    # One vertex per distinct projection, with its row count as capacity,
+    # gives the per-row graph's matching size, the reference's check, g3,
+    # g4 and g5, and witnesses that replay; where every projection with a
+    # NULL is distinct it gives the per-row matching itself.
+    seen = dict.fromkeys(["repeated", "distinct", "blank column", "left out", "g5"], 0)
+    for t, key in _grouped_tables(700, seed=41):
+        n = t.row_count
+        grouped, per_row = KeyAnalysis(t, key), reference.KeyAnalysis(t, key)
+        assert grouped.matching.size == reference.full_graph_nu(t, key)
+        holds_, g3, g4, g5 = reference_measures(t, key)
+        satisfied = lambda rows: holds(rows, SpKey(key))
+        verdict = check_spkey(t, key, analysis=grouped)
+        assert verdict.holds == holds_
+        if holds_:
+            assert_removal_witness(t, MeasureResult("g3", 0, n, (), witness=verdict.witness),
+                                   satisfied)
+        removal = g3_spkey(t, key, analysis=grouped)
+        assert removal.numerator == g3
+        # The key g3 witness may fill a kept NULL from a removed row's
+        # value (a known fault); a maximum matching of its own must not
+        # show it where the per-row matching does not.
+        if _replays(assert_removal_witness, t, g3_spkey(t, key, analysis=per_row), satisfied):
+            assert_removal_witness(t, removal, satisfied)
+        res = g4_spkey(t, key, analysis=grouped)
+        assert (res.numerator, res.denominator) == g4
+        if g5 == "precondition":
+            with pytest.raises(PreconditionError):
+                g5_spkey(t, key, analysis=grouped)
+        else:
+            addition = g5_spkey(t, key, analysis=grouped)
+            assert addition.numerator == g5
+            if g5 is not None:
+                assert_addition_witness(t, addition, satisfied, t.all_positions())
+        repeated = any(None in p for p in grouped.partition.repeats)
+        if not repeated:
+            assert grouped.matching.matching == per_row.matching.matching
+        seen["repeated"] += repeated
+        seen["distinct"] += not repeated and bool(grouped.partition.nulls)
+        seen["blank column"] += any(t.active_domain(c) == (SSYMB,) for c in key)
+        seen["left out"] += bool(grouped.graph.high_degree_left)
+        seen["g5"] += g5 not in (0, None, "precondition")
+    assert min(seen.values()) >= 50, seen
 
 
 def _without_timing(report):

@@ -6,15 +6,15 @@ from spcheck.table import (
     SSYMB,
     IncompleteTable,
     Schema,
+    complete_world,
     fresh_values,
     is_total,
     iter_extensions,
-    project,
     strongly_similar,
-    weakly_similar,
 )
 
 from conftest import table
+from reference import project, weakly_similar
 
 
 def test_schema_rejects_duplicates_and_empty_names():
@@ -147,3 +147,11 @@ def test_projection_composes(t):
     via = project(project(t, xy), frozenset({0}))
     direct = project(t, x)
     assert via.rows == direct.rows
+
+
+def test_a_world_fills_only_the_rows_with_a_null():
+    t = table(["A", "B"], [("1", "2"), (None, "2"), ("3", None)])
+    world = complete_world(t, [0], lambda i: ("3",), rows=[2, 1, 0])
+    assert world.rows == (("3", "2"), ("3", "2"), ("1", "2"))
+    assert world.origin == (2, 1, 0)
+    assert world.rows[2] is t.rows[0]

@@ -8,7 +8,7 @@ from spcheck.errors import BudgetExceededError
 from spcheck.oracle import holds, oracle_check
 from spcheck.constraints import SpCj, SpMvd
 from spcheck.generators import random_table
-from spcheck.table import fresh_values, project
+from spcheck.table import fresh_values
 from spcheck import tuplegen
 from spcheck.tuplegen import (
     check_nmvd,
@@ -22,6 +22,7 @@ from spcheck.tuplegen import (
 )
 
 from conftest import assert_addition_witness, assert_removal_witness, table
+from reference import project
 
 X = frozenset({0})
 Y = frozenset({1})
