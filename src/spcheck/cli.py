@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -595,18 +596,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    p_check = verbs.add_parser("check", help="evaluate constraint satisfaction")
-    _add_table_options(p_check)
-
-    p_measure = verbs.add_parser("measure", help="compute approximation measures")
-    _add_table_options(p_measure)
-    p_measure.add_argument("--measures", default="g3,g5",
-                           help="comma list from g3,g4,g5 (default g3,g5)")
-
-    p_verify = verbs.add_parser(
-        "verify", help="measure and cross-check against the brute-force oracle")
-    _add_table_options(p_verify)
-    p_verify.add_argument("--measures", default="g3,g5")
+    _add_table_options(verbs.add_parser("check", help="evaluate constraint satisfaction"))
+    for verb, text in (("measure", "compute approximation measures"),
+                       ("verify", "measure and cross-check against the brute-force oracle")):
+        p_table = verbs.add_parser(verb, help=text)
+        _add_table_options(p_table)
+        p_table.add_argument("--measures", default="g3,g5",
+                             help="comma list from g3,g4,g5 (default g3,g5)")
 
     p_gen = verbs.add_parser("generate", help="materialize a named construction")
     p_gen.add_argument("construction",
@@ -634,8 +630,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """``build_parser()``, made by the first call in the process and
+    returned by every later one: only in-process callers of ``main`` save
+    a build, as a one-shot ``spcheck`` run makes one either way. Parsing
+    leaves a parser as it was (each parse fills a new namespace, and an
+    ``append`` option starts from a new list), so nothing may change the
+    parser after it is built."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if getattr(args, "budget", 0) < 0:
         parser.error(f"argument --budget: must be at least 0, not {args.budget}")
@@ -643,7 +650,9 @@ def main(argv=None) -> int:
         if args.verb == "check":
             return _cmd_table(args, measures=())
         if args.verb in ("measure", "verify"):
-            measures = tuple(m for m in args.measures.split(",") if m)
+            # Each name once, in the order first given; spaces around a name
+            # are dropped, as the constraint grammar drops them.
+            measures = tuple(dict.fromkeys(filter(None, map(str.strip, args.measures.split(",")))))
             for m in measures:
                 if m not in ("g3", "g4", "g5"):
                     raise SpcheckError(f"unknown measure {m!r}")

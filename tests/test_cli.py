@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -807,3 +809,186 @@ def test_cli_ends_every_input_in_an_exit_code(request):
     assert "Traceback" not in err.getvalue() and "disagreement" not in err.getvalue()
     if code == 1:
         assert any(e.get("holds") is False for e in entries)
+
+
+@pytest.mark.parametrize("verb", ["measure", "verify"])
+def test_measures_option_has_its_help_text(verb, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([verb, "--help"])
+    assert exit_.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--measures MEASURES comma list from g3,g4,g5 (default g3,g5)" in help_text
+
+
+@pytest.mark.parametrize("text, names", [
+    ("g3, g5", ["g3", "g5"]),
+    (" g3 ,g5,", ["g3", "g5"]),
+    ("g3,g3", ["g3"]),
+    ("g5,g3,g5,g3", ["g5", "g3"]),
+])
+def test_measure_names_are_stripped_and_run_once(table4_csv, tmp_path, monkeypatch, text, names):
+    # A name is read as the constraint grammar reads one, spaces dropped,
+    # and a repeated name runs once, in the order first given.
+    calls = []
+    _counting(calls, monkeypatch, spkey, "g3_spkey")
+    out = tmp_path / "report.json"
+    argv = ["measure", "--table", str(table4_csv), "--constraint", "spkey(a,b)",
+            "--json", str(out), "--measures"]
+    assert main(argv + [text]) == 1
+    data = json.loads(out.read_text())
+    assert data["options"]["measures"] == names
+    assert list(data["constraints"][0]["measures"]) == names
+    assert len(calls) == 1
+    assert data["constraints"][0]["measures"]["g3"]["fraction"] == "2/4"
+
+
+def _answer(argv, outputs):
+    """What ``main(argv)`` gives: the exit code (that of a ``SystemExit``
+    too), stdout, stderr and the text of each path in ``outputs`` (None
+    where none was written), JSON reports with their ``elapsed_ms``
+    dropped. The paths are emptied first."""
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    files = []
+    for path in outputs:
+        text = path.read_text(encoding="utf-8") if path.exists() else None
+        if text is not None and path.name == "report.json":
+            data = json.loads(text)
+            for entry in data["constraints"]:
+                del entry["elapsed_ms"]
+            text = json.dumps(data)
+        files.append(text)
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def _one_shot(argv, outputs):
+    """``_answer`` with a parser of its own, as a fresh ``spcheck`` process has."""
+    cli._shared_parser.cache_clear()
+    return _answer(argv, outputs)
+
+
+def _mixed_requests(tmp_path, rng):
+    """(argv, output paths) for ``check``, ``measure``, ``verify`` and
+    ``generate`` calls, drawn by ``rng``: repeated ``--constraint`` and
+    ``--triple``, ``--null``, ``--no-header``, ``--budget`` and ``--json``
+    in some calls and not in others."""
+    tables = {"header": (tmp_path / "t.csv", "a,b,c\n,1,x\n2,,x\n2,,y\n2,2,NA\n"),
+              "bare": (tmp_path / "bare.csv", "1,NA\n2,3\nNA,3\n")}
+    for path, text in tables.values():
+        path.write_text(text, encoding="utf-8")
+    specs = {"header": ["spkey(a,b)", "spfd(a -> b)", "spmvd(a ->> b)", "spcj(a x c)",
+                        "nmvd(a ->> c)", "spkey(zz)"],
+             "bare": ["spkey(A1)", "spfd(A1 -> A2)", "spcj(A1 x A2)"]}
+    requests = []
+    for i in range(14):
+        verb = ["check", "measure", "verify"][i % 3]
+        layout = rng.choice(["header", "bare"])
+        argv = [verb, "--table", str(tables[layout][0])]
+        if layout == "bare":
+            argv.append("--no-header")
+        if rng.random() < 0.5:
+            argv += ["--null", "NA"]
+        if rng.random() < 0.5:
+            argv += ["--budget", str(rng.choice([0, 5, 100_000]))]
+        if verb != "check" and rng.random() < 0.7:
+            argv += ["--measures", rng.choice(["g3", "g3,g5", "g5,g4"])]
+        for spec in rng.sample(specs[layout], rng.randint(1, 3)):
+            argv += ["--constraint", spec]
+        outputs = []
+        if rng.random() < 0.7:
+            outputs.append(tmp_path / f"r{i}" / "report.json")
+            outputs[0].parent.mkdir()
+            argv += ["--json", str(outputs[0])]
+        requests.append((argv, outputs))
+    generated = [["random", "--rows", "6", "--cols", "2", "--seed", "3"],
+                 ["threedm", "--b", "b1,b2", "--cset", "c1,c2", "--d", "d1,d2",
+                  "--triple", "b1:c1:d1", "--triple", "b2:c2:d2"],
+                 ["thm1", "--p", "1", "--q", "3"]]
+    for i, args in enumerate(generated):
+        out = tmp_path / f"g{i}"
+        requests.append((["generate", *args, "--out", str(out), "--prefix", "p"],
+                         [out / "p.csv", out / "p.manifest.json"]))
+    rng.shuffle(requests)
+    return requests
+
+
+def test_calls_on_the_shared_parser_stay_independent(tmp_path):
+    # Every call on the parser that earlier calls used gives the answer
+    # of a call on a parser of its own, in any order: no list of an
+    # append option and no default carries over from one call to the next.
+    rng = random.Random(20261020)
+    requests = _mixed_requests(tmp_path, rng)
+    want = [_one_shot(argv, outputs) for argv, outputs in requests]
+    assert {code for code, *_ in want} >= {0, 1, 2, 3}
+    for _ in range(2):
+        order = list(range(len(requests)))
+        rng.shuffle(order)
+        for i in order:
+            assert _answer(*requests[i]) == want[i], requests[i][0]
+    shared = cli._shared_parser()
+    for argv, _ in requests:
+        assert vars(shared.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_exit_paths_leave_the_shared_parser_as_it_was(table4_csv, tmp_path):
+    report = tmp_path / "report.json"
+    normal = (["measure", "--table", str(table4_csv), "--constraint", "spkey(a,b)",
+               "--constraint", "spfd(a -> b)", "--json", str(report)], [report])
+    want = _one_shot(*normal)
+    assert want[0] == 1 and want[3][0] is not None
+    for argv, code, stream, text in [
+        (["check", "--table", str(table4_csv), "--constraint", "spkey(a)", "--budget", "-1"],
+         2, 2, "--budget: must be at least 0, not -1"),
+        (["check", "--help"], 0, 1, "usage: spcheck check"),
+        (["frobnicate", "--table", str(table4_csv)], 2, 2, "invalid choice: 'frobnicate'"),
+    ]:
+        one_shot = _one_shot(argv, [])
+        assert one_shot[0] == code and text in one_shot[stream]
+        assert _answer(argv, []) == one_shot
+        assert _answer(*normal) == want
+
+
+def test_main_builds_one_parser_per_process(table4_csv, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(True)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    requests = [["check", "--table", str(table4_csv), "--constraint", "spkey(a)"],
+                ["measure", "--table", str(table4_csv), "--constraint", "spkey(a,b)"],
+                ["check", "--help"], ["verify", "--budget", "x"]]
+    for _ in range(5):
+        for argv in requests:
+            _answer(argv, [])
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    # A fresh process counts every ArgumentParser made while spcheck.cli
+    # is imported.
+    code = "\n".join([
+        "import argparse",
+        "made = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting(self, *args, **kwargs):",
+        "    made.append(True)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counting",
+        "import spcheck.cli",
+        "print(len(made), spcheck.cli._shared_parser.cache_info().currsize)",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "0 0\n"
