@@ -6,9 +6,24 @@ to the same left-side value form a class, and a class is feasible iff on
 every right-side attribute its members' non-NULL cells agree (free cells
 can always copy the class value or, failing that, any active-domain
 value). The search is exact within a node budget.
+
+Left-side-total rows have one completion each, so they come first in
+the branching order and fix their classes' right-side cells before any
+row branches. The check therefore drops, before it branches, every
+option whose class they fix to a cell that conflicts with the row's own
+(forward checking, Haralick & Elliott 1980); a row left with no option
+refutes the dependency with no node spent. g3's removal levels cannot
+drop options, as removals may take left-side-total rows, so they cut a
+subtree at the end of the one-option rows instead, once more later rows
+fit no kept class than removals are left. Neither step changes the
+branching order, so answers and witnesses are those of the plain
+search, in no more nodes.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from itertools import filterfalse
 
 from .constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from .errors import DEFAULT_BUDGET, PreconditionError
@@ -22,6 +37,7 @@ from .table import (
     fresh_rows,
     is_total,
     projection,
+    projector,
 )
 
 
@@ -52,6 +68,37 @@ def _merge(fixed: list, row: Row, y_cols: tuple[int, ...]) -> list | None:
     return touched
 
 
+def _fits(fixed: tuple | list | None, cells: tuple) -> bool:
+    """Whether a class with the ``fixed`` right-side cells (None for no
+    class) can take a row with the right-side ``cells``."""
+    return fixed is None or all(f is None or c is None or f == c for f, c in zip(fixed, cells))
+
+
+def _fixed_classes(table: IncompleteTable, x_cols: tuple[int, ...],
+                   y_cols: tuple[int, ...]) -> tuple[dict, list] | None:
+    """The right-side cells the left-side-total rows fix in their
+    classes (class value -> per-``y_cols`` cell or None), with the rows
+    NULL on ``x_cols`` that have a non-NULL cell on ``y_cols``, as
+    (index, cells) pairs; None when two left-side-total rows disagree
+    within a class."""
+    xs, ys = projector(x_cols), projector(y_cols)
+    blank = (None,) * len(y_cols)
+    classes: dict = {}
+    partial = []
+    for i, row in enumerate(table.rows):
+        value, cells = xs(row), ys(row)
+        if None in value:
+            if cells != blank:
+                partial.append((i, cells))
+            continue
+        fixed = classes.setdefault(value, cells)
+        if fixed != cells:
+            if not _fits(fixed, cells):
+                return None
+            classes[value] = tuple(f if c is None else c for f, c in zip(fixed, cells))
+    return classes, partial
+
+
 class _FdSearch:
     """Assignment of left-side extensions to rows, with the classes the
     assigned rows form: class value -> [member count, per-right-side
@@ -66,9 +113,82 @@ class _FdSearch:
         )
         self.classes: dict = {}
 
+    def settle(self) -> bool:
+        """Drop each row's options whose class a left-side-total row
+        fixes to a right-side cell that conflicts with the row's own.
+
+        Those options fail whenever the row is pushed without removals,
+        as every left-side-total row has one option and so is pushed
+        first. The check's branching order and first path are unchanged.
+        Returns False when no path exists: the left-side-total rows
+        conflict, or some row keeps no option.
+        """
+        settled = _fixed_classes(self.table, self.x_cols, self.y_cols)
+        if settled is None:
+            return False
+        fixed, partial = settled
+        options = self.options
+        by_cells: dict = {}  # fixed cells -> the classes that fix them
+        for v, f in fixed.items():
+            by_cells.setdefault(f, []).append(v)
+        ruled_out: dict = {}  # a row's cells -> the classes they conflict with
+        for i, cells in partial:
+            out = ruled_out.get(cells)
+            if out is None:
+                out = ruled_out[cells] = {v for f, vs in by_cells.items()
+                                          if not _fits(f, cells) for v in vs}
+            if out:
+                kept = tuple(filterfalse(out.__contains__, options[i]))
+                if not kept:
+                    return False
+                options[i] = kept
+        return True
+
     def run(self, budget: Budget, max_removed: int = 0, leaf=None) -> dict | None:
+        """The first path with at most ``max_removed`` removals that
+        ``leaf`` accepts (see :func:`backtrack`)."""
         return backtrack(self.order, self.options, self.same_as_prev, budget,
-                         self._join, self._unjoin, leaf=leaf, max_removed=max_removed)
+                         self._join, self._unjoin, leaf=leaf, max_removed=max_removed,
+                         prune=self._cut(max_removed) if max_removed else None)
+
+    @cached_property
+    def _forced(self) -> tuple[int, list]:
+        """The length of the one-option prefix of ``order``, and the
+        rows after it with a non-NULL right-side cell, as (options,
+        cells) pairs."""
+        order, options, rows = self.order, self.options, self.table.rows
+        prefix = next((pos for pos, i in enumerate(order) if len(options[i]) > 1), len(order))
+        ys, blank = projector(self.y_cols), (None,) * len(self.y_cols)
+        later = [(options[i], cells) for i in order[prefix:] if (cells := ys(rows[i])) != blank]
+        return prefix, later
+
+    def _cut(self, max_removed: int):
+        """The ``prune`` of a level with at most ``max_removed``
+        removals, or None when it would never cut.
+
+        Rows with one option come first, so at the end of that prefix the
+        kept rows' classes hold every cell they fix for the whole subtree.
+        A later row none of whose options fits them must be removed, and
+        more such rows than removals left fail the subtree.
+        """
+        prefix, later = self._forced
+        if not prefix or not later:
+            return None
+        classes = self.classes
+
+        def prune(pos: int) -> bool:
+            if pos != prefix:
+                return False
+            left = max_removed - prefix + sum(state[0] for state in classes.values())
+            for opts, cells in later:
+                if not any(_fits(None if state is None else state[1], cells)
+                           for state in map(classes.get, opts)):
+                    left -= 1
+                    if left < 0:
+                        return True
+            return False
+
+        return prune
 
     def _slot_space(self, emptied: int | None = None) -> int:
         """Size of the left-side completion space, capped at |T| + 1.
@@ -93,13 +213,20 @@ class _FdSearch:
         only in a left-side column that removals leave all NULL, which
         takes every row with a value there; emptying a further column
         removes no fewer rows and leaves no more space, so one column at
-        a time suffices.
+        a time suffices. Only the first row of each right-side projection
+        is tried: a later one does not conflict with it, if it joined,
+        and conflicts with no more members than it did, if it did not.
         """
         rows = self.table.rows
+        ys = projector(self.y_cols)
         clique: set[int] = set()
+        tried: set = set()
         for i, row in enumerate(rows):
-            if all(self._y_conflict(row, rows[j]) for j in clique):
-                clique.add(i)
+            cells = ys(row)
+            if cells not in tried:
+                tried.add(cells)
+                if all(self._y_conflict(row, rows[j]) for j in clique):
+                    clique.add(i)
 
         def floor(emptied: int | None) -> int:
             gone = set() if emptied is None else {i for i, r in enumerate(rows) if r[emptied] is not None}
@@ -149,7 +276,8 @@ def check_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
         # Reflexive dependency: any world works, e.g. the smallest one.
         return ConstraintVerdict(True, complete_world(table))
     search = _FdSearch(table, x, y)
-    assignment = None if search.removal_floor() > 0 else search.run(Budget.of(budget))
+    settled = search.removal_floor() == 0 and search.settle()
+    assignment = search.run(Budget.of(budget)) if settled else None
     if assignment is None:
         return ConstraintVerdict(False)
     return ConstraintVerdict(True, complete_world(
@@ -161,14 +289,7 @@ def total_part_satisfies_fd(table: IncompleteTable, lhs: AttributeSet, rhs: Attr
     """Whether the left-side-total rows admit a common imputation, i.e.
     no two of them disagree on a right-side attribute within a class."""
     x, y = normalize_fd(lhs, rhs)
-    y_cols = tuple(sorted(y))
-    classes: dict = {}
-    for row in table.rows:
-        if is_total(row, x):
-            fixed = classes.setdefault(projection(row, x), [None] * len(y_cols))
-            if _merge(fixed, row, y_cols) is None:
-                return False
-    return True
+    return _fixed_classes(table, tuple(sorted(x)), tuple(sorted(y))) is not None
 
 
 def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
@@ -182,7 +303,8 @@ def g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     whole table (run here when not given). Deepening starts at the
     conflict-clique floor of ``_FdSearch.removal_floor``; each level runs
     the check's search, whose classes draw on the whole table's active
-    domains, with a removal branch at every row.
+    domains, with a removal branch at every row and the cut of
+    ``_FdSearch._cut`` at the end of the one-option rows.
     """
     budget = Budget.of(budget)
     x, y = normalize_fd(lhs, rhs)

@@ -1,5 +1,5 @@
-"""Test-side references for the key engine, and the table helpers that
-only tests use.
+"""Test-side references for the key and spFD engines, and the table
+helpers that only tests use.
 
 The key analysis matches one vertex per distinct key projection, with
 its row count as capacity. The reference here is the graph with one
@@ -9,6 +9,12 @@ vertex per row: :func:`build_extension_graph` builds it row by row,
 sides can be compared matching by matching. :func:`reference_measures`
 computes the check, g3, g4 and g5 from the full per-row graph with
 nothing settled or left out.
+
+For spFDs, :func:`unsettled_check_spfd`, :func:`unsettled_g3_spfd` and
+:func:`unsettled_g5_spfd` run the engine's search with every row's
+left-side completions as options, no cut in the removal levels and the
+conflict-clique floor of :func:`clique_floor`, so every refutation past
+the floor is found by branching.
 """
 
 from __future__ import annotations
@@ -18,12 +24,15 @@ from functools import cached_property
 from itertools import product
 from math import prod
 
+from spcheck.constraints import ConstraintVerdict, MeasureResult, measure_denominator
 from spcheck.matching import (
     ExtensionGraph,
     MatchingResult,
     hall_components,
     match_high_degree,
 )
+from spcheck.search import Budget, backtrack, smallest_removal
+from spcheck.spfd import _FdSearch, normalize_fd
 from spcheck.spkey import KeyAnalysis as _KeyAnalysis
 from spcheck.spkey import first_total_duplicate
 from spcheck.table import (
@@ -31,9 +40,14 @@ from spcheck.table import (
     IncompleteTable,
     Row,
     Schema,
+    SpWorld,
+    complete_world,
     extension_options,
+    fresh_rows,
     fresh_values,
+    is_total,
     iter_extensions,
+    projection,
     projector,
 )
 
@@ -257,3 +271,77 @@ def reference_measures(t: IncompleteTable, key: AttributeSet):
         g5 = next((k for k in range(n - nu + 1) if full_graph_nu(
             t.with_rows_added([(z,) * t.arity for z in tokens[:k]]), key) == n + k), None)
     return nu == n, n - nu, g4, g5
+
+
+def clique_floor(search: _FdSearch) -> int:
+    """The conflict-clique floor of :meth:`_FdSearch.removal_floor`,
+    with every row tried against the greedy clique in row order."""
+    rows = search.table.rows
+    clique: set = set()
+    for i, row in enumerate(rows):
+        if all(search._y_conflict(row, rows[j]) for j in clique):
+            clique.add(i)
+
+    def floor(emptied):
+        gone = set() if emptied is None else {i for i, r in enumerate(rows) if r[emptied] is not None}
+        return len(gone) + max(len(clique - gone) - search._slot_space(emptied), 0)
+
+    return min(floor(a) for a in (None, *search.x_cols))
+
+
+def _run_unsettled(search: _FdSearch, budget: Budget, max_removed: int = 0, leaf=None):
+    return backtrack(search.order, search.options, search.same_as_prev, budget,
+                     search._join, search._unjoin, leaf=leaf, max_removed=max_removed)
+
+
+def unsettled_check_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+                         budget) -> ConstraintVerdict:
+    """The spFD check with the conflict-clique floor as its only test
+    before the search, which branches over every row's completions."""
+    x, y = normalize_fd(lhs, rhs)
+    if not y or table.row_count == 0:
+        return ConstraintVerdict(True, complete_world(table))
+    search = _FdSearch(table, x, y)
+    assignment = None if clique_floor(search) > 0 else _run_unsettled(search, Budget.of(budget))
+    if assignment is None:
+        return ConstraintVerdict(False)
+    return ConstraintVerdict(True, complete_world(
+        table, search.x_cols + search.y_cols,
+        lambda i: assignment[i] + tuple(search.classes[assignment[i]][1])))
+
+
+def unsettled_g3_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+                      budget) -> MeasureResult:
+    """spFD g3 by the removal deepening with no cut in its levels, each
+    leaf re-checked by :func:`unsettled_check_spfd`."""
+    budget = Budget.of(budget)
+    x, y = normalize_fd(lhs, rhs)
+    verdict = unsettled_check_spfd(table, x, y, budget)
+    search = _FdSearch(table, x, y)
+    return smallest_removal(table, clique_floor(search),
+                            lambda m, leaf: _run_unsettled(search, budget, m, leaf),
+                            lambda sub: unsettled_check_spfd(sub, x, y, budget), verdict)
+
+
+def unsettled_g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+                      budget, g3: MeasureResult) -> MeasureResult:
+    """spFD g5 for a table whose left-side-total rows agree: the table
+    plus the first k fresh-left rows, checked by
+    :func:`unsettled_check_spfd`, up to the bound ``g3``'s removal
+    witness implies."""
+    n = measure_denominator(table, "g5")
+    budget = Budget.of(budget)
+    x, y = normalize_fd(lhs, rhs)
+    verdict = unsettled_check_spfd(table, x, y, budget)
+    if verdict.holds:
+        return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
+    removed_rows = [table.rows[i] for i in g3.removed_rows]
+    bound = (sum(1 for r in removed_rows if not is_total(r, x))
+             + len({projection(r, x) for r in removed_rows if is_total(r, x)}))
+    added = fresh_rows(table, x, bound)
+    for k in range(1, bound + 1):
+        verdict = unsettled_check_spfd(table.with_rows_added(added[:k]), x, y, budget)
+        if verdict.holds:
+            return MeasureResult("g5", k, n, added_rows=added[:k], witness=SpWorld(
+                verdict.witness.rows, tuple(range(n)) + (None,) * k))
+    return MeasureResult("g5", None, n)

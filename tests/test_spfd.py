@@ -7,7 +7,9 @@ from spcheck.errors import BudgetExceededError, PreconditionError
 from spcheck.generators import gen_thm3
 from spcheck.oracle import holds, oracle_g3
 from spcheck.constraints import SpFd
+from spcheck.search import Budget
 from spcheck.spfd import (
+    _FdSearch,
     check_spfd,
     g3_spfd,
     g5_spfd,
@@ -15,7 +17,8 @@ from spcheck.spfd import (
     total_part_satisfies_fd,
 )
 
-from conftest import table
+import reference
+from conftest import assert_addition_witness, assert_removal_witness, table
 
 X = frozenset({0, 1})
 Y = frozenset({2})
@@ -118,17 +121,136 @@ def test_teaching_table(teaching_table):
 
 
 def test_budget_error_propagates(fd_six_rows):
-    with pytest.raises(BudgetExceededError):
-        check_spfd(fd_six_rows, X, Y, budget=2)
+    # Row 0's one option and both options of rows 1 and 2 fall in
+    # classes whose left-side-total rows fix Y = 2: refuted unsearched.
+    budget = Budget(0)
+    assert not check_spfd(fd_six_rows, X, Y, budget).holds
+    assert budget.spent == 0
+    # Here no left-side-total row fixes class (1, 1) or (2, 1), so rows 0
+    # and 1 keep both options and the search enters four rows.
+    t = table(["X1", "X2", "Y"], [(None, "1", "1"), (None, "1", "2"), ("1", "2", "1"), ("2", "2", "2")])
+    budget = Budget(4)
+    assert check_spfd(t, X, Y, budget).holds and budget.spent == 4
+    with pytest.raises(BudgetExceededError) as err:
+        check_spfd(t, X, Y, budget=2)
+    assert (err.value.spent, err.value.budget) == (3, 2)
 
 
 def test_g3_budget_covers_the_leaf_rechecks(fd_six_rows):
-    # The removal search spends 31 nodes and its leaf re-checks 0 and 4
-    # more: every part fits in 32 nodes, the whole call does not.
-    assert g3_spfd(fd_six_rows, X, Y, budget=35).numerator == 2
+    # The removal search spends 26 nodes and its leaf re-checks 0 and 4
+    # more: every part fits in 26 nodes, the whole call does not.
+    budget = Budget(30)
+    assert g3_spfd(fd_six_rows, X, Y, budget).removed_rows == (3, 4)
+    assert budget.spent == 30
     with pytest.raises(BudgetExceededError) as err:
-        g3_spfd(fd_six_rows, X, Y, budget=32)
-    assert (err.value.spent, err.value.budget) == (33, 32)
+        g3_spfd(fd_six_rows, X, Y, budget=26)
+    assert (err.value.spent, err.value.budget) == (27, 26)
+
+
+# Base table 6 of the dep_search workload (bench/workloads.py, FD_LEFT_OUT):
+# 77 rows of X1, X2 -> Y.
+TABLE_6 = [
+    ("4", None, "4"), ("4", "2", None), ("4", None, None), ("2", "1", "3"), ("1", "1", "2"),
+    (None, "3", "5"), ("1", "2", "1"), (None, "3", None), ("4", "4", "4"), ("1", "2", None),
+    ("1", "4", "3"), ("1", "4", "3"), ("1", "3", "5"), (None, "3", "2"), ("1", "3", "5"),
+    ("3", "4", "3"), ("4", None, "4"), ("4", "2", "4"), ("2", "2", "2"), ("4", "1", "4"),
+    ("2", "4", None), ("3", "3", "5"), (None, "4", "6"), ("1", "2", None), ("4", "4", "4"),
+    ("3", None, None), ("3", None, "3"), ("3", "3", None), ("3", "3", None), (None, "1", "5"),
+    ("4", "4", "4"), ("4", "2", "4"), ("3", None, "3"), ("3", "1", "5"), ("2", None, None),
+    (None, "2", "3"), ("2", "3", "2"), ("2", "3", "2"), ("2", "3", None), ("2", "1", "3"),
+    (None, "1", "4"), (None, "4", "3"), ("3", "2", "3"), (None, "2", "4"), ("4", None, "4"),
+    ("1", "2", "1"), ("2", "2", "2"), ("3", "4", "3"), ("4", "3", "5"), (None, "4", "3"),
+    ("4", None, "6"), ("2", "4", "3"), (None, None, None), ("2", "1", "3"), ("2", "4", "3"),
+    ("3", "2", None), ("3", "2", "3"), (None, "1", "3"), ("2", None, "2"), ("1", "1", "2"),
+    ("4", None, "4"), ("2", None, "3"), ("4", "1", "4"), (None, "4", None), ("1", "2", "1"),
+    ("3", "3", "5"), (None, None, "3"), (None, None, None), ("2", "3", "2"), ("2", "2", "2"),
+    ("1", "2", None), ("2", "1", None), (None, "2", "4"), ("3", "3", "5"), (None, "3", "5"),
+    (None, "3", None), ("3", "2", "3"),
+]
+
+
+@pytest.mark.parametrize("shuffle", [None, 1, 2, 3, 4, 5])
+def test_g3_answers_dep_search_table_6(shuffle):
+    # Without the settled check and the cut in the removal levels, g3
+    # spent the whole 10M-node default budget here. No one row's removal
+    # satisfies the dependency and removing rows 22 and 50 does.
+    rows = TABLE_6 if shuffle is None else random.Random(shuffle).sample(TABLE_6, len(TABLE_6))
+    t = table(["X1", "X2", "Y"], rows)
+    satisfied = lambda done: holds(done, SpFd(X, Y))
+    res = g3_spfd(t, X, Y, budget=2_000)
+    assert res.fraction_str == "2/77"
+    assert_removal_witness(t, res, satisfied)
+    if shuffle is None:
+        assert res.removed_rows == (22, 50)
+    addition = g5_spfd(t, X, Y, budget=2_000, g3=res)
+    assert addition.fraction_str == "1/77"
+    assert_addition_witness(t, addition, satisfied, X)
+
+
+def _fd_draws(count: int, seed: int):
+    """``count`` random tables of 2 to 4 columns and 2 to 20 rows, each
+    with three random dependencies (left side, right side)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        width, n, domain = rng.randint(2, 4), rng.randint(2, 20), rng.randint(1, 4)
+        rate = rng.choice([0.1, 0.2, 0.3, 0.45])
+        t = table([f"A{a}" for a in range(width)],
+                  [tuple(None if rng.random() < rate else str(rng.randint(1, domain))
+                         for _ in range(width)) for _ in range(n)])
+        for _ in range(3):
+            cols = rng.sample(range(width), width)
+            k = rng.randint(1, width - 1)
+            yield t, frozenset(cols[:k]), frozenset(cols[k:k + rng.randint(1, width - k)])
+
+
+def _spend(measure, limit: int):
+    """``measure(budget)`` and the nodes it spent, or None on a budget stop."""
+    budget = Budget(limit)
+    try:
+        return measure(budget), budget.spent
+    except BudgetExceededError:
+        return None, budget.spent
+
+
+def test_settled_search_matches_the_unsettled_reference():
+    # The check drops the options the left-side-total rows rule out and
+    # g3 cuts a level once forced removals outnumber the removals left;
+    # both keep the branching order, so every answer and witness is the
+    # reference's, and no call spends more nodes or stops where it
+    # answered.
+    seen = dict.fromkeys(["check fewer", "g3 fewer", "stop answered", "g5"], 0)
+    for t, x, y in _fd_draws(600, seed=35):
+        search = _FdSearch(t, *normalize_fd(x, y))
+        assert search.removal_floor() == reference.clique_floor(search)
+        pairs = []
+        for engine, ref in ((lambda b: check_spfd(t, x, y, b),
+                             lambda b: reference.unsettled_check_spfd(t, x, y, b)),
+                            (lambda b: g3_spfd(t, x, y, b),
+                             lambda b: reference.unsettled_g3_spfd(t, x, y, b))):
+            (got, spent), (want, ref_spent) = _spend(engine, 2_000), _spend(ref, 2_000)
+            assert spent <= ref_spent
+            assert got is not None or want is None
+            seen["stop answered"] += want is None and got is not None
+            pairs.append((got, want, spent < ref_spent))
+        (verdict, ref_verdict, fewer), (g3, ref_g3, g3_fewer) = pairs
+        seen["check fewer"] += fewer
+        seen["g3 fewer"] += g3_fewer
+        if ref_verdict is not None:
+            assert (verdict.holds, verdict.witness) == (ref_verdict.holds, ref_verdict.witness)
+        if ref_g3 is None:
+            continue
+        assert (g3.numerator, g3.removed_rows, g3.witness) == (
+            ref_g3.numerator, ref_g3.removed_rows, ref_g3.witness)
+        if total_part_satisfies_fd(t, x, y):
+            g5, _ = _spend(lambda b: g5_spfd(t, x, y, b, g3=g3), 2_000)
+            ref_g5, _ = _spend(lambda b: reference.unsettled_g5_spfd(t, x, y, b, ref_g3), 2_000)
+            if ref_g5 is not None:
+                assert g5 is not None
+                assert (g5.numerator, g5.added_rows, g5.witness) == (
+                    ref_g5.numerator, ref_g5.added_rows, ref_g5.witness)
+                seen["g5"] += g5.numerator not in (0, None)
+    assert seen["stop answered"] >= 1, seen
+    assert min(seen["check fewer"], seen["g3 fewer"], seen["g5"]) >= 100, seen
 
 
 @pytest.mark.parametrize("p, q, c, expected", [(9, 10, 1, "99/100"), (1, 2, 50, "52/100")])
