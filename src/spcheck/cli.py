@@ -43,6 +43,7 @@ from .spfd import check_spfd, g3_spfd, g5_spfd
 from .spkey import KeyAnalysis, check_spkey, g3_spkey, g4_spkey, g5_spkey
 from .table import SSYMB, IncompleteTable, Schema
 from .tuplegen import (
+    MvdAnalysis,
     check_nmvd,
     check_spcj,
     check_spmvd,
@@ -193,11 +194,12 @@ class _Engines(NamedTuple):
     ``f(table, constraint, budget, done)``. ``done`` holds what the
     constraint entry has computed so far, dropped with the entry: the
     check's verdict under "check", each measure's result under its name
-    and, for a key or a cross join, the ``KeyAnalysis`` of its columns
-    under "analysis" (a cross join reads it on two single columns). An
-    engine starts from that work instead of repeating it. ``measures``
-    is None for a kind evaluated on the incomplete table itself: it has
-    no measures and no worlds for the oracle to enumerate."""
+    and under "analysis" the ``KeyAnalysis`` of a key's or a cross
+    join's columns (a cross join reads it on two single columns) or an
+    spMVD's ``MvdAnalysis``. An engine starts from that work instead of
+    repeating it. ``measures`` is None for a kind evaluated on the
+    incomplete table itself: it has no measures and no worlds for the
+    oracle to enumerate."""
 
     check: Callable
     measures: dict | None
@@ -216,9 +218,12 @@ ENGINES = {
         "g3": lambda t, c, b, d: g3_spfd(t, c.lhs, c.rhs, b, verdict=d["check"]),
         "g5": lambda t, c, b, d: g5_spfd(t, c.lhs, c.rhs, b, verdict=d["check"], g3=d.get("g3")),
     }),
-    SpMvd: _Engines(lambda t, c, b, _: check_spmvd(t, c.lhs, c.rhs, b), {
-        "g3": lambda t, c, b, d: g3_spmvd(t, c.lhs, c.rhs, b, verdict=d["check"]),
-        "g5": lambda t, c, b, d: g5_spmvd(t, c.lhs, c.rhs, b, verdict=d["check"]),
+    SpMvd: _Engines(lambda t, c, b, d: check_spmvd(
+        t, c.lhs, c.rhs, b, analysis=d.setdefault("analysis", MvdAnalysis(t, c.lhs, c.rhs))), {
+        "g3": lambda t, c, b, d: g3_spmvd(t, c.lhs, c.rhs, b, verdict=d["check"],
+                                          analysis=d["analysis"]),
+        "g5": lambda t, c, b, d: g5_spmvd(t, c.lhs, c.rhs, b, verdict=d["check"],
+                                          analysis=d["analysis"]),
     }),
     SpCj: _Engines(lambda t, c, b, d: check_spcj(
         t, c.lhs, c.rhs, b, analysis=d.setdefault("analysis", KeyAnalysis(t, c.lhs | c.rhs))), {

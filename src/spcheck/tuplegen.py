@@ -10,15 +10,19 @@ which rows that are entirely NULL on the relevant columns never branch:
 they are counted and spent on missing combinations at the end, and
 the search keeps the least number of all-NULL rows a path needs beyond
 them: the spCJ check and its g3 levels need none, and the spCJ g5 is
-that least need. The spMVD walk over left-side completions counts the
-rows NULL on every column in the same way, and keeps the least number
-of them that its classes need: the check, each g3 level and each g5
-step are that one walk, g5 on the table plus j rows fresh on the left
-side for each j below its best. Both g3 measures deepen over the
-removal count on the checks' searches, as spFD's does; every g3 and g5
-starts from the check's verdict. On two distinct single columns a and
-b, the spCJ check and g5 skip the search and read the key {a, b}'s
-matching of rows to completions (``spkey.KeyAnalysis``) instead.
+that least need. The spMVD walk over left-side completions
+(``MvdAnalysis``, one per constraint entry) counts the rows NULL on
+every column in the same way, and keeps the least number of them that
+its classes need: the check, each g3 level and each g5 step are that one
+walk, g5 on the table plus j rows fresh on the left side for each j
+below its best, and every step reads the class needs the walk has
+cached. The walk is cut once the classes its one-option rows close need
+more of those rows than there are, plus the rows still to branch. Both
+g3 measures deepen over the removal count on the checks' searches, as
+spFD's does; every g3 and g5 starts from the check's verdict. On two
+distinct single columns a and b, the spCJ check and g5 skip the search
+and read the key {a, b}'s matching of rows to completions
+(``spkey.KeyAnalysis``) instead.
 
 Unlike the classical complete-table case, a satisfied dependency here
 does NOT license a lossless decomposition of the incomplete table into
@@ -209,61 +213,90 @@ class _CrossSearch:
 # spMVD
 
 
-def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
+class MvdAnalysis:
     """The search behind the spMVD check, g3 and g5, over left-side
-    completions: the rows imputed one value form a class, and every class
-    must cross its right side with the rest of the schema.
+    completions, built once per (table, lhs, rhs) and walked by each of
+    them: the rows imputed one value form a class, and every class must
+    cross its right side with the rest of the schema.
 
     Rows NULL on every column are counted, not branched, and never
     removed: one such row can join any class and fill one missing
     combination there, or repeat any kept row. A class's need is the
     fewest of them with which it crosses (its cross search's least need,
-    cached with the bound it proved); a path's need is the all-NULL rows
-    its classes need beyond the table's own.
+    cached in ``needs`` with the bound it proved); a path's need is the
+    all-NULL rows its classes need beyond the table's own.
 
-    Returns ``walk(budget, best, max_removed, leaf, floor)``; ``max_removed``
-    and ``leaf`` are those of ``backtrack``. It gives the least need below
-    ``best`` on an accepted path and the world of that path's kept rows
-    plus that many all-NULL rows, or None; it stops at the first path
-    that needs at most ``floor``."""
-    sides = (rhs - lhs, table.all_positions() - lhs - rhs)
-    x_cols = tuple(sorted(lhs))
-    positions = x_cols + tuple(sorted(sides[0] | sides[1]))
-    blank = [i for i, row in enumerate(table.rows) if all(c is None for c in row)]
-    branching = [i for i, row in enumerate(table.rows) if any(c is not None for c in row)]
-    order, options, same_as_prev = row_order(table, branching, x_cols, range(table.arity))
-    classes: dict = defaultdict(list)
-    # sorted class members -> (the need, or the most it was shown to
-    # exceed, and the cross search's (need, completions, fills) or None)
-    needs: dict = {}
+    Dropping a row from a crossed class costs at most one added row: one
+    more all-NULL row takes its combination. The rows with one option
+    come first, so after the last of them with a class's value the class
+    gains only rows still to branch, and a path is cut there once the
+    needs of the classes so far closed exceed its all-NULL rows plus the
+    rows still to branch.
+    """
 
-    def join(i: int, value: tuple) -> tuple:
-        classes[value].append(i)
+    def __init__(self, table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+                 needs: dict | None = None):
+        self.table, self.lhs, self.rhs = table, lhs, rhs
+        self.sides = (rhs - lhs, table.all_positions() - lhs - rhs)
+        x_cols = tuple(sorted(lhs))
+        self.positions = x_cols + tuple(sorted(self.sides[0] | self.sides[1]))
+        rows = table.rows
+        self.blank = [i for i, row in enumerate(rows) if all(c is None for c in row)]
+        branching = [i for i, row in enumerate(rows) if any(c is not None for c in row)]
+        self.order, self.options, self.same_as_prev = row_order(
+            table, branching, x_cols, range(table.arity))
+        # sorted class members -> (the need, or the most it was shown to
+        # exceed, and the cross search's (need, completions, fills) or None)
+        self.needs = {} if needs is None else needs
+        self.classes: dict = defaultdict(list)
+        # The rows with one option lead the order. After the last of them
+        # with a class's value, at position p, ``closing[p]`` is that value
+        # and the previous such position (0 before the first).
+        one = next((pos for pos, i in enumerate(self.order) if len(self.options[i]) > 1),
+                   len(self.order))
+        self.later = len(self.order) - one  # the rows that may still join a closed class
+        last = {self.options[i][0]: pos + 1 for pos, i in enumerate(self.order[:one])}
+        self.closing: dict = {}
+        prev = 0
+        for pos in sorted(last.values()):
+            self.closing[pos] = (self.options[self.order[pos - 1]][0], prev)
+            prev = pos
+
+    def extended(self, rows: tuple) -> "MvdAnalysis":
+        """The analysis of the table plus ``rows``, each fresh on the left
+        side and NULL elsewhere. They change no side's domain and the rows
+        keep their indices, so it shares this analysis's class needs."""
+        return MvdAnalysis(self.table.with_rows_added(rows), self.lhs, self.rhs, self.needs)
+
+    def _join(self, i: int, value: tuple) -> tuple:
+        self.classes[value].append(i)
         return value
 
-    def leave(value: tuple) -> None:
-        classes[value].pop()
-        if not classes[value]:
-            del classes[value]
+    def _leave(self, value: tuple) -> None:
+        members = self.classes[value]
+        members.pop()
+        if not members:
+            del self.classes[value]
 
-    def need(members: list, most: float, budget: Budget) -> int | None:
+    def _need(self, members: list, most: float, budget: Budget) -> int | None:
         """The fewest all-NULL rows with which ``members`` cross, or None
         when that is above ``most``."""
         key = tuple(sorted(members))
-        tried, found = needs.get(key, (-1, None))
+        tried, found = self.needs.get(key, (-1, None))
         if found is None and tried < most:
-            found = _CrossSearch(table, key, *sides).least(budget, most + 1)
+            found = _CrossSearch(self.table, key, *self.sides).least(budget, most + 1)
             tried = most if found is None else found[0]
-            needs[key] = (tried, found)
+            self.needs[key] = (tried, found)
         return tried if found is not None and tried <= most else None
 
-    def cells(extra: int) -> dict:
+    def _cells(self, extra: int) -> dict:
         """Each class's all-NULL rows, ``extra`` added ones included, take
         its missing combinations; the rows left over repeat a kept row."""
+        table = self.table
         cells: dict = {}
-        spare = iter(blank + list(range(table.row_count, table.row_count + extra)))
-        for value, members in classes.items():
-            _, completions, fills = needs[tuple(sorted(members))][1]
+        spare = iter(self.blank + list(range(table.row_count, table.row_count + extra)))
+        for value, members in self.classes.items():
+            _, completions, fills = self.needs[tuple(sorted(members))][1]
             for i in members:
                 cells[i] = value + completions[i]
             for fill in fills:
@@ -273,41 +306,73 @@ def _mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
             cells[i] = repeat
         return cells
 
-    def walk(budget: Budget, best: float = 1, max_removed: int = 0, leaf=None,
+    def walk(self, budget: Budget, best: float = 1, max_removed: int = 0, leaf=None,
              floor: int = 0) -> tuple | None:
+        """The least need below ``best`` on an accepted path and the world
+        of that path's kept rows plus that many all-NULL rows, or None;
+        ``max_removed`` and ``leaf`` are those of ``backtrack``. Stops at
+        the first path that needs at most ``floor``."""
+        self.classes.clear()  # an earlier walk leaves the path it accepted
         found = None
+
+        # At each closing position on the current path, the needs of the
+        # classes closed there or before.
+        closed = [0] * (len(self.order) + 1)
+
+        def prune(pos: int) -> bool:
+            if pos not in self.closing:
+                return False
+            value, prev = self.closing[pos]
+            members = self.classes.get(value)
+            left = len(self.blank) + best - 1 + self.later - closed[prev]
+            got = self._need(members, left, budget) if members else 0
+            if got is None or got > left:
+                return True
+            closed[pos] = closed[prev] + got
+            return False
 
         def accept(removed: list) -> bool:
             nonlocal best, found
             spent = 0
-            for members in classes.values():
-                got = need(members, len(blank) + best - 1 - spent, budget)
+            for members in self.classes.values():
+                got = self._need(members, len(self.blank) + best - 1 - spent, budget)
                 if got is None:
                     return False
                 spent += got
             if leaf is not None and not leaf(removed):
                 return False
-            best = max(spent - len(blank), 0)
-            found = cells(best)
+            best = max(spent - len(self.blank), 0)
+            found = self._cells(best)
             return best <= floor
 
-        backtrack(order, options, same_as_prev, budget, join, leave, leaf=accept,
-                  max_removed=max_removed)
+        backtrack(self.order, self.options, self.same_as_prev, budget, self._join, self._leave,
+                  prune=prune, leaf=accept, max_removed=max_removed)
         if found is None:
             return None
+        table = self.table
         extended = table.with_rows_added([(None,) * table.arity] * best) if best else table
-        return best, complete_world(extended, positions, found.__getitem__, sorted(found))
+        return best, complete_world(extended, self.positions, found.__getitem__, sorted(found))
 
-    return walk
+
+def mvd_analysis(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+                 analysis: MvdAnalysis | None) -> MvdAnalysis:
+    """``analysis`` when given, after checking that it is of ``table``,
+    ``lhs`` and ``rhs``; else a new analysis."""
+    if analysis is None:
+        return MvdAnalysis(table, lhs, rhs)
+    if analysis.table is not table or (analysis.lhs, analysis.rhs) != (lhs, rhs):
+        raise ValueError("the spMVD analysis belongs to another table or other sides")
+    return analysis
 
 
 def check_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
-                budget: int | Budget = DEFAULT_BUDGET) -> ConstraintVerdict:
+                budget: int | Budget = DEFAULT_BUDGET,
+                analysis: MvdAnalysis | None = None) -> ConstraintVerdict:
     """Holds iff some strongly possible world satisfies the classical
     multivalued dependency; the full schema matters, not just lhs + rhs.
     The search counts the rows NULL on every column instead of branching
-    them (see ``_mvd_search``)."""
-    found = _mvd_search(table, lhs, rhs)(Budget.of(budget))
+    them (see ``MvdAnalysis``, of ``analysis`` when given)."""
+    found = mvd_analysis(table, lhs, rhs, analysis).walk(Budget.of(budget))
     return ConstraintVerdict(False) if found is None else ConstraintVerdict(True, found[1])
 
 
@@ -389,13 +454,15 @@ def check_spcj_singular(table: IncompleteTable, a: int, b: int,
 
 def g3_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
              budget: int | Budget = DEFAULT_BUDGET,
-             verdict: ConstraintVerdict | None = None) -> MeasureResult:
+             verdict: ConstraintVerdict | None = None,
+             analysis: MvdAnalysis | None = None) -> MeasureResult:
     """Minimum removal ratio by ``smallest_removal``'s deepening: each
-    level removes rows in the check's search over left-side completions."""
+    level removes rows in the check's walk over left-side completions
+    (of ``analysis`` when given)."""
     budget = Budget.of(budget)
-    verdict = check_spmvd(table, lhs, rhs, budget) if verdict is None else verdict
-    walk = _mvd_search(table, lhs, rhs)
-    return smallest_removal(table, 0, lambda m, leaf: walk(budget, 1, m, leaf),
+    analysis = mvd_analysis(table, lhs, rhs, analysis)
+    verdict = check_spmvd(table, lhs, rhs, budget, analysis) if verdict is None else verdict
+    return smallest_removal(table, 0, lambda m, leaf: analysis.walk(budget, 1, m, leaf),
                             lambda sub: check_spmvd(sub, lhs, rhs, budget), verdict)
 
 
@@ -435,7 +502,8 @@ def g3_spcj(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
 
 def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
              budget: int | Budget = DEFAULT_BUDGET,
-             verdict: ConstraintVerdict | None = None) -> MeasureResult:
+             verdict: ConstraintVerdict | None = None,
+             analysis: MvdAnalysis | None = None) -> MeasureResult:
     """Minimum number of added rows, each all-NULL (a combination filler)
     or fresh on the left side and NULL elsewhere (a class escape).
 
@@ -443,18 +511,21 @@ def g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
     repair the table plus j fresh-left rows is the check's walk's least
     need there. g5 is the least j plus that need, for j = 0, 1, ... below
     the best so far; the failed check makes it at least 1, so the walk at
-    j = 0 stops at need 1. Enough all-NULL rows always repair the table.
+    j = 0 (of ``analysis`` when given) stops at need 1. Every j walks with
+    that analysis's class needs. Enough all-NULL rows always repair the
+    table.
     """
     budget = Budget.of(budget)
     n = measure_denominator(table, "g5")
-    verdict = check_spmvd(table, lhs, rhs, budget) if verdict is None else verdict
+    analysis = mvd_analysis(table, lhs, rhs, analysis)
+    verdict = check_spmvd(table, lhs, rhs, budget, analysis) if verdict is None else verdict
     if verdict.holds:
         return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
-    j, need, world = 0, *_mvd_search(table, lhs, rhs)(budget, math.inf, floor=1)
+    j, need, world = 0, *analysis.walk(budget, math.inf, floor=1)
     fresh = fresh_rows(table, lhs, need - 1)
     k = 1
     while k < j + need:
-        found = _mvd_search(table.with_rows_added(fresh[:k]), lhs, rhs)(budget, j + need - k)
+        found = analysis.extended(fresh[:k]).walk(budget, j + need - k)
         if found is not None:
             j, (need, world) = k, found
         k += 1

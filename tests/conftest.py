@@ -1,12 +1,41 @@
 """Shared fixtures: the worked tables used across the test modules."""
 
+import random
+
 import pytest
 
+from spcheck.errors import BudgetExceededError
+from spcheck.search import Budget
 from spcheck.table import IncompleteTable
 
 
 def table(attrs, rows):
     return IncompleteTable.build(attrs, rows)
+
+
+def dependency_draws(count: int, seed: int):
+    """``count`` random tables of 2 to 4 columns and 2 to 20 rows, each
+    with three random dependencies (left side, right side)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        width, n, domain = rng.randint(2, 4), rng.randint(2, 20), rng.randint(1, 4)
+        rate = rng.choice([0.1, 0.2, 0.3, 0.45])
+        t = table([f"A{a}" for a in range(width)],
+                  [tuple(None if rng.random() < rate else str(rng.randint(1, domain))
+                         for _ in range(width)) for _ in range(n)])
+        for _ in range(3):
+            cols = rng.sample(range(width), width)
+            k = rng.randint(1, width - 1)
+            yield t, frozenset(cols[:k]), frozenset(cols[k:k + rng.randint(1, width - k)])
+
+
+def spend(measure, limit: int):
+    """``measure(budget)`` and the nodes it spent, or None on a budget stop."""
+    budget = Budget(limit)
+    try:
+        return measure(budget), budget.spent
+    except BudgetExceededError:
+        return None, budget.spent
 
 
 def assert_removal_witness(t, result, holds):

@@ -1,4 +1,4 @@
-"""Test-side references for the key and spFD engines, and the table
+"""Test-side references for the key, spFD and spMVD engines, and the table
 helpers that only tests use.
 
 The key analysis matches one vertex per distinct key projection, with
@@ -15,11 +15,17 @@ For spFDs, :func:`unsettled_check_spfd`, :func:`unsettled_g3_spfd` and
 left-side completions as options, no cut in the removal levels and the
 conflict-clique floor of :func:`clique_floor`, so every refutation past
 the floor is found by branching.
+
+For spMVDs, :func:`unpruned_check_spmvd`, :func:`unpruned_g3_spmvd` and
+:func:`unpruned_g5_spmvd` build a new walk over left-side completions
+(:func:`unpruned_mvd_search`) for every call and every g5 step, each with
+its own class needs, and cross the classes only at the leaves.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import defaultdict, deque
 from functools import cached_property
 from itertools import product
 from math import prod
@@ -31,7 +37,7 @@ from spcheck.matching import (
     hall_components,
     match_high_degree,
 )
-from spcheck.search import Budget, backtrack, smallest_removal
+from spcheck.search import Budget, backtrack, row_order, smallest_removal
 from spcheck.spfd import _FdSearch, normalize_fd
 from spcheck.spkey import KeyAnalysis as _KeyAnalysis
 from spcheck.spkey import first_total_duplicate
@@ -50,6 +56,7 @@ from spcheck.table import (
     projection,
     projector,
 )
+from spcheck.tuplegen import _CrossSearch
 
 
 def weakly_similar(t1: Row, t2: Row, x: AttributeSet) -> bool:
@@ -345,3 +352,147 @@ def unsettled_g5_spfd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeS
             return MeasureResult("g5", k, n, added_rows=added[:k], witness=SpWorld(
                 verdict.witness.rows, tuple(range(n)) + (None,) * k))
     return MeasureResult("g5", None, n)
+
+
+def unpruned_mvd_search(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet):
+    """The spMVD walk as it was before ``tuplegen.MvdAnalysis``: built
+    anew by every call, with its own class needs, and no cut before the
+    leaves. The search behind the spMVD check, g3 and g5, over left-side
+    completions: the rows imputed one value form a class, and every class
+    must cross its right side with the rest of the schema.
+
+    Rows NULL on every column are counted, not branched, and never
+    removed: one such row can join any class and fill one missing
+    combination there, or repeat any kept row. A class's need is the
+    fewest of them with which it crosses (its cross search's least need,
+    cached with the bound it proved); a path's need is the all-NULL rows
+    its classes need beyond the table's own.
+
+    Returns ``walk(budget, best, max_removed, leaf, floor)``; ``max_removed``
+    and ``leaf`` are those of ``backtrack``. It gives the least need below
+    ``best`` on an accepted path and the world of that path's kept rows
+    plus that many all-NULL rows, or None; it stops at the first path
+    that needs at most ``floor``."""
+    sides = (rhs - lhs, table.all_positions() - lhs - rhs)
+    x_cols = tuple(sorted(lhs))
+    positions = x_cols + tuple(sorted(sides[0] | sides[1]))
+    blank = [i for i, row in enumerate(table.rows) if all(c is None for c in row)]
+    branching = [i for i, row in enumerate(table.rows) if any(c is not None for c in row)]
+    order, options, same_as_prev = row_order(table, branching, x_cols, range(table.arity))
+    classes: dict = defaultdict(list)
+    # sorted class members -> (the need, or the most it was shown to
+    # exceed, and the cross search's (need, completions, fills) or None)
+    needs: dict = {}
+
+    def join(i: int, value: tuple) -> tuple:
+        classes[value].append(i)
+        return value
+
+    def leave(value: tuple) -> None:
+        classes[value].pop()
+        if not classes[value]:
+            del classes[value]
+
+    def need(members: list, most: float, budget: Budget) -> int | None:
+        """The fewest all-NULL rows with which ``members`` cross, or None
+        when that is above ``most``."""
+        key = tuple(sorted(members))
+        tried, found = needs.get(key, (-1, None))
+        if found is None and tried < most:
+            found = _CrossSearch(table, key, *sides).least(budget, most + 1)
+            tried = most if found is None else found[0]
+            needs[key] = (tried, found)
+        return tried if found is not None and tried <= most else None
+
+    def cells(extra: int) -> dict:
+        """Each class's all-NULL rows, ``extra`` added ones included, take
+        its missing combinations; the rows left over repeat a kept row."""
+        cells: dict = {}
+        spare = iter(blank + list(range(table.row_count, table.row_count + extra)))
+        for value, members in classes.items():
+            _, completions, fills = needs[tuple(sorted(members))][1]
+            for i in members:
+                cells[i] = value + completions[i]
+            for fill in fills:
+                cells[next(spare)] = value + fill
+        repeat = next(iter(cells.values()), (None,) * table.arity)
+        for i in spare:
+            cells[i] = repeat
+        return cells
+
+    def walk(budget: Budget, best: float = 1, max_removed: int = 0, leaf=None,
+             floor: int = 0) -> tuple | None:
+        found = None
+
+        def accept(removed: list) -> bool:
+            nonlocal best, found
+            spent = 0
+            for members in classes.values():
+                got = need(members, len(blank) + best - 1 - spent, budget)
+                if got is None:
+                    return False
+                spent += got
+            if leaf is not None and not leaf(removed):
+                return False
+            best = max(spent - len(blank), 0)
+            found = cells(best)
+            return best <= floor
+
+        backtrack(order, options, same_as_prev, budget, join, leave, leaf=accept,
+                  max_removed=max_removed)
+        if found is None:
+            return None
+        extended = table.with_rows_added([(None,) * table.arity] * best) if best else table
+        return best, complete_world(extended, positions, found.__getitem__, sorted(found))
+
+    return walk
+
+
+def unpruned_check_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+                         budget) -> ConstraintVerdict:
+    """Holds iff some strongly possible world satisfies the classical
+    multivalued dependency; the full schema matters, not just lhs + rhs.
+    The search counts the rows NULL on every column instead of branching
+    them (see :func:`unpruned_mvd_search`)."""
+    found = unpruned_mvd_search(table, lhs, rhs)(Budget.of(budget))
+    return ConstraintVerdict(False) if found is None else ConstraintVerdict(True, found[1])
+
+
+def unpruned_g3_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+                      budget) -> MeasureResult:
+    """Minimum removal ratio by ``smallest_removal``'s deepening: each
+    level removes rows in the check's search over left-side completions."""
+    budget = Budget.of(budget)
+    verdict = unpruned_check_spmvd(table, lhs, rhs, budget)
+    walk = unpruned_mvd_search(table, lhs, rhs)
+    return smallest_removal(table, 0, lambda m, leaf: walk(budget, 1, m, leaf),
+                            lambda sub: unpruned_check_spmvd(sub, lhs, rhs, budget), verdict)
+
+
+def unpruned_g5_spmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet,
+                      budget) -> MeasureResult:
+    """Minimum number of added rows, each all-NULL (a combination filler)
+    or fresh on the left side and NULL elsewhere (a class escape).
+
+    All-NULL rows change no active domain, so the fewest of them that
+    repair the table plus j fresh-left rows is the check's walk's least
+    need there. g5 is the least j plus that need, for j = 0, 1, ... below
+    the best so far; the failed check makes it at least 1, so the walk at
+    j = 0 stops at need 1. Enough all-NULL rows always repair the table.
+    """
+    budget = Budget.of(budget)
+    n = measure_denominator(table, "g5")
+    verdict = unpruned_check_spmvd(table, lhs, rhs, budget)
+    if verdict.holds:
+        return MeasureResult("g5", 0, n, added_rows=(), witness=verdict.witness)
+    j, need, world = 0, *unpruned_mvd_search(table, lhs, rhs)(budget, math.inf, floor=1)
+    fresh = fresh_rows(table, lhs, need - 1)
+    k = 1
+    while k < j + need:
+        found = unpruned_mvd_search(table.with_rows_added(fresh[:k]), lhs, rhs)(budget, j + need - k)
+        if found is not None:
+            j, (need, world) = k, found
+        k += 1
+    added = fresh[:j] + ((None,) * table.arity,) * need
+    return MeasureResult("g5", j + need, n, added_rows=added,
+                         witness=SpWorld(world.rows, tuple(range(n)) + (None,) * (j + need)))

@@ -18,7 +18,13 @@ from spcheck.spfd import (
 )
 
 import reference
-from conftest import assert_addition_witness, assert_removal_witness, table
+from conftest import (
+    assert_addition_witness,
+    assert_removal_witness,
+    dependency_draws,
+    spend,
+    table,
+)
 
 X = frozenset({0, 1})
 Y = frozenset({2})
@@ -187,31 +193,6 @@ def test_g3_answers_dep_search_table_6(shuffle):
     assert_addition_witness(t, addition, satisfied, X)
 
 
-def _fd_draws(count: int, seed: int):
-    """``count`` random tables of 2 to 4 columns and 2 to 20 rows, each
-    with three random dependencies (left side, right side)."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        width, n, domain = rng.randint(2, 4), rng.randint(2, 20), rng.randint(1, 4)
-        rate = rng.choice([0.1, 0.2, 0.3, 0.45])
-        t = table([f"A{a}" for a in range(width)],
-                  [tuple(None if rng.random() < rate else str(rng.randint(1, domain))
-                         for _ in range(width)) for _ in range(n)])
-        for _ in range(3):
-            cols = rng.sample(range(width), width)
-            k = rng.randint(1, width - 1)
-            yield t, frozenset(cols[:k]), frozenset(cols[k:k + rng.randint(1, width - k)])
-
-
-def _spend(measure, limit: int):
-    """``measure(budget)`` and the nodes it spent, or None on a budget stop."""
-    budget = Budget(limit)
-    try:
-        return measure(budget), budget.spent
-    except BudgetExceededError:
-        return None, budget.spent
-
-
 def test_settled_search_matches_the_unsettled_reference():
     # The check drops the options the left-side-total rows rule out and
     # g3 cuts a level once forced removals outnumber the removals left;
@@ -219,7 +200,7 @@ def test_settled_search_matches_the_unsettled_reference():
     # reference's, and no call spends more nodes or stops where it
     # answered.
     seen = dict.fromkeys(["check fewer", "g3 fewer", "stop answered", "g5"], 0)
-    for t, x, y in _fd_draws(600, seed=35):
+    for t, x, y in dependency_draws(600, seed=35):
         search = _FdSearch(t, *normalize_fd(x, y))
         assert search.removal_floor() == reference.clique_floor(search)
         pairs = []
@@ -227,7 +208,7 @@ def test_settled_search_matches_the_unsettled_reference():
                              lambda b: reference.unsettled_check_spfd(t, x, y, b)),
                             (lambda b: g3_spfd(t, x, y, b),
                              lambda b: reference.unsettled_g3_spfd(t, x, y, b))):
-            (got, spent), (want, ref_spent) = _spend(engine, 2_000), _spend(ref, 2_000)
+            (got, spent), (want, ref_spent) = spend(engine, 2_000), spend(ref, 2_000)
             assert spent <= ref_spent
             assert got is not None or want is None
             seen["stop answered"] += want is None and got is not None
@@ -242,8 +223,8 @@ def test_settled_search_matches_the_unsettled_reference():
         assert (g3.numerator, g3.removed_rows, g3.witness) == (
             ref_g3.numerator, ref_g3.removed_rows, ref_g3.witness)
         if total_part_satisfies_fd(t, x, y):
-            g5, _ = _spend(lambda b: g5_spfd(t, x, y, b, g3=g3), 2_000)
-            ref_g5, _ = _spend(lambda b: reference.unsettled_g5_spfd(t, x, y, b, ref_g3), 2_000)
+            g5, _ = spend(lambda b: g5_spfd(t, x, y, b, g3=g3), 2_000)
+            ref_g5, _ = spend(lambda b: reference.unsettled_g5_spfd(t, x, y, b, ref_g3), 2_000)
             if ref_g5 is not None:
                 assert g5 is not None
                 assert (g5.numerator, g5.added_rows, g5.witness) == (

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import inf, prod
 
 import pytest
 
 from spcheck.errors import BudgetExceededError
+from spcheck.search import Budget
 from spcheck.oracle import holds, oracle_check
 from spcheck.constraints import SpCj, SpMvd
 from spcheck.generators import random_table
 from spcheck.table import fresh_values
 from spcheck import tuplegen
 from spcheck.tuplegen import (
+    MvdAnalysis,
     check_nmvd,
     check_spcj_general,
     check_spcj_singular,
@@ -21,7 +23,14 @@ from spcheck.tuplegen import (
     g5_spmvd,
 )
 
-from conftest import assert_addition_witness, assert_removal_witness, table
+import reference
+from conftest import (
+    assert_addition_witness,
+    assert_removal_witness,
+    dependency_draws,
+    spend,
+    table,
+)
 from reference import project
 
 X = frozenset({0})
@@ -313,11 +322,93 @@ def test_g5_spmvd_counts_its_all_null_rows():
 def test_g5_spmvd_on_a_24_row_table_fits_a_small_budget():
     # One walk per count of fresh-left rows, each keeping the least
     # all-NULL need: one full check per mix of all-NULL and fresh-left
-    # rows spends 463,955 nodes on this table.
+    # rows spends 463,955 nodes on this table, and one walk per count
+    # that computes its own class needs 84,154. Every count reads the
+    # class needs of the table's own walk.
     t = random_table(24, 3, 5, 0.2, seed=3)
-    res = g5_spmvd(t, X, Y, budget=150_000)
+    res = g5_spmvd(t, X, Y, budget=2_000)
     assert res.fraction_str == "19/24"
     assert_addition_witness(t, res, lambda rows: holds(rows, SpMvd(X, Y), 3), fresh={0})
+
+
+def test_g3_spmvd_on_a_24_row_table_answers_within_its_budget():
+    # With no cut before the leaves, g3 used up the 10M-node default
+    # budget here; given 3e8 nodes, it answers the same set in
+    # 19,936,822. The walk is cut once the classes its one-option rows
+    # close need more all-NULL rows than there are, plus the rows still
+    # to branch.
+    t = random_table(24, 3, 5, 0.2, seed=3)
+    res = g3_spmvd(t, X, Y, budget=200_000)
+    assert (res.fraction_str, res.removed_rows) == ("7/24", (1, 3, 8, 11, 14, 18, 20))
+    assert_removal_witness(t, res, lambda rows: holds(rows, SpMvd(X, Y), 3))
+
+
+def test_pruned_walk_matches_the_unpruned_reference():
+    # One analysis serves the check, g3 and g5, as in the CLI; the walk
+    # is cut where the closed classes need too many rows, and the g5
+    # steps share the class needs. The branching order is the
+    # reference's, so every answer the reference gives is the same, with
+    # the same witness, removed rows and added rows.
+    spent = {name: [0, 0] for name in ("check", "g3", "g5")}
+    stops_answered = 0
+    for t, x, y in dependency_draws(200, seed=37):
+        analysis = MvdAnalysis(t, x, y)
+        verdict = None
+        for name, engine, ref in (
+                ("check", lambda b: check_spmvd(t, x, y, b, analysis), reference.unpruned_check_spmvd),
+                ("g3", lambda b: g3_spmvd(t, x, y, b, verdict, analysis), reference.unpruned_g3_spmvd),
+                ("g5", lambda b: g5_spmvd(t, x, y, b, verdict, analysis), reference.unpruned_g5_spmvd)):
+            (got, nodes), (want, ref_nodes) = spend(engine, 2_000), spend(
+                lambda b: ref(t, x, y, b), 2_000)
+            spent[name][0] += nodes
+            spent[name][1] += ref_nodes
+            stops_answered += want is None and got is not None
+            assert got is not None or want is None, (t.rows, x, y, name)
+            if name == "check":
+                verdict = got
+                if got is None:
+                    break
+                if want is not None:
+                    assert (got.holds, got.witness) == (want.holds, want.witness)
+            elif want is not None:
+                assert (got.numerator, got.removed_rows, got.added_rows, got.witness) == (
+                    want.numerator, want.removed_rows, want.added_rows, want.witness)
+    print("nodes (walk, reference):", spent, "stops answered:", stops_answered)
+    assert stops_answered >= 1
+    assert spent["g3"][0] < spent["g3"][1] and spent["g5"][0] < spent["g5"][1]
+
+
+def test_a_class_need_drops_by_at_most_one_per_row():
+    # need(M) <= need(M + {r}) + 1: one more all-NULL row takes r's
+    # combination. The walk's cut before the leaves rests on it.
+    rng = random.Random(5)
+    tight = 0
+    for t, x, y in dependency_draws(100, seed=38):
+        sides = (y - x, t.all_positions() - x - y)
+        need = lambda members: tuplegen._CrossSearch(t, sorted(members), *sides).least(
+            Budget(10**6), inf)[0]
+        for _ in range(3 if t.row_count > 1 else 0):
+            rows = rng.sample(range(t.row_count), rng.randint(2, t.row_count))
+            with_r, without_r = need(rows), need(rows[1:])
+            assert without_r <= with_r + 1
+            tight += without_r == with_r + 1
+    assert tight >= 10
+
+
+def test_an_spmvd_analysis_serves_only_its_own_table_and_sides():
+    t = random_table(12, 3, 3, 0.2, seed=7)
+    analysis = MvdAnalysis(t, X, Y)
+    for other, lhs, rhs in ((random_table(12, 3, 3, 0.2, seed=8), X, Y),
+                            (t.with_rows_removed([0]), X, Y), (t, Y, X), (t, X, frozenset({2}))):
+        for call in (check_spmvd, g3_spmvd, g5_spmvd):
+            with pytest.raises(ValueError, match="another table or other sides"):
+                call(other, lhs, rhs, analysis=analysis)
+    # One analysis for the check, g3 and g5 answers as three fresh calls.
+    for seed in range(20):
+        t = random_table(10, 3, 3, 0.25, seed=seed)
+        analysis = MvdAnalysis(t, X, Y)
+        shared = [f(t, X, Y, analysis=analysis) for f in (check_spmvd, g3_spmvd, g5_spmvd)]
+        assert shared == [f(t, X, Y) for f in (check_spmvd, g3_spmvd, g5_spmvd)]
 
 
 def _ladder_g5(t, lhs, rhs):
