@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import re
 import sys
@@ -62,43 +63,54 @@ ORACLE_MAX_WORLDS = 1_000_000
 # Ingestion
 
 
+_TABLES_KEPT = 2
+_tables: dict = {}  # (bytes, null_token, has_header) -> table, oldest first
+
+
 def load_csv(path, null_token: str = "", has_header: bool = True) -> IncompleteTable:
     """Read a rectangular CSV; cells equal to ``null_token`` become NULL,
     every other cell is taken verbatim (no trimming) and interned.
 
-    One pass: each record's fields join one flat list as it is read, so
-    no record outlives its line, and the rows are cut from that list at
-    the end, each distinct cell text mapped once. A file that is not
-    UTF-8, that ``csv`` cannot parse, or whose first line has no fields
-    is a ``TableLoadError``."""
+    The bytes are read on every call; the tables of the last
+    ``_TABLES_KEPT`` distinct (bytes, null token, header flag) are kept
+    and returned again unparsed, so a file rewritten in place is never
+    answered from its old table. Only in-process callers gain: a one-shot
+    ``spcheck`` run parses once. A parse joins the records' fields to one
+    flat list, then cuts the rows from it, each distinct cell text mapped
+    once. A file that is not UTF-8, that ``csv`` cannot parse, or whose
+    first line has no fields is a ``TableLoadError``."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            first = next(reader, None)
-            if first is None:
-                raise TableLoadError(f"{path}: empty file")
-            if not first:
-                raise TableLoadError(f"{path}: no columns (the first line is blank)")
-            if has_header:
-                header, cells = first, []
-                if len(set(header)) != len(header):
-                    raise TableLoadError(f"{path}: duplicate header names")
-                if not all(header):
-                    raise TableLoadError(f"{path}: empty header name")
-            else:
-                header, cells = [f"A{i + 1}" for i in range(len(first))], first
-            arity = len(header)
-            for lineno, record in enumerate(reader, start=2):
-                if len(record) != arity:
-                    if record or arity != 1:
-                        raise TableLoadError(
-                            f"{path}: row {lineno} has {len(record)} fields, expected {arity}")
-                    record = [""]  # a blank line is one empty field
-                cells += record
+        key = (Path(path).read_bytes(), null_token, has_header)
+        if (table := _tables.get(key)) is not None:
+            return table
+        reader = csv.reader(io.StringIO(key[0].decode("utf-8-sig"), newline=""))
+        first = next(reader, None)
+        if first is None:
+            raise TableLoadError(f"{path}: empty file")
+        if not first:
+            raise TableLoadError(f"{path}: no columns (the first line is blank)")
+        if has_header:
+            header, cells = first, []
+            if len(set(header)) != len(header):
+                raise TableLoadError(f"{path}: duplicate header names")
+            if not all(header):
+                raise TableLoadError(f"{path}: empty header name")
+        else:
+            header, cells = [f"A{i + 1}" for i in range(len(first))], first
+        arity = len(header)
+        for lineno, record in enumerate(reader, start=2):
+            if len(record) != arity:
+                if record or arity != 1:
+                    raise TableLoadError(
+                        f"{path}: row {lineno} has {len(record)} fields, expected {arity}")
+                record = [""]  # a blank line is one empty field
+            cells += record
     except OSError as err:
         raise TableLoadError(f"cannot read {path}: {err}") from err
-    except UnicodeDecodeError:
-        raise TableLoadError(f"{path}: {_not_utf8(path)}") from None
+    except UnicodeDecodeError as err:
+        # Lines end in \n, \r\n or \r, as csv counts them; none is inside a character.
+        line = len((err.object[:err.start] + b".").splitlines())
+        raise TableLoadError(f"{path}: line {line}: not UTF-8 text ({err.reason})") from None
     except csv.Error as err:
         raise TableLoadError(f"{path}: line {reader.line_num}: {err}") from None
     memo = {text: sys.intern(text) for text in set(cells)}
@@ -106,22 +118,10 @@ def load_csv(path, null_token: str = "", has_header: bool = True) -> IncompleteT
     # zip draws from one iterator arity times, so each row takes the
     # next arity cells.
     rows = tuple(zip(*[map(memo.__getitem__, cells)] * arity))
-    return IncompleteTable(Schema(tuple(header)), rows, null_token)
-
-
-def _not_utf8(path) -> str:
-    """Where a file stops being UTF-8: the physical line, as ``csv``
-    counts them (each ended by ``\\n``, ``\\r\\n`` or ``\\r``), of the first
-    byte that does not decode. The text reader decodes a chunk ahead of
-    ``csv``, so the bytes are read again. A line break is ASCII and so
-    never inside a character."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line = len((data[:err.start] + b".").splitlines())
-        return f"line {line}: not UTF-8 text ({err.reason})"
-    return "not UTF-8 text"  # changed on disk since it was read
+    _tables[key] = table = IncompleteTable(Schema(tuple(header)), rows, null_token)
+    for old in list(_tables)[:-_TABLES_KEPT]:  # each step one dict operation: threads need no lock
+        _tables.pop(old, None)
+    return table
 
 
 def write_csv(table: IncompleteTable, path) -> None:

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -192,7 +193,13 @@ def test_load_csv_matches_the_per_cell_loader(tmp_path):
      "line 3002: not UTF-8 text (invalid continuation byte)"),
     (b'a,b\n1,"' + b"x" * 140_000 + b'"\n', "line 2: field larger than field limit"),
     (b"\n\n", "no columns"),
-], ids=["not-utf8", "not-utf8-past-the-first-chunk", "oversized-field", "blank-first-line"])
+    # The decoder strips the mark and counts from the byte after it.
+    (b"\xef\xbb\xbfa\n\xff\n", "line 2: not UTF-8 text (invalid start byte)"),
+    # The whole file is decoded before any row is read, so the byte is
+    # named even past a ragged row.
+    (b"a,b\n1\n" + b"2,2\n" * 4000 + b"3,\xff\n", "line 4003: not UTF-8 text (invalid start byte)"),
+], ids=["not-utf8", "not-utf8-past-the-first-chunk", "oversized-field", "blank-first-line",
+        "not-utf8-after-a-byte-order-mark", "not-utf8-after-a-ragged-row"])
 def test_a_malformed_csv_is_a_usage_error(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"
     path.write_bytes(content)
@@ -201,6 +208,100 @@ def test_a_malformed_csv_is_a_usage_error(tmp_path, capsys, content, message):
     assert err.startswith(f"error: {path}: ") and message in err
     assert "Traceback" not in err
 
+
+def test_load_csv_returns_the_kept_table_for_the_same_bytes(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x,y\n1,2\n3,\n")
+    b.write_bytes(a.read_bytes())
+    first = load_csv(a)
+    assert load_csv(a) is first
+    assert load_csv(b) is first  # the key is the content, not the path
+
+
+def test_load_csv_reads_a_same_size_rewrite_with_the_old_times(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y\n1,2\n3,4\n")
+    assert load_csv(path).rows == (("1", "2"), ("3", "4"))
+    times = os.stat(path)
+    with open(path, "r+") as fh:  # in place: same inode, same size
+        fh.write("x,y\n5,6\n7,8\n")
+    os.utime(path, ns=(times.st_atime_ns, times.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+        times.st_size, times.st_mtime_ns, times.st_ino)
+    assert load_csv(path).rows == (("5", "6"), ("7", "8"))
+
+
+def test_load_csv_keeps_a_table_per_null_token_and_header_flag(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("NA,1\n2,NA\n")
+    plain = load_csv(path)
+    na = load_csv(path, null_token="NA")
+    headless = load_csv(path, has_header=False)
+    assert plain.rows == (("2", "NA"),)
+    assert na.rows == (("2", None),)
+    assert headless.rows == (("NA", "1"), ("2", "NA"))
+    assert len({id(plain), id(na), id(headless)}) == 3
+    assert load_csv(path, has_header=False) is headless
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"a,b\n1,2\n3\n", "row 3 has 1 fields, expected 2"),
+    (b"a,b\n1,\xff\n", "line 2: not UTF-8 text (invalid start byte)"),
+], ids=["ragged-row", "not-utf8"])
+def test_load_csv_keeps_no_failed_load(tmp_path, content, message):
+    kept = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"{name}\n1\n")
+        kept.append((path, load_csv(path)))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    for _ in range(3):
+        with pytest.raises(TableLoadError) as err:
+            load_csv(bad)
+        assert str(err.value) == f"{bad}: {message}"
+    assert all(load_csv(path) is table for path, table in kept)
+
+
+def test_load_csv_keeps_the_last_two_tables(tmp_path):
+    paths = [tmp_path / f"{n}.csv" for n in range(3)]
+    for n, path in enumerate(paths):
+        path.write_text(f"a\n{n}\n")
+    first, second, third = map(load_csv, paths)
+    assert load_csv(paths[2]) is third and load_csv(paths[1]) is second
+    again = load_csv(paths[0])
+    assert again is not first and again == first
+    assert load_csv(paths[2]) is third  # the oldest, second, went instead
+    assert load_csv(paths[1]) is not second
+
+
+def test_load_csv_from_threads_keeps_its_answers_and_its_bound(tmp_path):
+    paths = [tmp_path / f"{n}.csv" for n in range(3)]
+    for n, path in enumerate(paths):
+        path.write_text(f"a\n{n}\n")
+    failures = []
+
+    def load(offset):
+        try:
+            for i in range(3000):
+                n = (i + offset) % 3
+                assert load_csv(paths[n]).rows == ((str(n),),)
+        except Exception as err:  # reported by the main thread
+            failures.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == [] and len(cli._tables) <= 2
 
 SCHEMA = Schema(("X1", "X2", "Y", "TeacherID", "CourseID"))
 

@@ -7,7 +7,12 @@ oracle's instance size:
 - neither does a permutation of the rows;
 - ``spmvd(∅ ->> Y)`` has the check, g3 and g5 of ``spcj(Y x rest)``: with
   no left side, a fresh-left row is an all-NULL row. The constraint
-  grammar has no empty side, so this one is built through the API.
+  grammar has no empty side, so this one is built through the API;
+- a wider key or left side is no harder to repair: if K ⊆ K′, g3 of
+  ``spkey(K′)`` is at most g3 of ``spkey(K)``, and if X ⊆ X′, g3 of
+  ``spfd(X′ -> Y)`` is at most g3 of ``spfd(X -> Y)``, since a world of
+  the kept rows that satisfies the narrower constraint satisfies the
+  wider one. So the narrower g3's removal set must pass the wider check.
 
 Every engine call has a node budget. A value that the budget stops is
 counted and printed, and compared on neither side; no draw is redrawn or
@@ -15,6 +20,7 @@ shrunk because of one.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +29,8 @@ from spcheck.constraints import Nmvd, SpCj, SpFd, SpKey, SpMvd
 from spcheck.table import IncompleteTable
 
 OPTIONS = RunOptions(measures=("g3", "g5"), budget=10_000)
+G3 = RunOptions(measures=("g3",), budget=10_000)
+CHECK = RunOptions(measures=(), budget=10_000)
 DRAWS = 10
 
 
@@ -108,3 +116,55 @@ def test_an_mvd_with_no_left_side_is_a_cross_join(seed):
     rhs = frozenset(rng.sample(range(t.arity), rng.randint(1, t.arity - 1)))
     rest = frozenset(range(t.arity)) - rhs
     _assert_same(t, [SpMvd(frozenset(), rhs)], t, [SpCj(rhs, rest)])
+
+
+def _assert_no_harder(t, pairs):
+    """For each (narrow, wide) pair of constraints, where every world that
+    satisfies narrow satisfies wide: g3 of wide is at most g3 of narrow,
+    and wide holds on the rows that narrow's g3 witness keeps."""
+    constraints = list(dict.fromkeys(c for pair in pairs for c in pair))
+    g3, stops = {}, 0
+    for c, entry in zip(constraints, run(t, constraints, G3)["constraints"]):
+        if entry["error"] is None:
+            g3[c] = entry["measures"]["g3"]
+        else:
+            assert entry["error"].startswith("budget exceeded"), entry["error"]
+            stops += 1
+    for narrow, wide in pairs:
+        if narrow not in g3:
+            continue
+        if wide in g3:
+            assert g3[wide]["count"] <= g3[narrow]["count"], (narrow, wide)
+        removed = g3[narrow]["removed_rows"]
+        [entry] = run(t.with_rows_removed(removed), [wide], CHECK)["constraints"]
+        if entry["error"] is None:
+            assert entry["holds"], (narrow, wide, removed)
+        else:
+            assert entry["error"].startswith("budget exceeded"), entry["error"]
+            stops += 1
+    print(f"{stops} budget stop(s) over {len(constraints)} g3 and {len(pairs)} check entries")
+
+
+def _widenings(attrs):
+    """Every non-empty proper subset of ``attrs`` with each subset one
+    attribute wider."""
+    return [(frozenset(k), frozenset(k) | {a})
+            for size in range(1, len(attrs))
+            for k in combinations(attrs, size)
+            for a in attrs if a not in k]
+
+
+@pytest.mark.parametrize("seed", range(DRAWS))
+def test_a_wider_key_has_no_larger_g3(seed):
+    _, t = _draw(seed)
+    _assert_no_harder(t, [(SpKey(k), SpKey(wide)) for k, wide in _widenings(range(t.arity))])
+
+
+@pytest.mark.parametrize("seed", range(DRAWS))
+def test_a_wider_left_side_has_no_larger_fd_g3(seed):
+    rng, t = _draw(seed)
+    # A drawn right side of one attribute, the left sides from the rest (no
+    # pair on a two-column table).
+    y = rng.randrange(t.arity)
+    _assert_no_harder(t, [(SpFd(x, frozenset({y})), SpFd(wide, frozenset({y})))
+                          for x, wide in _widenings([a for a in range(t.arity) if a != y])])
