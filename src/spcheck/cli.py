@@ -248,10 +248,27 @@ def _engines(c: Constraint) -> _Engines:
         raise TypeError(f"unsupported constraint {type(c).__name__}") from None
 
 
+class _PlainRows(list):
+    """A non-empty world of non-empty rows whose every cell is a str that
+    JSON writes as itself in quotes: ``_dump`` joins each row's cells."""
+
+    __slots__ = ()
+
+
 def _rows_json(rows) -> list:
-    """Rows as lists, the reserved symbol written as "ssymb"."""
-    return [["ssymb" if c is SSYMB else c for c in row] if SSYMB in row else list(row)
-            for row in rows]
+    """Rows as lists, the reserved symbol written as "ssymb"; a world of
+    plain strings keeps its rows, as a ``_PlainRows``."""
+    distinct = set(chain.from_iterable(rows))
+    if SSYMB in distinct:
+        return [["ssymb" if c is SSYMB else c for c in row] if SSYMB in row else list(row)
+                for row in rows]
+    cells = list(distinct)
+    # Escaping only lengthens a string, so the one encoding equals the
+    # plain join exactly when no cell is escaped (and never when empty).
+    if (_STR.issuperset(map(type, cells)) and all(rows)
+            and _encode_flat(cells) == '["' + '"\x01"'.join(cells) + '"]'):
+        return _PlainRows(rows)
+    return [list(row) for row in rows]
 
 
 def _measure_json(result: MeasureResult) -> dict:
@@ -311,6 +328,8 @@ def run(table: IncompleteTable, constraints, options: RunOptions = RunOptions())
     A budget error ends its constraint entry; a measure that is undefined
     on the table or for the entry's kind is recorded under its name. The
     run continues for the remaining measures and specifications.
+    A world whose cells are all plain strings keeps the engine's row
+    tuples, which ``json`` writes as lists.
     """
     report = {
         "table": {
@@ -404,7 +423,7 @@ def _dump(obj, indent: str, write) -> None:
     """Write the text of ``json.dumps(obj, indent=2)``, nested at
     ``indent``, through ``write``: dicts and mixed lists are walked here,
     a list of scalars or a non-empty list of non-empty lists of scalars
-    is encoded in one C call."""
+    is encoded in one C call, and a ``_PlainRows`` world is joined."""
     kind = type(obj)
     if kind is str or kind is float:
         write(_encode_flat(obj))
@@ -435,6 +454,17 @@ def _dump(obj, indent: str, write) -> None:
                 _dump(item, inner, write)
                 sep = ",\n" + inner
         write("\n" + indent + "]")
+    elif kind is _PlainRows:
+        inner = indent + "  "
+        cell = inner + "  "
+        csep = '",\n' + cell + '"'
+        rsep = '"\n' + inner + "],\n" + inner + "[\n" + cell + '"'
+        sep = "[\n" + inner + "[\n" + cell + '"'
+        for start in range(0, len(obj), 1024):  # bounds the text held at once
+            write(sep)
+            write(rsep.join(map(csep.join, obj[start:start + 1024])))
+            sep = rsep
+        write('"\n' + inner + "]\n" + indent + "]")
     elif kind is dict and obj and _STR.issuperset(map(type, obj)):
         inner = indent + "  "
         sep = "{\n" + inner

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
+from itertools import compress, product, repeat
+from operator import contains, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 AttributeSet = frozenset[int]
@@ -181,21 +181,17 @@ def complete_world(table: IncompleteTable, positions: Sequence[int] = (),
     """
     fill = tuple(d[0] for d in table.active_domains())
     picked = range(table.row_count) if rows is None else rows
-    completed = []
-    for i in picked:
-        row = table.rows[i]
-        if None not in row:
-            completed.append(row)
-            continue
-        cells = list(row)
+    completed = list(map(table.rows.__getitem__, picked))
+    for k in compress(range(len(completed)), map(contains, completed, repeat(None))):
+        cells = list(completed[k])
         if values is not None:
-            for a, v in zip(positions, values(i)):
+            for a, v in zip(positions, values(picked[k])):
                 if v is not None:
                     cells[a] = v
         for a, c in enumerate(cells):
             if c is None:
                 cells[a] = fill[a]
-        completed.append(tuple(cells))
+        completed[k] = tuple(cells)
     return SpWorld(tuple(completed), tuple(picked))
 
 

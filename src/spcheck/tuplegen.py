@@ -48,8 +48,7 @@ from .table import (
     SpWorld,
     complete_world,
     fresh_rows,
-    is_total,
-    projection,
+    projector,
 )
 
 
@@ -380,26 +379,20 @@ def check_nmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> 
     """Lien's null multivalued dependency, evaluated directly on the
     incomplete table: for every two distinct lhs-total rows agreeing on
     the left side, the two swapped tuples must occur verbatim, NULLs
-    matching nothing."""
-    xy = lhs | rhs
-    xr = lhs | (table.all_positions() - rhs)
-    rows = table.rows
-    totals = [i for i, r in enumerate(rows) if is_total(r, lhs)]
-    for i in totals:
-        for j in totals:
-            if i == j:
-                continue
-            if projection(rows[i], lhs) != projection(rows[j], lhs):
-                continue
-            want_xy = projection(rows[i], xy)
-            want_xr = projection(rows[j], xr)
-            if None in want_xy or None in want_xr:
-                return False
-            if not any(
-                projection(t, xy) == want_xy and projection(t, xr) == want_xr
-                for t in rows
-            ):
-                return False
+    matching nothing. So a group of two or more rows with one total left
+    side holds exactly when every member is total and its distinct rows
+    cross its distinct right-side and rest parts; a lone row asks nothing."""
+    on_x, on_y = projector(lhs), projector(rhs - lhs)
+    on_rest = projector(table.all_positions() - lhs - rhs)
+    groups = defaultdict(list)
+    for row in table.rows:
+        x = on_x(row)
+        if None not in x:
+            groups[x].append(row)
+    for g in groups.values():
+        if len(g) > 1 and (any(None in r for r in g)
+                           or len(set(g)) != len(set(map(on_y, g))) * len(set(map(on_rest, g)))):
+            return False
     return True
 
 

@@ -20,6 +20,10 @@ For spMVDs, :func:`unpruned_check_spmvd`, :func:`unpruned_g3_spmvd` and
 :func:`unpruned_g5_spmvd` build a new walk over left-side completions
 (:func:`unpruned_mvd_search`) for every call and every g5 step, each with
 its own class needs, and cross the classes only at the leaves.
+
+:func:`stepped_complete_world` completes a world one picked row at a
+time, and :func:`pairwise_check_nmvd` tests Lien's NMVD on every ordered
+pair of left-side-total rows against every row.
 """
 
 from __future__ import annotations
@@ -68,6 +72,55 @@ def weakly_similar(t1: Row, t2: Row, x: AttributeSet) -> bool:
             continue
         if v1 != v2:
             return False
+    return True
+
+
+def stepped_complete_world(table: IncompleteTable, positions=(), values=None,
+                           rows=None) -> SpWorld:
+    """``complete_world`` one picked row at a time."""
+    fill = tuple(d[0] for d in table.active_domains())
+    picked = range(table.row_count) if rows is None else rows
+    completed = []
+    for i in picked:
+        row = table.rows[i]
+        if None not in row:
+            completed.append(row)
+            continue
+        cells = list(row)
+        if values is not None:
+            for a, v in zip(positions, values(i)):
+                if v is not None:
+                    cells[a] = v
+        for a, c in enumerate(cells):
+            if c is None:
+                cells[a] = fill[a]
+        completed.append(tuple(cells))
+    return SpWorld(tuple(completed), tuple(picked))
+
+
+def pairwise_check_nmvd(table: IncompleteTable, lhs: AttributeSet, rhs: AttributeSet) -> bool:
+    """``check_nmvd`` by its definition: for every two distinct
+    lhs-total rows agreeing on the left side, the two swapped tuples must
+    occur verbatim, NULLs matching nothing."""
+    xy = lhs | rhs
+    xr = lhs | (table.all_positions() - rhs)
+    rows = table.rows
+    totals = [i for i, r in enumerate(rows) if is_total(r, lhs)]
+    for i in totals:
+        for j in totals:
+            if i == j:
+                continue
+            if projection(rows[i], lhs) != projection(rows[j], lhs):
+                continue
+            want_xy = projection(rows[i], xy)
+            want_xr = projection(rows[j], xr)
+            if None in want_xy or None in want_xr:
+                return False
+            if not any(
+                projection(t, xy) == want_xy and projection(t, xr) == want_xr
+                for t in rows
+            ):
+                return False
     return True
 
 

@@ -13,12 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spcheck import cli, oracle, spfd, spkey, tuplegen
 from spcheck.cli import (
     RunOptions,
+    _rows_json,
     _write_json,
     load_csv,
     main,
@@ -29,7 +30,7 @@ from spcheck.cli import (
 from spcheck.constraints import Nmvd, SpCj, SpFd, SpKey, SpMvd
 from spcheck.errors import ConstraintParseError, OracleGapError, PreconditionError, TableLoadError
 from spcheck.oracle import holds
-from spcheck.table import IncompleteTable, Schema
+from spcheck.table import SSYMB, IncompleteTable, Schema
 
 TABLE4_CSV = "a,b\n,1\n2,\n2,\n2,2\n"
 
@@ -679,6 +680,31 @@ def test_write_json_falls_back_for_non_str_keys(tmp_path):
     path = tmp_path / "r.json"
     _write_json(obj, path)
     assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
+
+
+_DIGITS = st.integers(0, 999).map(str)
+_WORLD_CELL = st.one_of(_DIGITS, st.sampled_from([SSYMB, "", "é", '"', "\\", "\x01", "]\x01["]))
+
+
+@st.composite
+def _worlds(draw):
+    """0 to 6 rows of one width, in about half the worlds all digit strings."""
+    cell = draw(st.sampled_from([_DIGITS, _WORLD_CELL]))
+    return draw(st.lists(st.tuples(*[cell] * draw(st.integers(1, 4))), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_worlds())
+@example(rows=[(str(i), "7") for i in range(2500)])  # more rows than one write takes
+def test_rows_json_writes_a_world_as_json_dumps(tmp_path_factory, rows):
+    want = [["ssymb" if c is SSYMB else c for c in row] for row in rows]
+    got = _rows_json(rows)
+    assert [list(row) for row in got] == want
+    if rows and all(c.isdigit() for row in want for c in row):
+        assert type(got) is cli._PlainRows
+    path = tmp_path_factory.getbasetemp() / "world.json"
+    _write_json({"w": got}, path)
+    assert path.read_text(encoding="utf-8") == json.dumps({"w": want}, indent=2) + "\n"
 
 
 def test_cli_json_report_is_indented_ascii_json(tmp_path):

@@ -5,6 +5,9 @@ oracle's instance size:
 - a bijective renaming of each column's values changes no check verdict
   and no g3 or g5 numerator;
 - neither does a permutation of the rows;
+- nor, for keys, FDs and cross joins, a column appended outside the
+  constraint, with values and NULLs (an MVD's rest is every other
+  column, so none is outside it);
 - ``spmvd(∅ ->> Y)`` has the check, g3 and g5 of ``spcj(Y x rest)``: with
   no left side, a fresh-left row is an all-NULL row. The constraint
   grammar has no empty side, so this one is built through the API;
@@ -29,6 +32,7 @@ from spcheck.constraints import Nmvd, SpCj, SpFd, SpKey, SpMvd
 from spcheck.table import IncompleteTable
 
 OPTIONS = RunOptions(measures=("g3", "g5"), budget=10_000)
+KEY_MEASURES = RunOptions(measures=("g3", "g4", "g5"), budget=10_000)
 G3 = RunOptions(measures=("g3",), budget=10_000)
 CHECK = RunOptions(measures=(), budget=10_000)
 DRAWS = 10
@@ -60,13 +64,13 @@ def _constraints(rng, cols: int) -> list:
     return [SpKey(key)] + [kind(*_sides(rng, cols)) for kind in (SpFd, SpMvd, SpCj, Nmvd)]
 
 
-def _answers(table, constraints):
+def _answers(table, constraints, options):
     """Per constraint, what the engines answered: the verdict under
-    "check", and the g3 and g5 numerators (None where undefined), with
+    "check", and each measure's numerator (None where undefined), with
     a value that the budget stopped left out; and the number of entries
     that the budget stopped."""
     answers, stops = [], 0
-    for entry in run(table, constraints, OPTIONS)["constraints"]:
+    for entry in run(table, constraints, options)["constraints"]:
         found = {} if "holds" not in entry else {"check": entry["holds"]}
         for name, measure in entry.get("measures", {}).items():
             found[name] = measure.get("count")
@@ -77,9 +81,9 @@ def _answers(table, constraints):
     return answers, stops
 
 
-def _assert_same(table, constraints, other, other_constraints):
-    want, stops = _answers(table, constraints)
-    got, other_stops = _answers(other, other_constraints)
+def _assert_same(table, constraints, other, other_constraints, options=OPTIONS):
+    want, stops = _answers(table, constraints, options)
+    got, other_stops = _answers(other, other_constraints, options)
     for c, a, b in zip(constraints, want, got):
         shared = a.keys() & b.keys()
         assert {k: a[k] for k in shared} == {k: b[k] for k in shared}, c
@@ -116,6 +120,17 @@ def test_an_mvd_with_no_left_side_is_a_cross_join(seed):
     rhs = frozenset(rng.sample(range(t.arity), rng.randint(1, t.arity - 1)))
     rest = frozenset(range(t.arity)) - rhs
     _assert_same(t, [SpMvd(frozenset(), rhs)], t, [SpCj(rhs, rest)])
+
+
+@pytest.mark.parametrize("seed", range(DRAWS))
+def test_a_column_outside_the_constraint_changes_no_answer(seed):
+    rng, t = _draw(seed)
+    cells = [None if rng.random() < 0.3 else str(rng.randint(1, 5)) for _ in t.rows]
+    wider = IncompleteTable.build(t.schema.attributes + ("C",),
+                                  [row + (c,) for row, c in zip(t.rows, cells)])
+    constraints = [c for c in _constraints(rng, t.arity) if type(c) in (SpKey, SpFd, SpCj)]
+    # g4 is defined for keys only; the others answer it as undefined on both sides.
+    _assert_same(t, constraints, wider, constraints, KEY_MEASURES)
 
 
 def _assert_no_harder(t, pairs):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from spcheck.table import (
 )
 
 from conftest import table
-from reference import project, weakly_similar
+from reference import project, stepped_complete_world, weakly_similar
 
 
 def test_schema_rejects_duplicates_and_empty_names():
@@ -155,3 +157,33 @@ def test_a_world_fills_only_the_rows_with_a_null():
     assert world.rows == (("3", "2"), ("3", "2"), ("1", "2"))
     assert world.origin == (2, 1, 0)
     assert world.rows[2] is t.rows[0]
+
+
+def test_complete_world_matches_the_stepped_reference():
+    # Row subsets in any order, values with None cells, and a column left
+    # all-NULL, which fills with the reserved symbol.
+    rng = random.Random(41)
+    filled = 0
+    for _ in range(400):
+        cols = rng.randint(1, 4)
+        rows = [tuple(None if rng.random() < 0.4 else str(rng.randint(1, 3)) for _ in range(cols))
+                for _ in range(rng.randint(1, 10))]
+        if rng.random() < 0.3:
+            a = rng.randrange(cols)
+            rows = [r[:a] + (None,) + r[a + 1:] for r in rows]
+        t = table([f"A{a}" for a in range(cols)], rows)
+        positions = sorted(rng.sample(range(cols), rng.randint(0, cols)))
+        given = rng.choice([None, [tuple(rng.choice([None, "1", "9"]) for _ in positions)
+                                   for _ in rows]])
+        picked = rng.choice([None, rng.sample(range(len(rows)), rng.randint(0, len(rows)))])
+        calls = ([], [])
+
+        def logged(log):
+            return None if given is None else lambda i: log.append(i) or given[i]
+
+        worlds = [complete(t, positions, logged(log), picked)
+                  for complete, log in zip((complete_world, stepped_complete_world), calls)]
+        assert worlds[0] == worlds[1], (rows, positions, picked)
+        assert calls[0] == calls[1]
+        filled += any(SSYMB in r for r in worlds[0].rows)
+    assert filled

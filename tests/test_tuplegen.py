@@ -57,6 +57,25 @@ def test_nmvd_total_table_with_classical_mvd():
     assert check_nmvd(t, X, Y)
 
 
+def test_check_nmvd_matches_the_pairwise_reference():
+    # Repeated rows, NULLs anywhere, and right sides inside the left side.
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(600):
+        cols, domain = rng.randint(2, 4), rng.randint(1, 3)
+        null_rate = rng.choice([0.0, 0.1, 0.3])
+        rows = [tuple(None if rng.random() < null_rate else str(rng.randint(1, domain))
+                      for _ in range(cols)) for _ in range(rng.randint(1, 8))]
+        t = table([f"A{a}" for a in range(cols)], rows + rng.choices(rows, k=rng.randint(0, 3)))
+        lhs = frozenset(rng.sample(range(cols), rng.randint(1, cols)))
+        pool = sorted(lhs) if rng.random() < 0.2 else range(cols)
+        rhs = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+        verdict = check_nmvd(t, lhs, rhs)
+        assert verdict == reference.pairwise_check_nmvd(t, lhs, rhs), (rows, lhs, rhs)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_mvd_witness_replays(fig1_tables):
     a, b, _ = fig1_tables
     for t in (a, b):
