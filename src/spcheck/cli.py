@@ -328,8 +328,9 @@ def run(table: IncompleteTable, constraints, options: RunOptions = RunOptions())
     A budget error ends its constraint entry; a measure that is undefined
     on the table or for the entry's kind is recorded under its name. The
     run continues for the remaining measures and specifications.
-    A world whose cells are all plain strings keeps the engine's row
-    tuples, which ``json`` writes as lists.
+    A world's rows are sequences, not lists: a world whose cells are all
+    strings that JSON writes unescaped keeps the engine's row tuples, and
+    any other world's rows are lists. ``json`` writes both as lists.
     """
     report = {
         "table": {
